@@ -1,7 +1,8 @@
 """Batch front end: check, expand, package, stats and fmt over `.hol` files.
 
 Exit status: 0 all statements succeed; 1 a check failed; 2 a parse,
-meta-type, validity or pattern error; 3 the step budget was exhausted.
+meta-type, validity or pattern error; 3 the step budget or the Python
+recursion depth was exhausted.
 Structural problems (2) take precedence over resource errors (3), which
 take precedence over plain failures (1).
 """
@@ -40,7 +41,7 @@ from .syntax import (
     format_statement,
     parse_source,
 )
-from .terms import All, Atom, Conj, Impl
+from .terms import Atom, map_proves
 from .transform import expand_statement_goal, proof_stats
 
 EXIT_OK, EXIT_FAILED, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
@@ -139,33 +140,6 @@ class Environment:
         self.codes.append(_ERROR_EXIT[report.error])
 
 
-def _map_proofs(g, fn):
-    """Rewrite the proof of every positive proves atom in a goal."""
-    if isinstance(g, Atom):
-        if g.pred == "proves":
-            return Atom("proves", (fn(g.args[0], g.args[1]), g.args[1]))
-        return g
-    if isinstance(g, All):
-        return All(g.mt, _map_proofs(g.body, fn), g.hint)
-    if isinstance(g, Conj):
-        return Conj(_map_proofs(g.left, fn), _map_proofs(g.right, fn))
-    if isinstance(g, Impl):
-        return Impl(g.clause, _map_proofs(g.goal, fn))
-    return g
-
-
-def _proofs_of(g):
-    if isinstance(g, Atom):
-        return [g.args[0]] if g.pred == "proves" else []
-    if isinstance(g, All):
-        return _proofs_of(g.body)
-    if isinstance(g, Conj):
-        return _proofs_of(g.left) + _proofs_of(g.right)
-    if isinstance(g, Impl):
-        return _proofs_of(g.goal)
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -213,7 +187,11 @@ def cmd_expand(args):
 
 def cmd_package(args):
     def rewrite(g, env):
-        return _map_proofs(g, lambda p, a: package(a, p, env.registry))
+        def package_atom(atom, _binders):
+            proof, formula = atom.args
+            return Atom("proves", (package(formula, proof, env.registry), formula))
+
+        return map_proves(g, package_atom)
 
     return _rewrite_command(args, rewrite, keep_definitions=False)
 
@@ -231,7 +209,9 @@ def cmd_stats(args):
             if isinstance(st, (TypeDecl, InfixDecl)):
                 apply_declarations([st], env.sig)
             elif isinstance(st, Solve):
-                for proof in _proofs_of(st.goal):
+                proofs = []
+                map_proves(st.goal, lambda a, env: proofs.append(a.args[0]) or a)
+                for proof in proofs:
                     s = proof_stats(proof)
                     print(
                         f"{path}:{st.pos[0]}: nodes={s.shared_nodes} "
@@ -303,6 +283,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except BudgetError as e:
         print(f"holcheck: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print(
+            "holcheck: input nested too deeply: Python recursion limit reached",
+            file=sys.stderr,
+        )
         return EXIT_RESOURCE
     except OSError as e:
         print(f"holcheck: {e}", file=sys.stderr)

@@ -29,6 +29,8 @@ from .terms import (
     PRED_ARGS,
     SVar,
     Term,
+    arg_types,
+    map_children,
 )
 
 _uvar_ids = itertools.count(1)
@@ -153,11 +155,7 @@ class _Inference:
                 raise MetaTypeError(f"undeclared predicate '{g.pred}'", *(self.pos or ()))
             want = PRED_ARGS.get(g.pred)
             if want is None:
-                want = []
-                mt = sch.body
-                while isinstance(mt, Arrow):
-                    want.append(mt.dom)
-                    mt = mt.cod
+                want = arg_types(sch.body)
             if len(want) != len(g.args):
                 raise MetaTypeError(
                     f"predicate '{g.pred}' expects {len(want)} arguments",
@@ -198,39 +196,15 @@ class _Inference:
             return Arrow(self.zonk_mt(mt.dom, where), self.zonk_mt(mt.cod, where))
         return mt
 
-    def zonk_term(self, t):
-        if isinstance(t, Const):
-            return Const(t.name, self.zonk_mt(t.mt, f"constant '{t.name}'"), t.birth)
-        if isinstance(t, App):
-            return App(self.zonk_term(t.fn), self.zonk_term(t.arg))
-        if isinstance(t, Lam):
-            return Lam(
-                self.zonk_mt(t.mt, f"binder '{t.hint or '_'}'"),
-                self.zonk_term(t.body),
-                t.hint,
-            )
-        if isinstance(t, GoalTerm):
-            return GoalTerm(self.zonk_goal(t.goal))
-        return t
 
-    def zonk_goal(self, g):
-        if isinstance(g, Atom):
-            return Atom(
-                g.pred,
-                tuple(
-                    self.zonk_goal(a) if isinstance(a, (Atom, All, Conj, Impl)) else self.zonk_term(a)
-                    for a in g.args
-                ),
-            )
-        if isinstance(g, All):
-            return All(
-                self.zonk_mt(g.mt, f"binder '{g.hint or '_'}'"), self.zonk_goal(g.body), g.hint
-            )
-        if isinstance(g, Conj):
-            return Conj(self.zonk_goal(g.left), self.zonk_goal(g.right))
-        if isinstance(g, Impl):
-            return Impl(self.zonk_goal(g.clause), self.zonk_goal(g.goal))
-        return g
+def _zonk(t, d, inf):
+    """Ground every meta-type annotation of a term or goal (`d` is unused)."""
+    if isinstance(t, Const):
+        return Const(t.name, inf.zonk_mt(t.mt, f"constant '{t.name}'"), t.birth)
+    if isinstance(t, (Lam, All)):
+        mt = inf.zonk_mt(t.mt, f"binder '{t.hint or '_'}'")
+        return type(t)(mt, _zonk(t.body, d, inf), t.hint)
+    return map_children(t, _zonk, d, inf)
 
 
 def elaborate_term(t: Term, sig, expect: MetaType = None, pos=None):
@@ -239,13 +213,13 @@ def elaborate_term(t: Term, sig, expect: MetaType = None, pos=None):
     t2, mt = inf.term(t, ())
     if expect is not None:
         _unify(mt, expect, "declared meta-type", pos)
-    t3 = inf.zonk_term(t2)
+    t3 = _zonk(t2, 0, inf)
     return t3, inf.zonk_mt(mt, "the whole term")
 
 
 def elaborate_goal(g, sig, pos=None):
     inf = _Inference(sig, pos)
-    return inf.zonk_goal(inf.goal(g, ()))
+    return _zonk(inf.goal(g, ()), 0, inf)
 
 
 def infer_meta_type(t: Term, sig) -> MetaType:

@@ -43,10 +43,13 @@ from .terms import (
     arg_types,
     deref,
     has_unbound_meta,
+    map_children,
+    map_proves,
     max_eigen_birth,
     meta_type_of,
     normalize,
     normalize_goal,
+    plain_spine,
     shift,
     spine,
     subst_goal,
@@ -112,16 +115,6 @@ def _load_rules():
 
 
 PROVES_RULES, HASTYPE_RULES = _load_rules()
-
-
-def _plain_spine(t):
-    """Application spine without contraction (input already normal)."""
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +199,59 @@ def augment_goal(g: Goal) -> Goal:
     Applied once to each top-level statement: a proper check types the
     formula before checking the proof.
     """
-    if isinstance(g, Atom):
-        if g.pred == "proves":
-            return Conj(Atom("hastype", (g.args[1], Const("form", TP))), g)
-        return g
-    if isinstance(g, All):
-        return All(g.mt, augment_goal(g.body), g.hint)
-    if isinstance(g, Conj):
-        return Conj(augment_goal(g.left), augment_goal(g.right))
-    if isinstance(g, Impl):
-        return Impl(g.clause, augment_goal(g.goal))
-    return g
+    return map_proves(
+        g, lambda a, env: Conj(Atom("hastype", (a.args[1], Const("form", TP))), a)
+    )
+
+
+def _goal_app(fn: Term, arg: Term) -> Goal:
+    t = normalize(App(fn, arg))
+    if not isinstance(t, GoalTerm):
+        raise StructuralError("template application did not produce a goal")
+    return t.goal
+
+
+def instantiate(template, name, witness, kind, result_tp=None):
+    """Instantiate a lemma or definition template; returns (goal, clauses).
+
+    The template at `name` must be a whitelisted clause, else a
+    ValidityError names it by `kind`.  Solve `goal`, the template at
+    `witness`, first; then push `clauses()`: the instance and, for a
+    definition (`result_tp` given), its equality clause, built only after
+    `goal` succeeds so that an ill-typed body fails instead of raising.
+    """
+    inst = _goal_app(template, name)
+    if not valid_clause(inst):
+        # an in-proof name is an eigenvariable, shown through its clause
+        detail = f": {inst!r}" if name.birth else ""
+        raise ValidityError(f"{kind} clause outside the allowed grammar{detail}")
+    goal = _goal_app(template, witness)
+    if result_tp is None:
+        return goal, lambda: (inst,)
+    return goal, lambda: (inst, def_to_eqclause(result_tp, name, witness))
+
+
+class _Escape(Exception):
+    """A local variable of a matching target would escape its binding."""
+
+
+def _abstract(t, d, keys):
+    """Rewrite `keys` occurrences in `t`, under `d` binders, to the binders
+    of the value being built; raise _Escape on any other free variable."""
+    t = deref(t)
+    if isinstance(t, Meta):
+        raise _Escape
+    if isinstance(t, Bound) and t.index >= d:
+        k = ("b", t.index - d)
+    elif isinstance(t, Const) and t.birth > 0:
+        k = ("c", t.birth)
+    else:
+        return map_children(t, _abstract, d, keys)
+    if k in keys:
+        return Bound(d + (len(keys) - 1 - keys.index(k)))
+    if isinstance(t, Bound):
+        raise _Escape
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +359,10 @@ class Session:
             return self.match(p.body, t.body, (p.mt,) + tuple(env))
         if isinstance(p, GoalTerm):
             return isinstance(t, GoalTerm) and self.match_goal(p.goal, t.goal, env)
-        ph, pargs = _plain_spine(p)
+        ph, pargs = plain_spine(p)
         if isinstance(ph, Meta):
             return self._bind_pattern(ph.cell, pargs, t, env)
-        th, targs = _plain_spine(t)
+        th, targs = plain_spine(t)
         if isinstance(ph, Const):
             if not (isinstance(th, Const) and th.name == ph.name and th.birth == ph.birth):
                 return False
@@ -367,7 +402,7 @@ class Session:
             if isinstance(t, Bound) or (isinstance(t, Const) and t.birth > 0):
                 return t
             return None
-        h, args = _plain_spine(body)
+        h, args = plain_spine(body)
         if len(args) != n:
             return None
         for i, a in enumerate(args):
@@ -398,71 +433,15 @@ class Session:
                     "matching variable applied to a repeated argument"
                 )
             keys.append(k)
-        body = self._abstract(target, keys, 0)
-        if body is None:
+        try:
+            body = _abstract(target, 0, keys)
+        except _Escape:
             return False
         doms = arg_types(cell.mt)[: len(keys)]
         value = body
         for mt in reversed(doms):
             value = Lam(mt, value)
         return self.bind(cell, value)
-
-    def _abstract(self, t, keys, d):
-        """Rewrite `keys` occurrences to fresh binders; None if a local
-        variable of the target would escape."""
-        t = deref(t)
-        if isinstance(t, Meta):
-            return None
-        if isinstance(t, Bound):
-            if t.index < d:
-                return t
-            k = ("b", t.index - d)
-            if k in keys:
-                return Bound(d + (len(keys) - 1 - keys.index(k)))
-            return None
-        if isinstance(t, Const):
-            if t.birth > 0:
-                k = ("c", t.birth)
-                if k in keys:
-                    return Bound(d + (len(keys) - 1 - keys.index(k)))
-            return t
-        if isinstance(t, App):
-            fn = self._abstract(t.fn, keys, d)
-            arg = self._abstract(t.arg, keys, d)
-            return None if fn is None or arg is None else App(fn, arg)
-        if isinstance(t, Lam):
-            body = self._abstract(t.body, keys, d + 1)
-            return None if body is None else Lam(t.mt, body, t.hint)
-        if isinstance(t, GoalTerm):
-            g = self._abstract_goal(t.goal, keys, d)
-            return None if g is None else GoalTerm(g)
-        return t
-
-    def _abstract_goal(self, g, keys, d):
-        if isinstance(g, Atom):
-            args = []
-            for a in g.args:
-                r = (
-                    self._abstract_goal(a, keys, d)
-                    if isinstance(a, Goal)
-                    else self._abstract(a, keys, d)
-                )
-                if r is None:
-                    return None
-                args.append(r)
-            return Atom(g.pred, tuple(args))
-        if isinstance(g, All):
-            body = self._abstract_goal(g.body, keys, d + 1)
-            return None if body is None else All(g.mt, body, g.hint)
-        if isinstance(g, Conj):
-            l = self._abstract_goal(g.left, keys, d)
-            r = self._abstract_goal(g.right, keys, d)
-            return None if l is None or r is None else Conj(l, r)
-        if isinstance(g, Impl):
-            c = self._abstract_goal(g.clause, keys, d)
-            r = self._abstract_goal(g.goal, keys, d)
-            return None if c is None or r is None else Impl(c, r)
-        return None
 
     def match_goal(self, pg, tg, env=()) -> bool:
         if isinstance(pg, Atom) and isinstance(tg, Atom):
@@ -536,11 +515,8 @@ class Session:
             h, args = spine(p)
             if isinstance(h, Const):
                 n = h.name
-                if n == "lemma_pf" and len(args) == 3:
-                    yield from self.check_lemma_pf(args, a)
-                    return
-                if n == "def_pf" and len(args) == 4:
-                    yield from self.check_def_pf(args, a)
+                if (n, len(args)) in (("lemma_pf", 3), ("def_pf", 4)):
+                    yield from self.check_template_pf(args, a)
                     return
                 if n == "elam" and len(args) == 1:
                     yield from self.check_elam(args[0], a)
@@ -611,47 +587,21 @@ class Session:
 
     # -- lemma and definition constructors -------------------------------------
 
-    def _goal_app(self, fn: Term, arg: Term) -> Goal:
-        t = normalize(App(fn, arg))
-        if not isinstance(t, GoalTerm):
-            raise StructuralError("template application did not produce a goal")
-        return t.goal
-
-    def check_lemma_pf(self, args, formula):
-        inference, lemma_proof, rest = args
+    def check_template_pf(self, args, formula):
+        """`lemma_pf I L R` and `def_pf T I B R`: check the template I at
+        the witness L (or B), then check R at a fresh name with the
+        instance (and the definition's equality) as clauses in scope."""
         if any(has_unbound_meta(x) for x in args):
             return
-        inference = normalize(inference)
-        rest = normalize(rest)
-        name = self.fresh_eigen(inference.mt, rest.hint)
-        inst = self._goal_app(inference, name)
-        if not valid_clause(inst):
-            raise ValidityError(f"lemma clause outside the allowed grammar: {inst!r}")
-        for _ in self.solve(self._goal_app(inference, lemma_proof)):
+        result_tp = args[0] if len(args) == 4 else None
+        template, witness, rest = normalize(args[-3]), args[-2], normalize(args[-1])
+        name = self.fresh_eigen(template.mt, rest.hint)
+        kind = "lemma" if result_tp is None else "definition typing"
+        goal, clauses = instantiate(template, name, witness, kind, result_tp)
+        for _ in self.solve(goal):
             depth = len(self.store)
-            self.push_clause(inst)
-            try:
-                yield from self.solve(Atom("proves", (App(rest, name), formula)))
-            finally:
-                del self.store[depth:]
-
-    def check_def_pf(self, args, formula):
-        result_tp, typeinf, body, rest = args
-        if any(has_unbound_meta(x) for x in args):
-            return
-        typeinf = normalize(typeinf)
-        rest = normalize(rest)
-        name = self.fresh_eigen(typeinf.mt, rest.hint)
-        inst = self._goal_app(typeinf, name)
-        if not valid_clause(inst):
-            raise ValidityError(
-                f"definition typing clause outside the allowed grammar: {inst!r}"
-            )
-        for _ in self.solve(self._goal_app(typeinf, body)):
-            eqclause = def_to_eqclause(result_tp, name, body)
-            depth = len(self.store)
-            self.push_clause(inst)
-            self.push_clause(eqclause)
+            for clause in clauses():
+                self.push_clause(clause)
             try:
                 yield from self.solve(Atom("proves", (App(rest, name), formula)))
             finally:
@@ -688,8 +638,8 @@ class Session:
     def check_goal(self, goal: Goal, augment=True, reset_steps=True) -> CheckReport:
         """Solve a closed top-level goal and report verdict plus statistics.
 
-        Stack discipline is asserted: the store and trail are restored to
-        their entry state whatever the outcome.
+        Stack discipline is checked: the store and trail must be restored
+        to their entry state whatever the outcome, else StructuralError.
         """
         if reset_steps:
             self.steps = 0
@@ -716,9 +666,8 @@ class Session:
             error, message = "pattern", str(e)
         except StructuralError as e:
             error, message = "structural", str(e)
-        assert len(self.store) == depth and len(self.trail) == tmark, (
-            "store/trail stack discipline violated"
-        )
+        if len(self.store) != depth or len(self.trail) != tmark:
+            raise StructuralError("store/trail stack discipline violated")
         stats = Stats(
             steps=self.steps,
             clauses_added=self.clauses_added - clauses_before,

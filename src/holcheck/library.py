@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LibraryError
-from .kernel import CheckReport, Session, def_to_eqclause, valid_clause
+from .kernel import CheckReport, Session, instantiate
 from .terms import (
     App,
     Arrow,
@@ -20,7 +20,6 @@ from .terms import (
     TP,
     Term,
     const_names,
-    normalize,
     replace_const,
     shift,
 )
@@ -115,31 +114,23 @@ def install_entry(entry, session: Session) -> CheckReport:
     both the typing clause and the equality clause.  Pushed clauses stay
     for the rest of the session (library scope).
     """
-    from .errors import ValidityError
-
     name = name_const(entry)
     if isinstance(entry, LemmaEntry):
-        inst = normalize(App(entry.template, name)).goal
-        if not valid_clause(inst):
-            raise ValidityError(
-                f"lemma '{entry.name}' clause outside the allowed grammar"
-            )
-        check = normalize(App(entry.template, entry.proof)).goal
-        report = session.check_goal(check, augment=False)
-        if report.ok:
-            session.push_clause(inst)
-            entry.checked = True
-        return report
-    inst = normalize(App(entry.typeinf, name)).goal
-    if not valid_clause(inst):
-        raise ValidityError(
-            f"definition '{entry.name}' typing clause outside the allowed grammar"
+        goal, clauses = instantiate(
+            entry.template, name, entry.proof, f"lemma '{entry.name}'"
         )
-    check = normalize(App(entry.typeinf, entry.body)).goal
-    report = session.check_goal(check, augment=False)
+    else:
+        goal, clauses = instantiate(
+            entry.typeinf,
+            name,
+            entry.body,
+            f"definition '{entry.name}' typing",
+            entry.result_tp,
+        )
+    report = session.check_goal(goal, augment=False)
     if report.ok:
-        session.push_clause(inst)
-        session.push_clause(def_to_eqclause(entry.result_tp, name, entry.body))
+        for clause in clauses():
+            session.push_clause(clause)
         entry.checked = True
     return report
 

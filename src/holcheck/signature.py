@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SourceError
-from .terms import Arrow, MetaType, O, PF, SVar, TM, TP, arrow, result_base
+from .terms import Arrow, MetaType, O, PF, SVar, TM, TP, arg_types, arrow, result_base
 
 A = SVar("A")
 
@@ -111,7 +111,7 @@ class Signature:
         sch = self.consts.get(name)
         if sch is None:
             raise SourceError(f"fixity declaration for undeclared constant '{name}'", *(pos or ()))
-        if len([1 for _ in _arrow_spine(sch.body)]) < 2:
+        if len(arg_types(sch.body)) < 2:
             raise SourceError(f"'{name}' is not at least binary", *(pos or ()))
         for other, (a2, p2, _k) in self.infixes.items():
             if p2 == prec and a2 != assoc:
@@ -120,12 +120,6 @@ class Signature:
                     *(pos or ()),
                 )
         self.infixes[name] = (assoc, prec, "term")
-
-
-def _arrow_spine(mt):
-    while isinstance(mt, Arrow):
-        yield mt.dom
-        mt = mt.cod
 
 
 def builtin_signature() -> Signature:

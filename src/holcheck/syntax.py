@@ -33,6 +33,7 @@ from .terms import (
     O,
     Term,
     BASE_NAMES,
+    plain_spine,
 )
 
 # ---------------------------------------------------------------------------
@@ -588,7 +589,7 @@ def _fmt(t, sig, names, req):
     if isinstance(t, Meta):
         return f"?{t.cell.uid}"
     if isinstance(t, App):
-        head, args = _app_spine(t)
+        head, args = plain_spine(t)
         fix = sig.fixity(head.name) if isinstance(head, Const) else None
         if fix and fix[2] == "term" and len(args) == 2:
             assoc, p, _ = fix
@@ -636,15 +637,6 @@ def _fmt_goal(g, sig, names, req):
         s = f"{l} <<== {r}"
         return f"({s})" if req > 0 else s
     return repr(g)
-
-
-def _app_spine(t):
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
 
 
 def format_statement(st, sig: Signature) -> str:

@@ -84,20 +84,6 @@ def result_base(mt: MetaType) -> MetaType:
     return mt
 
 
-def arity(mt: MetaType) -> int:
-    n = 0
-    while isinstance(mt, Arrow):
-        n += 1
-        mt = mt.cod
-    return n
-
-
-def mentions_o(mt: MetaType) -> bool:
-    if isinstance(mt, Arrow):
-        return mentions_o(mt.dom) or mentions_o(mt.cod)
-    return mt == O
-
-
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
@@ -240,6 +226,43 @@ PRED_ARGS = {"proves": (PF, TM), "hastype": (TM, TP), "assump": (O,)}
 
 
 # ---------------------------------------------------------------------------
+# Generic traversal
+# ---------------------------------------------------------------------------
+
+
+def map_children(t, f, d, x):
+    """Rebuild a node with `f(child, depth, x)` on each child, left to right.
+
+    `depth` is `d`, but `d + 1` for the body of a `Lam` or `All`.  If every
+    child comes back as the same object, `t` itself is returned, so
+    unchanged subtrees stay shared; leaves (`Const`, `Bound`, `Meta`, not
+    dereferenced) are returned as they are.
+    """
+    if isinstance(t, App):
+        fn, arg = f(t.fn, d, x), f(t.arg, d, x)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if isinstance(t, Lam):
+        body = f(t.body, d + 1, x)
+        return t if body is t.body else Lam(t.mt, body, t.hint)
+    if isinstance(t, GoalTerm):
+        g = f(t.goal, d, x)
+        return t if g is t.goal else GoalTerm(g)
+    if isinstance(t, Atom):
+        args = tuple([f(a, d, x) for a in t.args])
+        return t if all(a is b for a, b in zip(args, t.args)) else Atom(t.pred, args)
+    if isinstance(t, All):
+        body = f(t.body, d + 1, x)
+        return t if body is t.body else All(t.mt, body, t.hint)
+    if isinstance(t, Conj):
+        l, r = f(t.left, d, x), f(t.right, d, x)
+        return t if l is t.left and r is t.right else Conj(l, r)
+    if isinstance(t, Impl):
+        cl, g = f(t.clause, d, x), f(t.goal, d, x)
+        return t if cl is t.clause and g is t.goal else Impl(cl, g)
+    return t
+
+
+# ---------------------------------------------------------------------------
 # Dereferencing, shifting, substitution
 # ---------------------------------------------------------------------------
 
@@ -254,34 +277,13 @@ def shift(t, by: int, cutoff: int = 0):
     """Shift free de Bruijn indices >= cutoff by `by` (terms and goals)."""
     if by == 0:
         return t
-    return _shift(t, by, cutoff)
+    return _shift(t, cutoff, by)
 
 
-def _shift(t, by, c):
+def _shift(t, c, by):
     if isinstance(t, Bound):
         return Bound(t.index + by) if t.index >= c else t
-    if isinstance(t, App):
-        fn, arg = _shift(t.fn, by, c), _shift(t.arg, by, c)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, Lam):
-        body = _shift(t.body, by, c + 1)
-        return t if body is t.body else Lam(t.mt, body, t.hint)
-    if isinstance(t, GoalTerm):
-        g = _shift(t.goal, by, c)
-        return t if g is t.goal else GoalTerm(g)
-    if isinstance(t, Atom):
-        args = tuple(_shift(a, by, c) for a in t.args)
-        return t if all(a is b for a, b in zip(args, t.args)) else Atom(t.pred, args)
-    if isinstance(t, All):
-        body = _shift(t.body, by, c + 1)
-        return t if body is t.body else All(t.mt, body, t.hint)
-    if isinstance(t, Conj):
-        l, r = _shift(t.left, by, c), _shift(t.right, by, c)
-        return t if l is t.left and r is t.right else Conj(l, r)
-    if isinstance(t, Impl):
-        cl, g = _shift(t.clause, by, c), _shift(t.goal, by, c)
-        return t if cl is t.clause and g is t.goal else Impl(cl, g)
-    return t  # Const, Meta
+    return map_children(t, _shift, c, by)
 
 
 def subst(body, arg):
@@ -298,28 +300,7 @@ def _subst(t, d, v):
         if t.index == d:
             return shift(v, d)
         return Bound(t.index - 1) if t.index > d else t
-    if isinstance(t, App):
-        fn, arg = _subst(t.fn, d, v), _subst(t.arg, d, v)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, Lam):
-        body = _subst(t.body, d + 1, v)
-        return t if body is t.body else Lam(t.mt, body, t.hint)
-    if isinstance(t, GoalTerm):
-        g = _subst(t.goal, d, v)
-        return t if g is t.goal else GoalTerm(g)
-    if isinstance(t, Atom):
-        args = tuple(_subst(a, d, v) for a in t.args)
-        return t if all(a is b for a, b in zip(args, t.args)) else Atom(t.pred, args)
-    if isinstance(t, All):
-        body = _subst(t.body, d + 1, v)
-        return t if body is t.body else All(t.mt, body, t.hint)
-    if isinstance(t, Conj):
-        l, r = _subst(t.left, d, v), _subst(t.right, d, v)
-        return t if l is t.left and r is t.right else Conj(l, r)
-    if isinstance(t, Impl):
-        cl, g = _subst(t.clause, d, v), _subst(t.goal, d, v)
-        return t if cl is t.clause and g is t.goal else Impl(cl, g)
-    return t
+    return map_children(t, _subst, d, v)
 
 
 def subst_goal(body: Goal, arg: Term) -> Goal:
@@ -373,6 +354,17 @@ def spine(t: Term):
             t = subst(t.body, args.pop())
         else:
             break
+    args.reverse()
+    return t, args
+
+
+def plain_spine(t: Term):
+    """Head and arguments of an application, without contraction or
+    dereferencing (for input that is already normal)."""
+    args = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
     args.reverse()
     return t, args
 
@@ -506,22 +498,31 @@ def replace_const(t, mapping, depth=0):
     `mapping` sends a constant name to the number of binders between the
     root of `t` and its binder; indices are adjusted under inner binders.
     """
+    return _replace_const(t, depth, mapping)
+
+
+def _replace_const(t, depth, mapping):
     if isinstance(t, Const):
         if t.name in mapping:
             return Bound(mapping[t.name] + depth)
         return t
-    if isinstance(t, App):
-        return App(replace_const(t.fn, mapping, depth), replace_const(t.arg, mapping, depth))
-    if isinstance(t, Lam):
-        return Lam(t.mt, replace_const(t.body, mapping, depth + 1), t.hint)
-    if isinstance(t, GoalTerm):
-        return GoalTerm(replace_const(t.goal, mapping, depth))
-    if isinstance(t, Atom):
-        return Atom(t.pred, tuple(replace_const(a, mapping, depth) for a in t.args))
-    if isinstance(t, All):
-        return All(t.mt, replace_const(t.body, mapping, depth + 1), t.hint)
-    if isinstance(t, Conj):
-        return Conj(replace_const(t.left, mapping, depth), replace_const(t.right, mapping, depth))
-    if isinstance(t, Impl):
-        return Impl(replace_const(t.clause, mapping, depth), replace_const(t.goal, mapping, depth))
-    return t
+    return map_children(t, _replace_const, depth, mapping)
+
+
+def map_proves(g: Goal, fn, env=()) -> Goal:
+    """Replace every positive `proves` atom of a goal by `fn(atom, env)`.
+
+    Positive atoms are those reached through universals, conjunctions and
+    the goal side of implications; `env` lists the binder meta-types
+    entered so far, innermost first.  Clauses, which are hypotheses, and
+    other atoms are kept.
+    """
+    if isinstance(g, Atom):
+        return fn(g, env) if g.pred == "proves" else g
+    if isinstance(g, All):
+        return All(g.mt, map_proves(g.body, fn, (g.mt,) + tuple(env)), g.hint)
+    if isinstance(g, Conj):
+        return Conj(map_proves(g.left, fn, env), map_proves(g.right, fn, env))
+    if isinstance(g, Impl):
+        return Impl(g.clause, map_proves(g.goal, fn, env))
+    return g

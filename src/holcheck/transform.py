@@ -15,7 +15,9 @@ from .terms import (
     Impl,
     Lam,
     children,
+    map_proves,
     normalize,
+    plain_spine,
 )
 
 
@@ -42,7 +44,7 @@ def _expand(t, env):
     if isinstance(t, App):
         fn, arg = _expand(t.fn, env), _expand(t.arg, env)
         t2 = t if fn is t.fn and arg is t.arg else App(fn, arg)
-        head, args = _spine(t2)
+        head, args = plain_spine(t2)
         if isinstance(head, Const) and head.name == "lemma_pf" and len(args) == 3:
             return normalize(App(args[2], args[1]), env)
         return t2
@@ -73,31 +75,13 @@ def _expand_goal(g, env):
     return g
 
 
-def _spine(t):
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 def expand_statement_goal(g, env=()):
     """Expand the proof argument of every positive proves atom in a goal."""
-    env = tuple(env)
-    if isinstance(g, Atom):
-        if g.pred == "proves":
-            return Atom(g.pred, (expand_lemmas(g.args[0], env), g.args[1]))
-        return g
-    if isinstance(g, All):
-        return All(g.mt, expand_statement_goal(g.body, (g.mt,) + env), g.hint)
-    if isinstance(g, Conj):
-        return Conj(
-            expand_statement_goal(g.left, env), expand_statement_goal(g.right, env)
-        )
-    if isinstance(g, Impl):
-        return Impl(g.clause, expand_statement_goal(g.goal, env))
-    return g
+    return map_proves(g, _expand_atom, env)
+
+
+def _expand_atom(atom, env):
+    return Atom("proves", (expand_lemmas(atom.args[0], env), atom.args[1]))
 
 
 def _skeleton_children(t):

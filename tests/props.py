@@ -26,7 +26,6 @@ from holcheck.terms import (
     TP,
     alpha_beta_eq,
     arg_types,
-    arity,
     meta_type_of,
     normalize,
     result_base,
@@ -198,6 +197,6 @@ def run_eqclause_arity(n, seed=15):
         while isinstance(m, Arrow):
             oracle += 1
             m = m.cod
-        assert binders == oracle == arity(mt), f"case {i}: binder count mismatch"
+        assert binders == oracle, f"case {i}: binder count mismatch"
         assert isinstance(g, Atom) and g.pred == "proves"
     return n

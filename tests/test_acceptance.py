@@ -17,7 +17,7 @@ from holcheck.kernel import DEFAULT_BUDGET, Session, def_to_eqclause
 from holcheck.library import check_library, load_library, package
 from holcheck.signature import builtin_signature
 from holcheck.syntax import apply_declarations, parse_goal, parse_source, parse_term
-from holcheck.terms import alpha_beta_eq, arrow, normalize_goal, TM, TP
+from holcheck.terms import alpha_beta_eq, arrow, map_proves, normalize_goal, TM, TP
 from holcheck.transform import expand_statement_goal, proof_stats
 
 
@@ -27,22 +27,13 @@ def report(line):
 
 def proofs_with_env(goal):
     """(proof, binder env) for every positive proves atom of a goal."""
-    from holcheck.terms import All, Atom, Conj, Impl
-
     out = []
 
-    def walk(g, env):
-        if isinstance(g, Atom) and g.pred == "proves":
-            out.append((g.args[0], tuple(env)))
-        elif isinstance(g, All):
-            walk(g.body, (g.mt,) + tuple(env))
-        elif isinstance(g, Conj):
-            walk(g.left, env)
-            walk(g.right, env)
-        elif isinstance(g, Impl):
-            walk(g.goal, env)
+    def collect(atom, env):
+        out.append((atom.args[0], env))
+        return atom
 
-    walk(goal, ())
+    map_proves(goal, collect)
     return out
 
 

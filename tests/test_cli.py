@@ -199,3 +199,21 @@ def test_exit_code_precedence_resource_beats_failure(tmp_path, capsys):
         + (CORPUS / "symm_trans.hol").read_text()
     )
     assert run("check", "--budget", "120", str(f)) == 3
+
+
+CHURCH_TWO = "(f\\ x\\ f (f x))"
+DEEP_INPUTS = {
+    # 2 applied to itself four deep normalizes to 65536 nested applications
+    "church numeral tower": f"(({CHURCH_TWO} {CHURCH_TWO} {CHURCH_TWO} {CHURCH_TWO}) s z)",
+    "3000 nested applications": "(s " * 3000 + "z" + ")" * 3000,
+}
+
+
+@pytest.mark.parametrize("term", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
+def test_recursion_limit_is_a_resource_exit(term, tmp_path, capsys):
+    f = tmp_path / "deep.hol"
+    f.write_text(f"type s tm -> tm.\ntype z tm.\nproves refl (eq intty {term} z).\n")
+    assert run("check", str(f)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("holcheck: ")
+    assert "recursion" in err[0]

@@ -411,6 +411,19 @@ def test_store_and_trail_restored_after_success_and_failure(sig):
     assert len(ses.store) == depth and len(ses.trail) == 0
 
 
+def test_leaked_clause_is_a_structural_error(sig):
+    """The store/trail check survives `python -O`: it raises, not asserts."""
+
+    class LeakySession(Session):
+        def tick(self):
+            super().tick()
+            if self.steps == 1:  # outside every scope that pops the store
+                self.store.append(parse_goal("hastype false form", sig))
+
+    with pytest.raises(StructuralError, match="stack discipline"):
+        LeakySession(sig).check_goal(parse_goal("hastype false form", sig))
+
+
 def test_deterministic_replay():
     g = load_corpus_goal("symm_trans.hol")
     r1 = Session(builtin_signature()).check_goal(g)
