@@ -65,12 +65,14 @@ def _occurs(v, mt):
 
 
 def _unify(a, b, where, pos):
+    """Unify two meta-types.  `where` names the site for an error message:
+    a string, or a function that builds it, called only on failure."""
     a, b = _chase(a), _chase(b)
     if a is b:
         return
     if isinstance(a, UVar):
         if _occurs(a, b):
-            raise MetaTypeError(f"circular meta-type in {where}", *(pos or ()))
+            raise MetaTypeError(f"circular meta-type in {_site(where)}", *(pos or ()))
         a.ref = b
         return
     if isinstance(b, UVar):
@@ -83,8 +85,13 @@ def _unify(a, b, where, pos):
         _unify(a.cod, b.cod, where, pos)
         return
     raise MetaTypeError(
-        f"meta-type mismatch in {where}: {_show(a)} vs {_show(b)}", *(pos or ())
+        f"meta-type mismatch in {_site(where)}: {_show(a)} vs {_show(b)}",
+        *(pos or ()),
     )
+
+
+def _site(where):
+    return where() if callable(where) else where
 
 
 def _show(mt):
@@ -138,7 +145,7 @@ class _Inference:
             fn, fmt = self.term(t.fn, env)
             arg, amt = self.term(t.arg, env)
             res = UVar()
-            _unify(fmt, Arrow(amt, res), f"application {t!r}", self.pos)
+            _unify(fmt, Arrow(amt, res), lambda: f"application {t!r}", self.pos)
             return App(fn, arg), res
         if isinstance(t, Lam):
             dom = t.mt if t.mt is not None else UVar()

@@ -14,6 +14,23 @@ a complete chronological-backtracking interpreter:
 Matching is one-directional (goal side ground) over the pattern fragment:
 a matching variable may appear bare or applied to distinct variables.
 Anything outside that fragment is a hard error, never a search.
+
+Invariant: every atom that reaches dispatch is beta-normal and eta-long,
+and holds no bound matching variable.  It is established once, not per
+step: `check_goal` normalizes its goal on entry, `push_clause` normalizes
+each clause (built-in rules are normalized when loaded), and `solve_atom`
+normalizes an atom only when it holds a bound matching variable, the one
+place a redex can appear (the variable's value is a lambda at an applied
+head).  Everything else keeps terms normal by construction.  With higher-
+order abstract syntax object substitution is a meta-level beta step, and
+in an eta-long term every occurrence of a bound variable is fully applied.
+So replacing a binder by an eigenvariable, or by a fresh matching variable
+(closed, and unbound, so not a lambda), leaves the term normal: no redex
+and no partial application appears.  Universal goals, clause prefixes,
+the rest of a lemma or definition node and `elam` are instantiated that
+way, with `subst` on the body of the lambda instead of an application
+that would need normalizing.  The handlers read their arguments as
+sub-terms of a normal atom.
 """
 
 from __future__ import annotations
@@ -42,6 +59,7 @@ from .terms import (
     Term,
     arg_types,
     deref,
+    has_bound_meta,
     has_unbound_meta,
     map_children,
     map_proves,
@@ -52,6 +70,7 @@ from .terms import (
     plain_spine,
     shift,
     spine,
+    subst,
     subst_goal,
 )
 
@@ -494,7 +513,8 @@ class Session:
             raise StructuralError(f"not a goal: {g!r}")
 
     def solve_atom(self, atom: Atom):
-        atom = normalize_goal(atom)
+        if has_bound_meta(atom):
+            atom = normalize_goal(atom)
         self.goal_stack.append(atom)
         try:
             produced = False
@@ -512,7 +532,7 @@ class Session:
             p, a = atom.args
             if has_unbound_meta(a):
                 return  # the formula side must be ground
-            h, args = spine(p)
+            h, args = plain_spine(p)
             if isinstance(h, Const):
                 n = h.name
                 if (n, len(args)) in (("lemma_pf", 3), ("def_pf", 4)):
@@ -540,7 +560,7 @@ class Session:
             x, tp = atom.args
             if has_unbound_meta(x) or has_unbound_meta(tp):
                 return
-            h, _ = spine(x)
+            h, _ = plain_spine(x)
             if isinstance(h, Const):
                 rule = HASTYPE_RULES.get(h.name)
                 if rule is not None:
@@ -561,9 +581,15 @@ class Session:
     def backchain(self, atom: Atom, clause: Goal):
         self.tick()
         if isinstance(clause, All):
-            v = self.fresh_meta(clause.mt)
-            yield from self.backchain(atom, subst_goal(clause.body, v))
-        elif isinstance(clause, Conj):
+            # the whole pi prefix in one substitution pass, one step and
+            # one fresh matching variable per binder, outermost first
+            metas = []
+            while isinstance(clause, All):
+                metas.append(self.fresh_meta(clause.mt))
+                clause = clause.body
+                self.tick()
+            clause = subst_goal(clause, *metas)
+        if isinstance(clause, Conj):
             m = self.mark()
             try:
                 yield from self.backchain(atom, clause.left)
@@ -594,7 +620,9 @@ class Session:
         if any(has_unbound_meta(x) for x in args):
             return
         result_tp = args[0] if len(args) == 4 else None
-        template, witness, rest = normalize(args[-3]), args[-2], normalize(args[-1])
+        template, witness, rest = args[-3:]
+        if not (isinstance(template, Lam) and isinstance(rest, Lam)):
+            raise StructuralError("lemma or definition node is not eta-long")
         name = self.fresh_eigen(template.mt, rest.hint)
         kind = "lemma" if result_tp is None else "definition typing"
         goal, clauses = instantiate(template, name, witness, kind, result_tp)
@@ -603,27 +631,27 @@ class Session:
             for clause in clauses():
                 self.push_clause(clause)
             try:
-                yield from self.solve(Atom("proves", (App(rest, name), formula)))
+                yield from self.solve(Atom("proves", (subst(rest.body, name), formula)))
             finally:
                 del self.store[depth:]
 
     def check_elam(self, q, formula):
-        q = normalize(q)
+        if not isinstance(q, Lam):
+            raise StructuralError("elam node is not eta-long")
         if q.mt not in (TP, TM):
             raise ValidityError("elam may only quantify over tp or tm")
         b = self.fresh_meta(q.mt)
-        yield from self.solve(Atom("proves", (App(q, b), formula)))
+        yield from self.solve(Atom("proves", (subst(q.body, b), formula)))
 
     def check_extract(self, pat, sub, formula):
         m = self.mark()
         try:
-            if self.match(normalize(pat), formula):
+            if self.match(pat, formula):
                 yield from self.solve(Atom("proves", (sub, formula)))
         finally:
             self.undo(m)
 
-    def check_extract_goal(self, goal_arg, sub, formula):
-        gt = normalize(goal_arg)
+    def check_extract_goal(self, gt, sub, formula):
         if not isinstance(gt, GoalTerm):
             raise StructuralError("extractGoal expects a goal argument")
         if not valid_clause(gt.goal):
@@ -650,7 +678,7 @@ class Session:
         g = augment_goal(goal) if augment else goal
         ok, error, message = False, None, ""
         try:
-            gen = self.solve(g)
+            gen = self.solve(normalize_goal(g))
             try:
                 next(gen)
                 ok = True

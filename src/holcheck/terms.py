@@ -25,9 +25,20 @@ from .errors import StructuralError
 BASE_NAMES = ("tp", "tm", "pf", "o")
 
 
+# Each meta-type node computes its hash once, from its children's cached
+# hashes, so that hashing a normalization memo key is O(1) per meta-type
+# instead of a walk of the type tree.  Equality stays structural.
+
+
 @dataclass(frozen=True)
 class Base:
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.name))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return self.name
@@ -37,6 +48,12 @@ class Base:
 class Arrow:
     dom: "MetaType"
     cod: "MetaType"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.dom, self.cod)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         d = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
@@ -48,6 +65,12 @@ class SVar:
     """Type parameter of a polymorphic constant scheme (never ground)."""
 
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.name))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return self.name
@@ -292,19 +315,33 @@ def subst(body, arg):
     Unchanged subtrees are returned as the same objects, so sharing in the
     input survives substitution.
     """
-    return _subst(body, 0, arg)
+    return _subst(body, 0, (arg,))
 
 
-def _subst(t, d, v):
+def _subst(t, d, vs):
+    # vs[-1] replaces the innermost of the len(vs) binders being removed;
+    # applications and leaves, the hot cases, are handled here: through
+    # map_children they cost twice as much
+    if isinstance(t, App):
+        fn, arg = _subst(t.fn, d, vs), _subst(t.arg, d, vs)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Bound):
-        if t.index == d:
-            return shift(v, d)
-        return Bound(t.index - 1) if t.index > d else t
-    return map_children(t, _subst, d, v)
+        i = t.index - d
+        if i < 0:
+            return t
+        if i < len(vs):
+            return shift(vs[-1 - i], d)
+        return Bound(t.index - len(vs))
+    if isinstance(t, (Const, Meta)):
+        return t
+    return map_children(t, _subst, d, vs)
 
 
-def subst_goal(body: Goal, arg: Term) -> Goal:
-    return _subst(body, 0, arg)
+def subst_goal(body: Goal, *args: Term) -> Goal:
+    """Replace the len(args) innermost open binders of `body` in one pass,
+    `args[-1]` for the innermost (index 0); with closed arguments,
+    `subst_goal(b, x, y)` is `subst(subst(b, y), x)`."""
+    return _subst(body, 0, args)
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +509,66 @@ def children(t):
 
 def walk(t) -> Iterator:
     """All nodes of a term/goal tree, dereferencing bound meta cells."""
-    if isinstance(t, Meta) and t.cell.value is not None:
-        yield from walk(t.cell.value)
-        return
-    yield t
-    for c in children(t):
-        yield from walk(c)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Meta) and t.cell.value is not None:
+            stack.append(t.cell.value)
+        else:
+            yield t
+            stack.extend(children(t))
 
 
 def has_unbound_meta(t) -> bool:
-    return any(isinstance(n, Meta) for n in walk(t))
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append(t.fn)
+            stack.append(t.arg)
+        elif isinstance(t, Meta):
+            if t.cell.value is None:
+                return True
+            stack.append(t.cell.value)
+        elif not isinstance(t, (Const, Bound)):
+            stack.extend(children(t))
+    return False
+
+
+def has_bound_meta(t) -> bool:
+    """Whether a bound matching variable occurs in `t` (values not entered):
+    only such a term can hold a redex once its own parts are normal."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append(t.fn)
+            stack.append(t.arg)
+        elif isinstance(t, Meta):
+            if t.cell.value is not None:
+                return True
+        elif not isinstance(t, (Const, Bound)):
+            stack.extend(children(t))
+    return False
 
 
 def max_eigen_birth(t) -> int:
-    return max((n.birth for n in walk(t) if isinstance(n, Const)), default=0)
+    best = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append(t.fn)
+            stack.append(t.arg)
+        elif isinstance(t, Const):
+            if t.birth > best:
+                best = t.birth
+        elif isinstance(t, Meta):
+            if t.cell.value is not None:
+                stack.append(t.cell.value)
+        elif not isinstance(t, Bound):
+            stack.extend(children(t))
+    return best
 
 
 def const_names(t) -> set:

@@ -11,6 +11,8 @@ from holcheck.syntax import apply_declarations, parse_source
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+# the benchmark's chain generator and tracer are imported, never edited
+sys.path.append(str(ROOT / "bench"))
 
 THEOREM_FILES = [
     "symm_basic.hol",

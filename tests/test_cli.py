@@ -217,3 +217,25 @@ def test_recursion_limit_is_a_resource_exit(term, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("holcheck: ")
     assert "recursion" in err[0]
+
+
+def test_thirty_link_chain_checks(tmp_path, capsys):
+    """A 30-link transitivity chain fits in the default recursion limit.
+
+    With one interpreter frame per clause binder and a normalization of
+    every atom, 30 links exhausted it (exit 3); with this link mix the
+    first failing length is now 46."""
+    import random
+
+    from chain import chain_statement
+
+    n = 30
+    rng = random.Random(n)
+    backwards = [k < n // 2 for k in range(n)]
+    rng.shuffle(backwards)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    f = tmp_path / "chain.hol"
+    f.write_text(chain_statement(n, backwards, order))
+    assert run("check", str(f)) == 0
+    assert "success" in capsys.readouterr().out

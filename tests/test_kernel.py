@@ -2,7 +2,9 @@
 
 import pytest
 
-from conftest import THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goal
+from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goal
+
+from holcheck import cli
 
 from holcheck.errors import PatternError, StructuralError, ValidityError
 from holcheck.kernel import Session, augment_goal, def_to_eqclause, valid_clause
@@ -20,7 +22,9 @@ from holcheck.terms import (
     alpha_beta_eq,
     arrow,
     normalize,
+    normalize_goal,
 )
+from negatives import CASES
 
 
 def check(text, sig=None, augment=True, budget=None):
@@ -487,3 +491,47 @@ def test_backtracking_undoes_bindings_between_alternatives():
         augment=False,
     )
     assert r.ok
+
+
+# ---------------------------------------------------------------------------
+# The normal-form invariant
+# ---------------------------------------------------------------------------
+
+
+class NormalFormSession(Session):
+    """Asserts that every dispatched atom is already beta-normal eta-long:
+    the kernel normalizes goals on entry and atoms only when they hold a
+    bound matching variable."""
+
+    def _dispatch(self, atom):
+        assert normalize_goal(atom) == atom, f"atom not normal: {atom!r}"
+        return super()._dispatch(atom)
+
+
+def _check_files(monkeypatch, session_cls, *args):
+    monkeypatch.setattr(cli, "Session", session_cls)
+    return cli.main(["check", *map(str, args)])
+
+
+CORPUS_RUNS = [
+    (f.name, ("--lib", CORPUS / "lib_full.hol") if "via_lib" in f.name else ())
+    for f in sorted(CORPUS.glob("*.hol"))
+]
+
+
+@pytest.mark.parametrize("name,libs", CORPUS_RUNS, ids=[n for n, _ in CORPUS_RUNS])
+def test_dispatched_atoms_are_normal_on_corpus(name, libs, monkeypatch, capsys):
+    plain = _check_files(monkeypatch, Session, *libs, CORPUS / name)
+    plain_out = capsys.readouterr().out
+    assert _check_files(monkeypatch, NormalFormSession, *libs, CORPUS / name) == plain
+    assert capsys.readouterr().out == plain_out
+
+
+@pytest.mark.parametrize("name,text,libs,expected", CASES, ids=[c[0] for c in CASES])
+def test_dispatched_atoms_are_normal_on_negatives(
+    name, text, libs, expected, monkeypatch, tmp_path, capsys
+):
+    f = tmp_path / "case.hol"
+    f.write_text(text)
+    lib_args = [a for lib in libs for a in ("--lib", CORPUS / lib)]
+    assert _check_files(monkeypatch, NormalFormSession, *lib_args, f) == expected

@@ -1,18 +1,28 @@
 """Substitution, normalization, equality and meta-type inference."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import props
+from conftest import CORPUS
+from holcheck import terms
 from holcheck.errors import MetaTypeError
 from holcheck.infer import infer_meta_type
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
-from holcheck.syntax import parse_term
+from holcheck.syntax import parse_source, parse_term
 from holcheck.terms import (
     App,
     Arrow,
+    Base,
     Bound,
     Const,
+    Meta,
+    MetaCell,
     PF,
+    SVar,
     TM,
     TP,
     alpha_beta_eq,
@@ -20,6 +30,7 @@ from holcheck.terms import (
     meta_type_of,
     normalize,
     subst,
+    subst_goal,
 )
 
 
@@ -191,3 +202,79 @@ def test_signature_rejects_builtin_redeclaration():
         sig.declare("eq", TM)
     with pytest.raises(Exception):
         sig.declare_infix("imp", "left", 3)
+
+
+def test_elaboration_never_prints_applications(monkeypatch):
+    # the "application ..." error text is built only when unification fails
+    def no_repr(self):
+        raise AssertionError("App.__repr__ called while elaborating")
+
+    monkeypatch.setattr(App, "__repr__", no_repr)
+    src = parse_source((CORPUS / "assoc_def_atomic.hol").read_text(), builtin_signature())
+    assert src.statements
+
+
+# ---------------------------------------------------------------------------
+# Properties: cached meta-type hashes, normalization, one-pass substitution
+# ---------------------------------------------------------------------------
+
+# a meta-type shape: ("base", name), ("svar", name) or a (dom, cod) pair
+_SHAPES = st.recursive(
+    st.one_of(
+        st.tuples(st.just("base"), st.sampled_from(["tp", "tm", "pf", "o"])),
+        st.tuples(st.just("svar"), st.sampled_from(["A", "tm"])),
+    ),
+    lambda inner: st.tuples(inner, inner),
+    max_leaves=10,
+)
+
+
+def _build(shape):
+    if shape[0] == "base":
+        return Base(shape[1])
+    if shape[0] == "svar":
+        return SVar(shape[1])
+    return Arrow(_build(shape[0]), _build(shape[1]))
+
+
+@given(_SHAPES, _SHAPES)
+def test_separately_built_meta_types_hash_alike(a, b):
+    x, y, z = _build(a), _build(a), _build(b)
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert {x: 1}.get(y) == 1
+    assert (x == z) == (a == b)
+    if x == z:
+        assert hash(x) == hash(z)
+
+
+class _NoMemo(dict):
+    """A normalization memo that never hits."""
+
+    def get(self, key, default=None):
+        return default
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS)
+def test_normalize_agrees_with_memo_free_normalization(seed):
+    # meta-types key the memo; a memo that never hits is the reference
+    rng = random.Random(seed)
+    dom = rng.choice((TM, TP, PF, Arrow(TM, TM), Arrow(TM, Arrow(TM, PF))))
+    cod = rng.choice((TM, PF, Arrow(TM, TM)))
+    lam = props.gen_term(rng, Arrow(dom, cod), (), fuel=3)
+    t = App(lam, props.gen_term(rng, dom, (), fuel=2))
+    assert normalize(t) == terms._norm(t, cod, (), _NoMemo())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS)
+def test_subst_goal_of_a_prefix_is_iterated_subst(seed):
+    rng = random.Random(seed)
+    env = (rng.choice((TM, PF)), rng.choice((TP, TM)), rng.choice((TM, PF)))
+    body = props.gen_goal(rng, env, fuel=2)
+    # closed values: matching variables, as a clause prefix gets them
+    a, b, c = (Meta(MetaCell(mt, 0)) for mt in reversed(env))
+    assert subst_goal(body, a, b, c) == subst(subst(subst(body, c), b), a)
