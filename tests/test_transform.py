@@ -1,12 +1,20 @@
 """Lemma expansion and proof metrics."""
 
-from conftest import load_corpus_goal
+import pytest
 
+from conftest import CORPUS, load_corpus_goal
+
+from holcheck.cli import main
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
 from holcheck.syntax import parse_term
-from holcheck.terms import Const, alpha_beta_eq, normalize, walk
-from holcheck.transform import expand_lemmas, expand_statement_goal, proof_stats
+from holcheck.terms import App, Const, alpha_beta_eq, normalize, walk
+from holcheck.transform import (
+    ProofStats,
+    expand_lemmas,
+    expand_statement_goal,
+    proof_stats,
+)
 
 
 def count_const(t, name):
@@ -123,3 +131,46 @@ def test_expansion_inlines_specialized_definitions():
         while isinstance(g, (All, Impl)):
             g = g.body if isinstance(g, All) else g.goal
         assert proof_stats(g.args[0]).lemma_count == 0
+
+
+# `holcheck stats` lines of every corpus theorem, after the "path:line: "
+STATS_LINES = {
+    "and_def.hol": "nodes=36 tree_nodes=36 lemmas=0 defs=1 depth=12",
+    "assoc_def.hol": "nodes=519 tree_nodes=519 lemmas=5 defs=1 depth=45",
+    "assoc_def_atomic.hol": "nodes=1188 tree_nodes=1188 lemmas=6 defs=0 depth=54",
+    "assoc_def_speclemma.hol": "nodes=526 tree_nodes=526 lemmas=6 defs=0 depth=48",
+    "assoc_via_lib.hol": "nodes=100 tree_nodes=100 lemmas=0 defs=0 depth=21",
+    "poly_lemmas.hol": "nodes=182 tree_nodes=182 lemmas=3 defs=0 depth=25",
+    "symm_basic.hol": "nodes=26 tree_nodes=26 lemmas=0 defs=0 depth=13",
+    "symm_implicit.hol": "nodes=56 tree_nodes=56 lemmas=1 defs=0 depth=17",
+    "symm_lemma.hol": "nodes=46 tree_nodes=46 lemmas=1 defs=0 depth=13",
+    "symm_trans.hol": "nodes=116 tree_nodes=116 lemmas=2 defs=0 depth=21",
+    "symm_via_lib.hol": "nodes=12 tree_nodes=12 lemmas=0 defs=0 depth=8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATS_LINES))
+def test_stats_lines_are_pinned(name, capsys):
+    path = str(CORPUS / name)
+    lib = ["--lib", str(CORPUS / "lib_full.hol")] if name.endswith("_via_lib.hol") else []
+    assert main(["stats", *lib, path]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    prefix, _, rest = line.rpartition(": ")
+    assert prefix.startswith(path + ":")
+    assert rest == STATS_LINES[name]
+
+
+def test_stats_of_shared_subterms_are_pinned():
+    # a parsed proof shares nothing; these share lemma and definition
+    # subproofs, which the tree metrics count once per occurrence
+    lemma = load_corpus_goal("symm_lemma.hol").args[0]
+    defn = load_corpus_goal("and_def.hol").args[0]
+    imp_e = parse_term("imp_e false refl refl", builtin_signature()).fn.fn.fn
+    shared = App(App(App(imp_e, lemma), defn), App(defn, lemma))
+    assert proof_stats(shared) == ProofStats(
+        shared_nodes=87, tree_nodes=169, lemma_count=2, def_count=2, max_depth=16
+    )
+    expanded = expand_lemmas(load_corpus_goal("symm_trans.hol").args[0])
+    assert proof_stats(expanded) == ProofStats(
+        shared_nodes=106, tree_nodes=130, lemma_count=0, def_count=0, max_depth=34
+    )
