@@ -57,7 +57,10 @@ _ERROR_EXIT = {
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise SourceError(f"not UTF-8 text ({e.reason})", path=path) from None
 
 
 def _combine(codes):
@@ -71,12 +74,11 @@ def _combine(codes):
 class Environment:
     """Signature + session + registry with the libraries loaded and checked."""
 
-    def __init__(self, lib_paths, budget, trace="summary", out=None):
+    def __init__(self, lib_paths, budget, trace="summary"):
         self.sig = builtin_signature()
         self.session = Session(self.sig, budget)
         self.registry = Registry()
         self.trace = trace
-        self.out = out
         self.codes = []
         for path in lib_paths:
             src = parse_source(_read(path), self.sig, path)
@@ -94,7 +96,7 @@ class Environment:
 
     def emit(self, line):
         if self.trace != "quiet":
-            print(line, file=self.out or sys.stdout)
+            print(line)
 
     def run_statement(self, st, path):
         loc = f"{path}:{st.pos[0]}"

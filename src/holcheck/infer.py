@@ -26,7 +26,6 @@ from .terms import (
     Lam,
     MetaType,
     O,
-    PRED_ARGS,
     SVar,
     Term,
     arg_types,
@@ -85,20 +84,13 @@ def _unify(a, b, where, pos):
         _unify(a.cod, b.cod, where, pos)
         return
     raise MetaTypeError(
-        f"meta-type mismatch in {_site(where)}: {_show(a)} vs {_show(b)}",
+        f"meta-type mismatch in {_site(where)}: {_zonk_loose(a)} vs {_zonk_loose(b)}",
         *(pos or ()),
     )
 
 
 def _site(where):
     return where() if callable(where) else where
-
-
-def _show(mt):
-    mt = _chase(mt)
-    if isinstance(mt, Arrow):
-        return str(Arrow(_zonk_loose(mt.dom), _zonk_loose(mt.cod)))
-    return str(mt)
 
 
 def _zonk_loose(mt):
@@ -160,9 +152,7 @@ class _Inference:
             sch = self.sig.lookup(g.pred)
             if sch is None:
                 raise MetaTypeError(f"undeclared predicate '{g.pred}'", *(self.pos or ()))
-            want = PRED_ARGS.get(g.pred)
-            if want is None:
-                want = arg_types(sch.body)
+            want = arg_types(sch.body)
             if len(want) != len(g.args):
                 raise MetaTypeError(
                     f"predicate '{g.pred}' expects {len(want)} arguments",
@@ -170,17 +160,14 @@ class _Inference:
                 )
             args = []
             for a, w in zip(g.args, want):
-                if w == O:
-                    if not isinstance(a, Atom):
-                        raise MetaTypeError(
-                            f"argument of '{g.pred}' must be an atomic goal",
-                            *(self.pos or ()),
-                        )
-                    args.append(self.goal(a, env))
-                else:
-                    at, amt = self.term(a, env)
-                    _unify(amt, w, f"argument of {g.pred}", self.pos)
-                    args.append(at)
+                if w == O and not (isinstance(a, GoalTerm) and isinstance(a.goal, Atom)):
+                    raise MetaTypeError(
+                        f"argument of '{g.pred}' must be an atomic goal",
+                        *(self.pos or ()),
+                    )
+                at, amt = self.term(a, env)
+                _unify(amt, w, f"argument of {g.pred}", self.pos)
+                args.append(at)
             return Atom(g.pred, tuple(args))
         if isinstance(g, All):
             dom = g.mt if g.mt is not None else UVar()

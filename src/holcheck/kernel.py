@@ -179,6 +179,7 @@ def valid_clause(g: Goal) -> bool:
             return True
         if g.pred == "assump":
             inner = g.args[0]
+            inner = inner.goal if isinstance(inner, GoalTerm) else None
             return isinstance(inner, Atom) and inner.pred == "proves"
         return False
     return False
@@ -350,8 +351,8 @@ class Session:
         elif isinstance(g, Impl):
             self._check_head_shape(g.goal, depth)
         elif isinstance(g, Atom):
-            if g.pred == "assump" and isinstance(g.args[0], Atom):
-                self._check_head_shape(g.args[0], depth)
+            if g.pred == "assump" and isinstance(g.args[0], GoalTerm):
+                self._check_head_shape(g.args[0].goal, depth)
             elif g.pred in ("proves", "hastype"):
                 h, _ = spine(g.args[0])
                 if isinstance(h, (Bound, Meta)):
@@ -380,7 +381,7 @@ class Session:
             return isinstance(t, GoalTerm) and self.match_goal(p.goal, t.goal, env)
         ph, pargs = plain_spine(p)
         if isinstance(ph, Meta):
-            return self._bind_pattern(ph.cell, pargs, t, env)
+            return self._bind_pattern(ph.cell, pargs, t)
         th, targs = plain_spine(t)
         if isinstance(ph, Const):
             if not (isinstance(th, Const) and th.name == ph.name and th.birth == ph.birth):
@@ -434,7 +435,7 @@ class Session:
             return h
         return None
 
-    def _bind_pattern(self, cell, args, target, env):
+    def _bind_pattern(self, cell, args, target):
         """The flexible case: cell applied to distinct variables."""
         keys = []
         for a in args:
@@ -467,12 +468,7 @@ class Session:
             if pg.pred != tg.pred or len(pg.args) != len(tg.args):
                 return False
             for pa, ta in zip(pg.args, tg.args):
-                if isinstance(pa, Goal) or isinstance(ta, Goal):
-                    if not (isinstance(pa, Goal) and isinstance(ta, Goal)):
-                        return False
-                    if not self.match_goal(pa, ta, env):
-                        return False
-                elif not self.match(pa, ta, env):
+                if not self.match(pa, ta, env):
                     return False
             return True
         if isinstance(pg, All) and isinstance(tg, All):
@@ -554,7 +550,7 @@ class Session:
                     return
             if isinstance(h, Meta) or has_unbound_meta(p):
                 return  # unresolved matching variable at dispatch
-            yield from self.solve_store(Atom("assump", (atom,)))
+            yield from self.solve_store(Atom("assump", (GoalTerm(atom),)))
             yield from self.solve_store(atom)
         elif pred == "hastype":
             x, tp = atom.args
@@ -663,14 +659,13 @@ class Session:
 
     # -- checking entry point -----------------------------------------------------
 
-    def check_goal(self, goal: Goal, augment=True, reset_steps=True) -> CheckReport:
+    def check_goal(self, goal: Goal, augment=True) -> CheckReport:
         """Solve a closed top-level goal and report verdict plus statistics.
 
         Stack discipline is checked: the store and trail must be restored
         to their entry state whatever the outcome, else StructuralError.
         """
-        if reset_steps:
-            self.steps = 0
+        self.steps = 0
         clauses_before = self.clauses_added
         self.max_store_depth = len(self.store)
         self.failure_snapshot = ()

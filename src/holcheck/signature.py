@@ -73,9 +73,6 @@ BUILTIN_INFIX = {
     ":-": ("left", 0, "goal"),
 }
 
-GOAL_OPS = {"==>>", "=>", ",", "<<==", ":-"}
-
-
 class Signature:
     """Mapping from constant names to schemes plus the infix table."""
 

@@ -33,6 +33,7 @@ from .terms import (
     O,
     Term,
     BASE_NAMES,
+    arg_types,
     plain_spine,
 )
 
@@ -448,26 +449,15 @@ class Parser:
         raise SourceError("malformed expression", path=self.path)
 
     def resolve_atom(self, head, args, scope):
-        from .terms import PRED_ARGS, arg_types
-
         name = head.name
-        if name in PRED_ARGS:
-            want = PRED_ARGS[name]
-        else:
-            want = tuple(arg_types(self.sig.lookup(name).body))
+        want = arg_types(self.sig.lookup(name).body)
         if len(args) != len(want):
             raise SourceError(
                 f"predicate '{name}' expects {len(want)} argument(s), got {len(args)}",
                 *head.pos,
                 self.path,
             )
-        out = []
-        for a, w in zip(args, want):
-            if w == O:
-                out.append(self.resolve_goal(a, scope))
-            else:
-                out.append(self.resolve_term(a, scope))
-        return Atom(name, tuple(out))
+        return Atom(name, tuple(self.resolve_term(a, scope) for a in args))
 
     def resolve_term(self, e, scope):
         r = self.resolve_any(e, scope)
@@ -613,12 +603,7 @@ def _fmt(t, sig, names, req):
 
 def _fmt_goal(g, sig, names, req):
     if isinstance(g, Atom):
-        parts = [g.pred] + [
-            _fmt_goal(a, sig, names, _APP_PREC + 1)
-            if isinstance(a, Goal)
-            else _fmt(a, sig, names, _APP_PREC + 1)
-            for a in g.args
-        ]
+        parts = [g.pred] + [_fmt(a, sig, names, _APP_PREC + 1) for a in g.args]
         s = " ".join(parts)
         return f"({s})" if req > _APP_PREC and len(parts) > 1 else s
     if isinstance(g, All):

@@ -205,7 +205,7 @@ class Goal:
 @dataclass(frozen=True)
 class Atom(Goal):
     pred: str
-    args: tuple  # Term for ordinary arguments, Goal for o-typed ones
+    args: tuple  # Terms; an o-typed argument is a GoalTerm
 
     def __repr__(self):
         return "(" + " ".join([self.pred] + [repr(a) for a in self.args]) + ")"
@@ -243,9 +243,6 @@ class Impl(Goal):
 
     def __repr__(self):
         return f"({self.goal!r} <<== {self.clause!r})"
-
-
-PRED_ARGS = {"proves": (PF, TM), "hastype": (TM, TP), "assump": (O,)}
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +452,7 @@ def _norm(t, mt, env, memo):
 
 def _norm_goal(g, env, memo):
     if isinstance(g, Atom):
-        args = tuple(
-            _norm_goal(a, env, memo)
-            if isinstance(a, Goal)
-            else _norm(a, meta_type_of(a, env), env, memo)
-            for a in g.args
-        )
+        args = tuple(_norm(a, meta_type_of(a, env), env, memo) for a in g.args)
         return Atom(g.pred, args)
     if isinstance(g, All):
         return All(g.mt, _norm_goal(g.body, (g.mt,) + env, memo), g.hint)

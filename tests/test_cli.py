@@ -137,6 +137,16 @@ def test_missing_input_file_reports_cleanly(capsys):
     assert "holcheck:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("as_lib", [False, True], ids=["input", "lib"])
+def test_non_utf8_file_reports_cleanly(as_lib, tmp_path, capsys):
+    bad = tmp_path / "bad.hol"
+    bad.write_bytes(b"\xff\xfe")
+    args = ["--lib", str(bad), str(CORPUS / "symm_basic.hol")] if as_lib else [str(bad)]
+    assert run("check", *args) == 2
+    err = capsys.readouterr().err
+    assert err == f"holcheck: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_rewrite_commands_demand_single_input(capsys):
     code = run(
         "fmt", str(CORPUS / "symm_basic.hol"), str(CORPUS / "symm_lemma.hol"),

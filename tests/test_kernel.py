@@ -15,14 +15,18 @@ from holcheck.terms import (
     Arrow,
     Atom,
     Const,
+    GoalTerm,
     Meta,
     MetaCell,
+    PF,
     TM,
     TP,
+    Term,
     alpha_beta_eq,
     arrow,
     normalize,
     normalize_goal,
+    walk,
 )
 from negatives import CASES
 
@@ -229,6 +233,18 @@ def test_valid_clause_rejects_foreign_predicates():
 def test_valid_clause_rejects_assumption_around_typing(sig):
     g = parse_goal(r"pi X\ pi T\ (assump (hastype X T))", sig)
     assert not valid_clause(g)
+
+
+def test_assumption_of_a_non_goal_is_rejected_not_raised(sig):
+    # an o-typed atom argument is a GoalTerm; a hand-built one that is
+    # not is outside the grammar, and as a stored clause it gets no head
+    # check and does not match a real assumption
+    bad = Atom("assump", (Const("c", TM),))
+    assert valid_clause(bad) is False
+    ses = Session(sig)
+    ses.push_clause(bad)
+    assumed = Atom("proves", (Const("refl", PF), Const("false", TM)))
+    assert ses.check_goal(Atom("assump", (GoalTerm(assumed),)), augment=False).failed
 
 
 def test_variable_clause_heads_rejected_on_push(sig):
@@ -501,11 +517,18 @@ def test_backtracking_undoes_bindings_between_alternatives():
 class NormalFormSession(Session):
     """Asserts that every dispatched atom is already beta-normal eta-long:
     the kernel normalizes goals on entry and atoms only when they hold a
-    bound matching variable."""
+    bound matching variable.  Also asserts that every atom of a stored
+    clause holds only terms (an o-typed argument is a GoalTerm)."""
 
     def _dispatch(self, atom):
         assert normalize_goal(atom) == atom, f"atom not normal: {atom!r}"
         return super()._dispatch(atom)
+
+    def push_clause(self, g):
+        for node in walk(g):
+            if isinstance(node, Atom):
+                assert all(isinstance(a, Term) for a in node.args), repr(node)
+        super().push_clause(g)
 
 
 def _check_files(monkeypatch, session_cls, *args):

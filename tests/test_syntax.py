@@ -228,8 +228,9 @@ def test_goal_expected_diagnostic():
 
 def test_assump_argument_must_be_atomic():
     sig = builtin_signature()
-    with pytest.raises(SourceError):
-        parse_goal(r"pi P\ pi A\ (assump (pi X\ proves P A) ==>> proves P A)", sig)
+    for arg in (r"(pi X\ proves P A)", "P"):  # a quantified goal, a bound variable
+        with pytest.raises(SourceError, match="must be an atomic goal"):
+            parse_goal(rf"pi P\ pi A\ (assump {arg} ==>> proves P A)", sig)
     g = parse_goal(r"pi P\ pi A\ (assump (proves P A) ==>> proves P A)", sig)
     assert g is not None
 
