@@ -21,7 +21,7 @@ from .terms import (
     Bound,
     Conj,
     Const,
-    GoalTerm,
+    Goal,
     Impl,
     Lam,
     MetaType,
@@ -143,40 +143,40 @@ class _Inference:
             dom = t.mt if t.mt is not None else UVar()
             body, bmt = self.term(t.body, (dom,) + env)
             return Lam(dom, body, t.hint), Arrow(dom, bmt)
-        if isinstance(t, GoalTerm):
-            return GoalTerm(self.goal(t.goal, env)), O
-        raise MetaTypeError(f"not a term: {t!r}", *(self.pos or ()))
-
-    def goal(self, g, env):
-        if isinstance(g, Atom):
-            sch = self.sig.lookup(g.pred)
+        if isinstance(t, Atom):
+            sch = self.sig.lookup(t.pred)
             if sch is None:
-                raise MetaTypeError(f"undeclared predicate '{g.pred}'", *(self.pos or ()))
+                raise MetaTypeError(f"undeclared predicate '{t.pred}'", *(self.pos or ()))
             want = arg_types(sch.body)
-            if len(want) != len(g.args):
+            if len(want) != len(t.args):
                 raise MetaTypeError(
-                    f"predicate '{g.pred}' expects {len(want)} arguments",
+                    f"predicate '{t.pred}' expects {len(want)} arguments",
                     *(self.pos or ()),
                 )
             args = []
-            for a, w in zip(g.args, want):
-                if w == O and not (isinstance(a, GoalTerm) and isinstance(a.goal, Atom)):
+            for a, w in zip(t.args, want):
+                if w == O and not isinstance(a, Atom):
                     raise MetaTypeError(
-                        f"argument of '{g.pred}' must be an atomic goal",
+                        f"argument of '{t.pred}' must be an atomic goal",
                         *(self.pos or ()),
                     )
                 at, amt = self.term(a, env)
-                _unify(amt, w, f"argument of {g.pred}", self.pos)
+                _unify(amt, w, f"argument of {t.pred}", self.pos)
                 args.append(at)
-            return Atom(g.pred, tuple(args))
-        if isinstance(g, All):
-            dom = g.mt if g.mt is not None else UVar()
-            return All(dom, self.goal(g.body, (dom,) + env), g.hint)
-        if isinstance(g, Conj):
-            return Conj(self.goal(g.left, env), self.goal(g.right, env))
-        if isinstance(g, Impl):
-            return Impl(self.goal(g.clause, env), self.goal(g.goal, env))
-        raise MetaTypeError(f"not a goal: {g!r}", *(self.pos or ()))
+            return Atom(t.pred, tuple(args)), O
+        if isinstance(t, All):
+            dom = t.mt if t.mt is not None else UVar()
+            return All(dom, self.goal(t.body, (dom,) + env), t.hint), O
+        if isinstance(t, Conj):
+            return Conj(self.goal(t.left, env), self.goal(t.right, env)), O
+        if isinstance(t, Impl):
+            return Impl(self.goal(t.clause, env), self.goal(t.goal, env)), O
+        raise MetaTypeError(f"not a term: {t!r}", *(self.pos or ()))
+
+    def goal(self, g, env):
+        if not isinstance(g, Goal):
+            raise MetaTypeError(f"not a goal: {g!r}", *(self.pos or ()))
+        return self.term(g, env)[0]
 
     # -- resolution ---------------------------------------------------------
 
@@ -192,7 +192,7 @@ class _Inference:
 
 
 def _zonk(t, d, inf):
-    """Ground every meta-type annotation of a term or goal (`d` is unused)."""
+    """Ground every meta-type annotation of a term (`d` is unused)."""
     if isinstance(t, Const):
         return Const(t.name, inf.zonk_mt(t.mt, f"constant '{t.name}'"), t.birth)
     if isinstance(t, (Lam, All)):

@@ -48,7 +48,6 @@ from .terms import (
     Conj,
     Const,
     Goal,
-    GoalTerm,
     Impl,
     Lam,
     Meta,
@@ -176,12 +175,10 @@ def valid_clause(g: Goal) -> bool:
         return valid_clause(g.clause) and valid_clause(g.goal)
     if isinstance(g, Atom):
         if g.pred in ("proves", "hastype"):
-            return True
-        if g.pred == "assump":
-            inner = g.args[0]
-            inner = inner.goal if isinstance(inner, GoalTerm) else None
-            return isinstance(inner, Atom) and inner.pred == "proves"
-        return False
+            return len(g.args) == 2
+        if g.pred == "assump" and len(g.args) == 1:
+            a = g.args[0]
+            return isinstance(a, Atom) and a.pred == "proves" and valid_clause(a)
     return False
 
 
@@ -226,9 +223,9 @@ def augment_goal(g: Goal) -> Goal:
 
 def _goal_app(fn: Term, arg: Term) -> Goal:
     t = normalize(App(fn, arg))
-    if not isinstance(t, GoalTerm):
+    if not isinstance(t, Goal):
         raise StructuralError("template application did not produce a goal")
-    return t.goal
+    return t
 
 
 def instantiate(template, name, witness, kind, result_tp=None):
@@ -336,23 +333,23 @@ class Session:
 
     def push_clause(self, g: Goal):
         g = normalize_goal(g)
-        self._check_head_shape(g, 0)
+        self._check_head_shape(g)
         self.store.append(g)
         self.clauses_added += 1
         if len(self.store) > self.max_store_depth:
             self.max_store_depth = len(self.store)
 
-    def _check_head_shape(self, g, depth):
+    def _check_head_shape(self, g):
         if isinstance(g, All):
-            self._check_head_shape(g.body, depth + 1)
+            self._check_head_shape(g.body)
         elif isinstance(g, Conj):
-            self._check_head_shape(g.left, depth)
-            self._check_head_shape(g.right, depth)
+            self._check_head_shape(g.left)
+            self._check_head_shape(g.right)
         elif isinstance(g, Impl):
-            self._check_head_shape(g.goal, depth)
-        elif isinstance(g, Atom):
-            if g.pred == "assump" and isinstance(g.args[0], GoalTerm):
-                self._check_head_shape(g.args[0].goal, depth)
+            self._check_head_shape(g.goal)
+        elif isinstance(g, Atom) and g.args:
+            if g.pred == "assump":
+                self._check_head_shape(g.args[0])
             elif g.pred in ("proves", "hastype"):
                 h, _ = spine(g.args[0])
                 if isinstance(h, (Bound, Meta)):
@@ -377,8 +374,8 @@ class Session:
             if not isinstance(t, Lam):
                 return False
             return self.match(p.body, t.body, (p.mt,) + tuple(env))
-        if isinstance(p, GoalTerm):
-            return isinstance(t, GoalTerm) and self.match_goal(p.goal, t.goal, env)
+        if isinstance(p, Goal):
+            return self.match_goal(p, t, env)
         ph, pargs = plain_spine(p)
         if isinstance(ph, Meta):
             return self._bind_pattern(ph.cell, pargs, t)
@@ -550,7 +547,7 @@ class Session:
                     return
             if isinstance(h, Meta) or has_unbound_meta(p):
                 return  # unresolved matching variable at dispatch
-            yield from self.solve_store(Atom("assump", (GoalTerm(atom),)))
+            yield from self.solve_store(Atom("assump", (atom,)))
             yield from self.solve_store(atom)
         elif pred == "hastype":
             x, tp = atom.args
@@ -647,14 +644,12 @@ class Session:
         finally:
             self.undo(m)
 
-    def check_extract_goal(self, gt, sub, formula):
-        if not isinstance(gt, GoalTerm):
+    def check_extract_goal(self, g, sub, formula):
+        if not isinstance(g, Goal):
             raise StructuralError("extractGoal expects a goal argument")
-        if not valid_clause(gt.goal):
-            raise ValidityError(
-                f"extractGoal argument outside the allowed grammar: {gt.goal!r}"
-            )
-        for _ in self.solve(gt.goal):
+        if not valid_clause(g):
+            raise ValidityError(f"extractGoal argument outside the allowed grammar: {g!r}")
+        for _ in self.solve(g):
             yield from self.solve(Atom("proves", (sub, formula)))
 
     # -- checking entry point -----------------------------------------------------

@@ -26,14 +26,15 @@ from .terms import (
     Conj,
     Const,
     Goal,
-    GoalTerm,
     Impl,
     Lam,
+    Meta,
     MetaType,
     O,
     Term,
     BASE_NAMES,
     arg_types,
+    deref,
     plain_spine,
 )
 
@@ -404,8 +405,8 @@ class Parser:
 
     # -- resolution to terms and goals ---------------------------------------
 
-    def resolve_any(self, e, scope):
-        """Resolve to a Term or a Goal, deciding by syntactic shape."""
+    def resolve_term(self, e, scope):
+        """Resolve to a term; its syntactic shape tells whether it is a goal."""
         if isinstance(e, SOp):
             if e.op in ("==>>", "=>"):
                 return Impl(self.resolve_goal(e.left, scope), self.resolve_goal(e.right, scope))
@@ -422,10 +423,7 @@ class Parser:
         if isinstance(e, SPi):
             return All(None, self.resolve_goal(e.body, [e.name] + scope), hint=e.name)
         if isinstance(e, SLam):
-            body = self.resolve_any(e.body, [e.name] + scope)
-            if isinstance(body, Goal):
-                body = GoalTerm(body)
-            return Lam(None, body, hint=e.name)
+            return Lam(None, self.resolve_term(e.body, [e.name] + scope), hint=e.name)
         if isinstance(e, SApp):
             head, args = _sapp_spine(e)
             if isinstance(head, SId) and head.name not in scope and self.sig.is_predicate(head.name):
@@ -459,16 +457,8 @@ class Parser:
             )
         return Atom(name, tuple(self.resolve_term(a, scope) for a in args))
 
-    def resolve_term(self, e, scope):
-        r = self.resolve_any(e, scope)
-        if isinstance(r, Goal):
-            return GoalTerm(r)
-        return r
-
     def resolve_goal(self, e, scope):
-        r = self.resolve_any(e, scope)
-        if isinstance(r, GoalTerm):
-            return r.goal
+        r = self.resolve_term(e, scope)
         if not isinstance(r, Goal):
             pos = getattr(e, "pos", None) or ()
             raise SourceError("expected a goal here", *pos, self.path)
@@ -558,24 +548,21 @@ def _pick_name(hint, names, sig, depth):
 
 
 def format_term(t, sig: Signature, names=(), prec=0) -> str:
-    names = list(names)
-    return _fmt(t, sig, names, prec)
+    return _fmt(t, sig, list(names), prec)
 
 
 def format_goal(g, sig: Signature, names=(), prec=0) -> str:
-    return _fmt_goal(g, sig, list(names), prec)
+    # a function of its own, not an alias, so that bench/tracer.py can
+    # wrap it and format_term separately
+    return _fmt(g, sig, list(names), prec)
 
 
 def _fmt(t, sig, names, req):
-    from .terms import deref
-
     t = deref(t)
     if isinstance(t, Const):
         return t.name
     if isinstance(t, Bound):
         return names[t.index] if t.index < len(names) else f"_{t.index}"
-    from .terms import Meta
-
     if isinstance(t, Meta):
         return f"?{t.cell.uid}"
     if isinstance(t, App):
@@ -591,37 +578,26 @@ def _fmt(t, sig, names, req):
         parts += [_fmt(a, sig, names, _APP_PREC + 1) for a in args]
         s = " ".join(parts)
         return f"({s})" if req > _APP_PREC else s
-    if isinstance(t, Lam):
+    if isinstance(t, (Lam, All)):
         name = _pick_name(t.hint, names, sig, len(names))
         body = _fmt(t.body, sig, [name] + names, 0)
-        s = f"{name}\\ {body}"
+        s = ("pi " if isinstance(t, All) else "") + f"{name}\\ {body}"
         return f"({s})" if req > 0 else s
-    if isinstance(t, GoalTerm):
-        return _fmt_goal(t.goal, sig, names, req)
-    return repr(t)
-
-
-def _fmt_goal(g, sig, names, req):
-    if isinstance(g, Atom):
-        parts = [g.pred] + [_fmt(a, sig, names, _APP_PREC + 1) for a in g.args]
+    if isinstance(t, Atom):
+        parts = [t.pred] + [_fmt(a, sig, names, _APP_PREC + 1) for a in t.args]
         s = " ".join(parts)
         return f"({s})" if req > _APP_PREC and len(parts) > 1 else s
-    if isinstance(g, All):
-        name = _pick_name(g.hint, names, sig, len(names))
-        body = _fmt_goal(g.body, sig, [name] + names, 0)
-        s = f"pi {name}\\ {body}"
-        return f"({s})" if req > 0 else s
-    if isinstance(g, Conj):
-        l = _fmt_goal(g.left, sig, names, 3)
-        r = _fmt_goal(g.right, sig, names, 2)
+    if isinstance(t, Conj):
+        l = _fmt(t.left, sig, names, 3)
+        r = _fmt(t.right, sig, names, 2)
         s = f"{l}, {r}"
         return f"({s})" if req > 2 else s
-    if isinstance(g, Impl):
-        l = _fmt_goal(g.goal, sig, names, 1)
-        r = _fmt_goal(g.clause, sig, names, 1)
+    if isinstance(t, Impl):
+        l = _fmt(t.goal, sig, names, 1)
+        r = _fmt(t.clause, sig, names, 1)
         s = f"{l} <<== {r}"
         return f"({s})" if req > 0 else s
-    return repr(g)
+    return repr(t)
 
 
 def format_statement(st, sig: Signature) -> str:

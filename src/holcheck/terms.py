@@ -1,9 +1,9 @@
 """Meta-types, terms and goals.
 
 Terms are simply-typed lambda-terms over a signature of constants, with
-de Bruijn indices for lambda-bound variables.  The clause/query language
-(goals) is a separate layer whose atoms embed terms; a term of meta-type
-`o` is always a wrapped goal (GoalTerm), never a bare application.
+de Bruijn indices for lambda-bound variables.  Goals and clauses are the
+terms of meta-type `o`: `Atom`, `All`, `Conj` and `Impl` nodes, which may
+stand wherever a term may, as an atom argument or a lambda body.
 
 Kernel-generated eigenvariables are constants carrying a positive birth
 timestamp; matching variables are Meta nodes around a mutable cell.
@@ -183,29 +183,21 @@ class Lam(Term):
         return f"(\\ {self.body!r})"
 
 
-@dataclass(frozen=True)
-class GoalTerm(Term):
-    """A goal in term position (the only shape a term of meta-type o takes)."""
-
-    goal: "Goal"
-
-    def __repr__(self):
-        return f"<{self.goal!r}>"
-
-
 # ---------------------------------------------------------------------------
 # Goals
 # ---------------------------------------------------------------------------
 
 
-class Goal:
+class Goal(Term):
+    """A term of meta-type o."""
+
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Atom(Goal):
     pred: str
-    args: tuple  # Terms; an o-typed argument is a GoalTerm
+    args: tuple  # Terms; an o-typed argument is itself a Goal
 
     def __repr__(self):
         return "(" + " ".join([self.pred] + [repr(a) for a in self.args]) + ")"
@@ -261,18 +253,12 @@ def map_children(t, f, d, x):
     if isinstance(t, App):
         fn, arg = f(t.fn, d, x), f(t.arg, d, x)
         return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, Lam):
+    if isinstance(t, (Lam, All)):
         body = f(t.body, d + 1, x)
-        return t if body is t.body else Lam(t.mt, body, t.hint)
-    if isinstance(t, GoalTerm):
-        g = f(t.goal, d, x)
-        return t if g is t.goal else GoalTerm(g)
+        return t if body is t.body else type(t)(t.mt, body, t.hint)
     if isinstance(t, Atom):
         args = tuple([f(a, d, x) for a in t.args])
         return t if all(a is b for a, b in zip(args, t.args)) else Atom(t.pred, args)
-    if isinstance(t, All):
-        body = f(t.body, d + 1, x)
-        return t if body is t.body else All(t.mt, body, t.hint)
     if isinstance(t, Conj):
         l, r = f(t.left, d, x), f(t.right, d, x)
         return t if l is t.left and r is t.right else Conj(l, r)
@@ -366,7 +352,7 @@ def meta_type_of(t: Term, env=()) -> MetaType:
         if t.mt is None:
             raise StructuralError("unannotated binder")
         return Arrow(t.mt, meta_type_of(t.body, (t.mt,) + tuple(env)))
-    if isinstance(t, GoalTerm):
+    if isinstance(t, Goal):
         return O
     raise StructuralError(f"not a term: {t0!r}")
 
@@ -431,9 +417,9 @@ def _norm(t, mt, env, memo):
             out = Lam(mt.dom, _norm(body, mt.cod, (mt.dom,) + env, memo))
     elif mt == O:
         h, args = spine(t)
-        if not isinstance(h, GoalTerm) or args:
+        if not isinstance(h, Goal) or args:
             raise StructuralError(f"term of meta-type o is not a goal: {t!r}")
-        out = GoalTerm(_norm_goal(h.goal, env, memo))
+        out = _norm_goal(h, env, memo)
     else:
         h, args = spine(t)
         if not args:
@@ -469,10 +455,6 @@ def normalize_goal(g: Goal, env=()) -> Goal:
 
 def alpha_beta_eq(a, b, env=()) -> bool:
     """Equality modulo beta/eta and binder renaming."""
-    if isinstance(a, Goal) or isinstance(b, Goal):
-        return isinstance(a, Goal) and isinstance(b, Goal) and (
-            normalize_goal(a, env) == normalize_goal(b, env)
-        )
     return normalize(a, env) == normalize(b, env)
 
 
@@ -484,14 +466,10 @@ def alpha_beta_eq(a, b, env=()) -> bool:
 def children(t):
     if isinstance(t, App):
         return (t.fn, t.arg)
-    if isinstance(t, Lam):
+    if isinstance(t, (Lam, All)):
         return (t.body,)
-    if isinstance(t, GoalTerm):
-        return (t.goal,)
     if isinstance(t, Atom):
         return tuple(t.args)
-    if isinstance(t, All):
-        return (t.body,)
     if isinstance(t, Conj):
         return (t.left, t.right)
     if isinstance(t, Impl):

@@ -9,7 +9,7 @@ from .terms import (
     App,
     Atom,
     Const,
-    GoalTerm,
+    Goal,
     Lam,
     children,
     map_children,
@@ -63,7 +63,7 @@ def _expand_atom(atom, env):
 def _skeleton_children(t):
     """Children for size metrics: an embedded clause template is a single
     leaf.  Templates state; only proof structure is measured."""
-    if isinstance(t, GoalTerm):
+    if isinstance(t, Goal):
         return ()
     return children(t)
 

@@ -15,13 +15,11 @@ from holcheck.terms import (
     Arrow,
     Atom,
     Const,
-    GoalTerm,
     Meta,
     MetaCell,
     PF,
     TM,
     TP,
-    Term,
     alpha_beta_eq,
     arrow,
     normalize,
@@ -235,16 +233,35 @@ def test_valid_clause_rejects_assumption_around_typing(sig):
     assert not valid_clause(g)
 
 
-def test_assumption_of_a_non_goal_is_rejected_not_raised(sig):
-    # an o-typed atom argument is a GoalTerm; a hand-built one that is
-    # not is outside the grammar, and as a stored clause it gets no head
-    # check and does not match a real assumption
-    bad = Atom("assump", (Const("c", TM),))
+def _assert_rejected_not_raised(sig, bad):
+    # outside the grammar; as a stored clause it gets no head check and
+    # does not match a real assumption
     assert valid_clause(bad) is False
     ses = Session(sig)
     ses.push_clause(bad)
     assumed = Atom("proves", (Const("refl", PF), Const("false", TM)))
-    assert ses.check_goal(Atom("assump", (GoalTerm(assumed),)), augment=False).failed
+    assert ses.check_goal(Atom("assump", (assumed,)), augment=False).failed
+
+
+def test_assumption_of_a_non_goal_is_rejected_not_raised(sig):
+    # an o-typed atom argument is a goal; a hand-built one may not be
+    _assert_rejected_not_raised(sig, Atom("assump", (Const("c", TM),)))
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [
+        Atom("assump", ()),
+        Atom("assump", (Atom("proves", ()),)),
+        Atom("proves", ()),
+        Atom("proves", (Const("refl", PF),)),
+        Atom("hastype", (Const("false", TM),)),
+    ],
+    ids=repr,
+)
+def test_atom_of_the_wrong_arity_is_rejected_not_raised(sig, atom):
+    # a hand-built atom need not respect its predicate's arity
+    _assert_rejected_not_raised(sig, atom)
 
 
 def test_variable_clause_heads_rejected_on_push(sig):
@@ -517,8 +534,8 @@ def test_backtracking_undoes_bindings_between_alternatives():
 class NormalFormSession(Session):
     """Asserts that every dispatched atom is already beta-normal eta-long:
     the kernel normalizes goals on entry and atoms only when they hold a
-    bound matching variable.  Also asserts that every atom of a stored
-    clause holds only terms (an o-typed argument is a GoalTerm)."""
+    bound matching variable.  Also asserts that the argument of every
+    `assump` atom of a stored clause is an atom."""
 
     def _dispatch(self, atom):
         assert normalize_goal(atom) == atom, f"atom not normal: {atom!r}"
@@ -526,8 +543,8 @@ class NormalFormSession(Session):
 
     def push_clause(self, g):
         for node in walk(g):
-            if isinstance(node, Atom):
-                assert all(isinstance(a, Term) for a in node.args), repr(node)
+            if isinstance(node, Atom) and node.pred == "assump":
+                assert isinstance(node.args[0], Atom), repr(node)
         super().push_clause(g)
 
 

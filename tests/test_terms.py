@@ -12,7 +12,14 @@ from holcheck.errors import MetaTypeError
 from holcheck.infer import infer_meta_type
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
-from holcheck.syntax import parse_source, parse_term
+from holcheck.syntax import (
+    DefDefinition,
+    DefLemma,
+    Solve,
+    apply_declarations,
+    parse_source,
+    parse_term,
+)
 from holcheck.terms import (
     App,
     Arrow,
@@ -21,6 +28,7 @@ from holcheck.terms import (
     Const,
     Meta,
     MetaCell,
+    O,
     PF,
     SVar,
     TM,
@@ -29,6 +37,7 @@ from holcheck.terms import (
     arrow,
     meta_type_of,
     normalize,
+    normalize_goal,
     subst,
     subst_goal,
 )
@@ -212,6 +221,33 @@ def test_elaboration_never_prints_applications(monkeypatch):
     monkeypatch.setattr(App, "__repr__", no_repr)
     src = parse_source((CORPUS / "assoc_def_atomic.hol").read_text(), builtin_signature())
     assert src.statements
+
+
+def _corpus_statements(name):
+    sig = builtin_signature()
+    if "via_lib" in name:
+        lib = parse_source((CORPUS / "lib_full.hol").read_text(), sig)
+        apply_declarations(lib.statements, sig)
+    return parse_source((CORPUS / name).read_text(), sig, name).statements
+
+
+CORPUS_NAMES = sorted(f.name for f in CORPUS.glob("*.hol"))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_goals_are_terms_of_meta_type_o(name):
+    # a goal is a term: typed, normalized and compared like any other
+    stmts = _corpus_statements(name)
+    for st in stmts:
+        if isinstance(st, Solve):
+            g = st.goal
+            assert meta_type_of(g) == O
+            assert normalize(g) == normalize_goal(g)
+            assert alpha_beta_eq(g, normalize_goal(g))
+        elif isinstance(st, (DefLemma, DefDefinition)):
+            tpl = st.template if isinstance(st, DefLemma) else st.typeinf
+            assert meta_type_of(tpl) == Arrow(st.meta_type, O)
+    assert any(isinstance(st, (Solve, DefLemma, DefDefinition)) for st in stmts)
 
 
 # ---------------------------------------------------------------------------
