@@ -564,7 +564,7 @@ def _fmt(t, sig, names, req):
     if isinstance(t, Bound):
         return names[t.index] if t.index < len(names) else f"_{t.index}"
     if isinstance(t, Meta):
-        return f"?{t.cell.uid}"
+        return f"?{t.cell.birth}"
     if isinstance(t, App):
         head, args = plain_spine(t)
         fix = sig.fixity(head.name) if isinstance(head, Const) else None

@@ -12,7 +12,6 @@ Everything else is immutable and freely shareable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -111,27 +110,26 @@ def result_base(mt: MetaType) -> MetaType:
 # Terms
 # ---------------------------------------------------------------------------
 
-_cell_ids = itertools.count(1)
-
 
 class MetaCell:
     """Mutable instantiation cell of a matching variable.
 
     `birth` orders the cell against eigenvariables: a binding may never
     contain an eigenvariable born after the cell (the freshness proviso
-    for universally introduced variables, in checkable form).
+    for universally introduced variables, in checkable form).  It also
+    names the variable in printouts (`?birth`), so a name depends only on
+    the session that made it, not on what ran before in the process.
     """
 
-    __slots__ = ("uid", "mt", "birth", "value")
+    __slots__ = ("mt", "birth", "value")
 
     def __init__(self, mt, birth):
-        self.uid = next(_cell_ids)
         self.mt = mt
         self.birth = birth
         self.value = None
 
     def __repr__(self):
-        return f"?{self.uid}" + ("*" if self.value is not None else "")
+        return f"?{self.birth}" + ("*" if self.value is not None else "")
 
 
 class Term:

@@ -132,6 +132,25 @@ def test_trace_mode_prints_goal_stack_on_failure(tmp_path, capsys):
     assert "proves refl" in err
 
 
+FAILING_CASES = [c for c in CASES if c[3] == 1]
+
+
+@pytest.mark.parametrize(
+    "name,text,libs,expected", FAILING_CASES, ids=[c[0] for c in FAILING_CASES]
+)
+def test_failure_stack_does_not_depend_on_earlier_files(
+    name, text, libs, expected, tmp_path, capsys
+):
+    # a matching variable is printed by its birth in the file's own session
+    f = tmp_path / "case.hol"
+    f.write_text(text)
+    lib_args = [a for lib in libs for a in ("--lib", str(CORPUS / lib))]
+    assert run("check", "--trace", "trace", *lib_args, str(f)) == expected
+    alone = capsys.readouterr().err
+    run("check", "--trace", "trace", *lib_args, str(CORPUS / "symm_basic.hol"), str(f))
+    assert capsys.readouterr().err == alone
+
+
 def test_missing_input_file_reports_cleanly(capsys):
     assert run("check", "/nonexistent/nowhere.hol") == 2
     assert "holcheck:" in capsys.readouterr().err
