@@ -11,6 +11,14 @@ a complete chronological-backtracking interpreter:
     constructors get dedicated handlers, and everything else is resolved
     against the dynamic clause store by backchaining.
 
+Clause selection: the store is tried most recent clause first, as full
+backtracking over every clause would.  Each stored clause carries the keys
+of its heads (predicate and the constant at the head of the subject) and
+its miss cost, the steps and matching variables that backchaining it
+spends when no head matches.  A clause whose keys cannot hold the atom's
+key is not backchained but charged its miss cost, so steps, births and
+solution order are exactly those of trying it.
+
 Matching is one-directional (goal side ground) over the pattern fragment:
 a matching variable may appear bare or applied to distinct variables.
 Anything outside that fragment is a hard error, never a search.
@@ -19,11 +27,14 @@ Invariant: every atom that reaches dispatch is beta-normal and eta-long,
 and holds no bound matching variable.  It is established once, not per
 step: `check_goal` normalizes its goal on entry, `push_clause` normalizes
 each clause (built-in rules are normalized when loaded), and `solve_atom`
-normalizes an atom only when it holds a bound matching variable, the one
-place a redex can appear (the variable's value is a lambda at an applied
-head).  Everything else keeps terms normal by construction.  With higher-
-order abstract syntax object substitution is a meta-level beta step, and
-in an eta-long term every occurrence of a bound variable is fully applied.
+replaces the bound matching variables of an atom by their values, the one
+place a redex can appear (a value is a lambda at an applied head).  It
+does so by hereditary substitution (`terms.instantiate_metas`), which
+reduces each such redex as it forms and shares the unchanged parts, where
+normalizing would rebuild the whole atom.  Everything else keeps terms
+normal by construction.  With higher-order abstract syntax object
+substitution is a meta-level beta step, and in an eta-long term every
+occurrence of a bound variable is fully applied.
 So replacing a binder by an eigenvariable, or by a fresh matching variable
 (closed, and unbound, so not a lambda), leaves the term normal: no redex
 and no partial application appears.  Universal goals, clause prefixes,
@@ -58,8 +69,8 @@ from .terms import (
     Term,
     arg_types,
     deref,
-    has_bound_meta,
     has_unbound_meta,
+    instantiate_metas,
     map_children,
     map_proves,
     max_eigen_birth,
@@ -248,6 +259,57 @@ def instantiate(template, name, witness, kind, result_tp=None):
     return goal, lambda: (inst, def_to_eqclause(result_tp, name, witness))
 
 
+def head_key(atom: Atom):
+    """`(pred, name, birth)` of the constant at the head of an atom's
+    subject, its first argument; an assumption is keyed by the subject of
+    the atom it holds.  None for any other shape.
+
+    A clause head and an atom with different keys do not match: `match_goal`
+    compares predicates, then the subject heads, before it binds anything.
+    """
+    pred = atom.pred
+    if pred == "assump" and atom.args and isinstance(atom.args[0], Atom):
+        atom = atom.args[0]
+    if atom.args:
+        h, _ = plain_spine(atom.args[0])
+        if isinstance(h, Const):
+            return pred, h.name, h.birth
+    return None
+
+
+def _index_clause(g, keys):
+    """Walk the heads of a normal clause as `backchain` does when none of
+    them matches: reject a variable subject head, append each head's key to
+    `keys`, and return what the walk costs, (steps, matching variables).
+
+    `backchain` ticks once per call and once per `pi` binder, for which it
+    also makes a matching variable, and it reaches both sides of a
+    conjunction and the head side of an implication.
+    """
+    binders = 0
+    while isinstance(g, All):
+        g = g.body
+        binders += 1
+    ticks, metas = 1 + binders, binders
+    if isinstance(g, (Conj, Impl)):
+        parts = (g.left, g.right) if isinstance(g, Conj) else (g.goal,)
+        for part in parts:
+            t, m = _index_clause(part, keys)
+            ticks, metas = ticks + t, metas + m
+        return ticks, metas
+    if isinstance(g, Atom) and g.args:
+        if g.pred == "assump":
+            _index_clause(g.args[0], [])  # the head check only
+        elif g.pred in ("proves", "hastype"):
+            h, _ = spine(g.args[0])
+            if isinstance(h, (Bound, Meta)):
+                raise ValidityError(
+                    "a stored clause may not have a variable at its head"
+                )
+    keys.append(head_key(g) if isinstance(g, Atom) else None)
+    return ticks, metas
+
+
 class _Escape(Exception):
     """A local variable of a matching target would escape its binding."""
 
@@ -282,7 +344,9 @@ class Session:
     def __init__(self, sig=None, budget=DEFAULT_BUDGET):
         self.sig = sig if sig is not None else builtin_signature()
         self.budget = budget
-        self.store = []  # most recently added clause last
+        # (clause, head keys or None, steps, matching variables) per
+        # clause, most recently added last; see `_index_clause`
+        self.store = []
         self.trail = []
         self.counter = 0
         self.steps = 0
@@ -333,29 +397,12 @@ class Session:
 
     def push_clause(self, g: Goal):
         g = normalize_goal(g)
-        self._check_head_shape(g)
-        self.store.append(g)
+        keys = []
+        ticks, metas = _index_clause(g, keys)
+        self.store.append((g, None if None in keys else frozenset(keys), ticks, metas))
         self.clauses_added += 1
         if len(self.store) > self.max_store_depth:
             self.max_store_depth = len(self.store)
-
-    def _check_head_shape(self, g):
-        if isinstance(g, All):
-            self._check_head_shape(g.body)
-        elif isinstance(g, Conj):
-            self._check_head_shape(g.left)
-            self._check_head_shape(g.right)
-        elif isinstance(g, Impl):
-            self._check_head_shape(g.goal)
-        elif isinstance(g, Atom) and g.args:
-            if g.pred == "assump":
-                self._check_head_shape(g.args[0])
-            elif g.pred in ("proves", "hastype"):
-                h, _ = spine(g.args[0])
-                if isinstance(h, (Bound, Meta)):
-                    raise ValidityError(
-                        "a stored clause may not have a variable at its head"
-                    )
 
     # -- matching ----------------------------------------------------------------
 
@@ -506,8 +553,7 @@ class Session:
             raise StructuralError(f"not a goal: {g!r}")
 
     def solve_atom(self, atom: Atom):
-        if has_bound_meta(atom):
-            atom = normalize_goal(atom)
+        atom = instantiate_metas(atom)
         self.goal_stack.append(atom)
         try:
             produced = False
@@ -567,9 +613,26 @@ class Session:
         # unknown predicates have no rules: fail
 
     def solve_store(self, atom: Atom):
-        """Try the dynamic clauses, most recently added first."""
-        for clause in tuple(reversed(self.store)):
-            yield from self.backchain(atom, clause)
+        """Try the dynamic clauses, most recently added first.
+
+        A clause none of whose heads can match `atom` is not backchained but
+        charged the steps and matching variables backchaining it would
+        spend, so steps and births are those of full backtracking.  Where
+        the charge would pass the budget, the clause is backchained, so the
+        budget runs out at the same step.
+        """
+        key = head_key(atom)
+        for clause, keys, ticks, metas in tuple(reversed(self.store)):
+            if (
+                key is None
+                or keys is None
+                or key in keys
+                or self.steps + ticks > self.budget
+            ):
+                yield from self.backchain(atom, clause)
+            else:
+                self.steps += ticks
+                self.counter += metas
 
     def backchain(self, atom: Atom, clause: Goal):
         self.tick()

@@ -451,6 +451,52 @@ def normalize_goal(g: Goal, env=()) -> Goal:
     return _norm_goal(g, tuple(env), {})
 
 
+def instantiate_metas(t):
+    """Replace each bound matching variable of a normal term by its value,
+    reducing the redexes this makes by hereditary substitution.
+
+    A value is closed, meta-free and normal (the kernel binds nothing
+    else), so the result is normal again.  In a closed `t`, unchanged
+    subtrees are returned as the same objects, and so is `t` itself when
+    no variable is bound.
+    """
+    return _hsubst(t, 0, ())
+
+
+def _reduce(fn, args):
+    """The normal form of `fn` applied to `args`, all normal and eta-long."""
+    while args and isinstance(fn, Lam):
+        n = 0
+        while n < len(args) and isinstance(fn, Lam):
+            fn = fn.body
+            n += 1
+        fn, args = _hsubst(fn, 0, tuple(args[:n])), args[n:]
+    return _rebuild(fn, args)
+
+
+def _hsubst(t, d, vs):
+    # `_subst` that also replaces bound matching variables by their values,
+    # and reduces a replaced head with its arguments at once
+    if isinstance(t, App):
+        h, args = plain_spine(t)
+        new = [_hsubst(a, d, vs) for a in args]
+        if isinstance(h, Bound) and 0 <= h.index - d < len(vs):
+            return _reduce(shift(vs[-1 - (h.index - d)], d), new)
+        if isinstance(h, Meta) and h.cell.value is not None:
+            return _reduce(h.cell.value, new)
+        fn = _hsubst(h, d, vs)
+        if fn is h and all(a is b for a, b in zip(new, args)):
+            return t
+        return _rebuild(fn, new)
+    if isinstance(t, Bound):
+        return _subst(t, d, vs)
+    if isinstance(t, Meta) and t.cell.value is not None:
+        return t.cell.value
+    if isinstance(t, (Const, Meta)):
+        return t
+    return map_children(t, _hsubst, d, vs)
+
+
 def alpha_beta_eq(a, b, env=()) -> bool:
     """Equality modulo beta/eta and binder renaming."""
     return normalize(a, env) == normalize(b, env)
@@ -498,23 +544,6 @@ def has_unbound_meta(t) -> bool:
             if t.cell.value is None:
                 return True
             stack.append(t.cell.value)
-        elif not isinstance(t, (Const, Bound)):
-            stack.extend(children(t))
-    return False
-
-
-def has_bound_meta(t) -> bool:
-    """Whether a bound matching variable occurs in `t` (values not entered):
-    only such a term can hold a redex once its own parts are normal."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            stack.append(t.fn)
-            stack.append(t.arg)
-        elif isinstance(t, Meta):
-            if t.cell.value is not None:
-                return True
         elif not isinstance(t, (Const, Bound)):
             stack.extend(children(t))
     return False

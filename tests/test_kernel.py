@@ -14,6 +14,7 @@ from holcheck.terms import (
     App,
     Arrow,
     Atom,
+    Conj,
     Const,
     Meta,
     MetaCell,
@@ -575,3 +576,129 @@ def test_dispatched_atoms_are_normal_on_negatives(
     f.write_text(text)
     lib_args = [a for lib in libs for a in ("--lib", CORPUS / lib)]
     assert _check_files(monkeypatch, NormalFormSession, *lib_args, f) == expected
+
+
+# ---------------------------------------------------------------------------
+# Clause selection: the charged skip against a full scan of the store
+# ---------------------------------------------------------------------------
+
+
+class FullScanSession(Session):
+    """Backchains every stored clause, whether or not a head can match: the
+    reference the charged skip of `Session.solve_store` must agree with."""
+
+    def solve_store(self, atom):
+        for clause, *_ in tuple(reversed(self.store)):
+            yield from self.backchain(atom, clause)
+
+
+def _recording(session_cls, log):
+    """`session_cls`, appending each report and the counter after it to `log`."""
+
+    class Recording(session_cls):
+        def check_goal(self, goal, augment=True):
+            r = super().check_goal(goal, augment)
+            log.append((r.ok, r.error, r.message, r.stats, r.failure_stack, self.counter))
+            return r
+
+    return Recording
+
+
+def _agree_with_full_scan(monkeypatch, capsys, *args):
+    runs = []
+    for cls in (Session, FullScanSession):
+        log = []
+        code = _check_files(monkeypatch, _recording(cls, log), "--trace", "trace", *args)
+        runs.append((code, log, capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name,libs", CORPUS_RUNS, ids=[n for n, _ in CORPUS_RUNS])
+def test_skip_agrees_with_full_scan_on_corpus(name, libs, monkeypatch, capsys):
+    _agree_with_full_scan(monkeypatch, capsys, *libs, CORPUS / name)
+
+
+@pytest.mark.parametrize("name,text,libs,expected", CASES, ids=[c[0] for c in CASES])
+def test_skip_agrees_with_full_scan_on_negatives(
+    name, text, libs, expected, monkeypatch, tmp_path, capsys
+):
+    f = tmp_path / "case.hol"
+    f.write_text(text)
+    lib_args = [a for lib in libs for a in ("--lib", CORPUS / lib)]
+    _agree_with_full_scan(monkeypatch, capsys, *lib_args, f)
+
+
+# Three clauses that cannot match `proves w (eq intty c c)`, the newest with
+# three binders, in front of one that does.
+SKIPPED_THEN_MATCHED = (
+    r"pi w\ pi v\ pi c\ (hastype c intty ==>>"
+    r" ((proves w (eq intty c c) <<== hastype c intty) ==>>"
+    r"  ((pi A\ pi B\ (hastype (mkpair A B) (pair intty intty) <<== hastype A intty)) ==>>"
+    r"   ((pi X\ pi Y\ pi Z\ (proves v (eq intty X Y) <<== hastype Z intty)) ==>>"
+    r"    proves w (eq intty c c)))))"
+)
+
+
+def test_budget_that_runs_out_while_charging_skipped_clauses(sig):
+    # every budget below the steps needed, so some fall inside a charge
+    goal = parse_goal(SKIPPED_THEN_MATCHED, sig)
+    total = Session(sig).check_goal(goal, augment=False).stats.steps
+    for budget in range(1, total + 1):
+        reports = []
+        for cls in (Session, FullScanSession):
+            ses = cls(sig, budget)
+            r = ses.check_goal(goal, augment=False)
+            reports.append((r.ok, r.error, r.message, r.stats, ses.counter))
+        assert reports[0] == reports[1], budget
+        assert reports[0][:2] == ((True, None) if budget == total else (False, "budget"))
+
+
+class BackchainLog(Session):
+    """Records the store positions of the clauses `solve_store` backchains."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tried = []
+
+    def backchain(self, atom, clause):
+        self.tried += [i for i, entry in enumerate(self.store) if entry[0] is clause]
+        return super().backchain(atom, clause)
+
+
+def _backchained(sig, clauses, goal):
+    """(verdict, store positions backchained) of `goal` with `clauses`
+    stored; a full scan must give the same report and counter."""
+    outcomes = []
+    for cls in (BackchainLog, FullScanSession):
+        ses = cls(sig)
+        for c in clauses:
+            ses.push_clause(c)
+        r = ses.check_goal(goal, augment=False)
+        outcomes.append((r.ok, r.error, r.stats, r.failure_stack, ses.counter))
+        if cls is BackchainLog:
+            tried = ses.tried
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][0], tried
+
+
+def test_assumption_and_proof_clause_with_one_subject_are_told_apart(sig):
+    p = Const("p", PF, birth=1)
+    fact = Atom("proves", (p, Const("false", TM)))
+    other = Atom("proves", (p, parse_term("eq intty false false", sig)))
+    clauses = [Atom("assump", (other,)), fact]
+    # an assumption goal backchains only the assumption clause
+    assert _backchained(sig, clauses, Atom("assump", (fact,))) == (False, [0])
+    # a proof goal tries assumptions, then proof clauses; each pass
+    # backchains only the clause of its own predicate
+    assert _backchained(sig, clauses, fact) == (True, [0, 1])
+
+
+def test_conjunction_clause_with_one_matching_head_is_backchained(sig):
+    c, d = Const("c", TM, birth=1), Const("d", TM, birth=2)
+    intty, form = Const("intty", TP), Const("form", TP)
+    refl = Atom("proves", (Const("refl", PF), Const("false", TM)))
+    stored = [Conj(refl, Atom("hastype", (c, intty)))]
+    assert _backchained(sig, stored, Atom("hastype", (c, intty))) == (True, [0])
+    assert _backchained(sig, stored, Atom("hastype", (c, form))) == (False, [0])
+    # no head has subject d
+    assert _backchained(sig, stored, Atom("hastype", (d, intty))) == (False, [])

@@ -33,8 +33,10 @@ from holcheck.terms import (
     SVar,
     TM,
     TP,
+    Atom,
     alpha_beta_eq,
     arrow,
+    instantiate_metas,
     meta_type_of,
     normalize,
     normalize_goal,
@@ -314,3 +316,29 @@ def test_subst_goal_of_a_prefix_is_iterated_subst(seed):
     # closed values: matching variables, as a clause prefix gets them
     a, b, c = (Meta(MetaCell(mt, 0)) for mt in reversed(env))
     assert subst_goal(body, a, b, c) == subst(subst(subst(body, c), b), a)
+
+
+# matching-variable types; the first two take a function argument, which
+# the value applies, so instantiating them reduces hereditarily
+_META_TYPES = (
+    arrow(Arrow(TM, TM), TM, TM),
+    arrow(Arrow(TM, PF), PF),
+    arrow(TM, TM),
+    TM,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS)
+def test_instantiate_metas_is_normalization_of_a_normal_atom(seed):
+    rng = random.Random(seed)
+    env = (rng.choice(_META_TYPES), rng.choice(_META_TYPES))
+    # a normal atom over two variables, which become matching variables
+    # as a clause prefix is instantiated
+    body = Atom("proves", (props.gen_term(rng, PF, env, 3), props.gen_term(rng, TM, env, 3)))
+    cells = [MetaCell(mt, 0) for mt in reversed(env)]
+    atom = normalize_goal(subst_goal(body, *(Meta(c) for c in cells)))
+    assert instantiate_metas(atom) is atom
+    for c in cells:
+        c.value = normalize(props.gen_term(rng, c.mt, (), 2))
+    assert instantiate_metas(atom) == normalize_goal(atom)
