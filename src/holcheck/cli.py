@@ -41,7 +41,7 @@ from .syntax import (
     format_statement,
     parse_source,
 )
-from .terms import Atom, map_proves
+from .terms import PROVES, app, map_proves, plain_spine
 from .transform import expand_statement_goal, proof_stats
 
 EXIT_OK, EXIT_FAILED, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
@@ -71,6 +71,15 @@ def _combine(codes):
     return EXIT_OK
 
 
+def _declare_libraries(sig, lib_paths):
+    """Parse each library file and add its declarations to `sig`, yielding
+    `(path, source)` file by file."""
+    for path in lib_paths:
+        src = parse_source(_read(path), sig, path)
+        apply_declarations(src.statements, sig)
+        yield path, src
+
+
 class Environment:
     """Signature + session + registry with the libraries loaded and checked."""
 
@@ -80,9 +89,7 @@ class Environment:
         self.registry = Registry()
         self.trace = trace
         self.codes = []
-        for path in lib_paths:
-            src = parse_source(_read(path), self.sig, path)
-            apply_declarations(src.statements, self.sig)
+        for path, src in _declare_libraries(self.sig, lib_paths):
             load_library(src, self.registry)
             for name, report in check_library(self.registry, self.session):
                 if not report.ok:
@@ -158,14 +165,20 @@ def cmd_check(args):
     return _combine(codes)
 
 
-def _rewrite_command(args, rewrite, keep_definitions):
+def _library_signature(lib_paths):
+    """The signature with the declarations of the libraries, unchecked."""
+    sig = builtin_signature()
+    list(_declare_libraries(sig, lib_paths))
+    return sig
+
+
+def _rewrite_command(args, sig, rewrite, keep_definitions):
     (path,) = args.inputs
-    env = Environment(args.lib, args.budget, args.trace)
-    src = parse_source(_read(path), env.sig, path)
+    src = parse_source(_read(path), sig, path)
     out_statements = []
     for st in src.statements:
         if isinstance(st, (TypeDecl, InfixDecl)):
-            apply_declarations([st], env.sig)
+            apply_declarations([st], sig)
             out_statements.append(st)
         elif isinstance(st, (DefLemma, DefDefinition)):
             if not keep_definitions:
@@ -174,45 +187,46 @@ def _rewrite_command(args, rewrite, keep_definitions):
                 )
             out_statements.append(st)
         elif isinstance(st, Solve):
-            out_statements.append(Solve(rewrite(st.goal, env), st.pos))
-    text = "\n".join(format_statement(st, env.sig) for st in out_statements) + "\n"
+            out_statements.append(Solve(rewrite(st.goal), st.pos))
+    text = "\n".join(format_statement(st, sig) for st in out_statements) + "\n"
     with open(args.output, "w", encoding="utf-8") as f:
         f.write(text)
     return EXIT_OK
 
 
 def cmd_expand(args):
-    return _rewrite_command(
-        args, lambda g, env: expand_statement_goal(g), keep_definitions=True
-    )
+    sig = _library_signature(args.lib)
+    return _rewrite_command(args, sig, expand_statement_goal, keep_definitions=True)
 
 
 def cmd_package(args):
-    def rewrite(g, env):
-        def package_atom(atom, _binders):
-            proof, formula = atom.args
-            return Atom("proves", (package(formula, proof, env.registry), formula))
+    env = Environment(args.lib, args.budget, args.trace)
 
-        return map_proves(g, package_atom)
+    def package_atom(atom, _binders):
+        proof, formula = plain_spine(atom)[1]
+        return app(PROVES, package(formula, proof, env.registry), formula)
 
-    return _rewrite_command(args, rewrite, keep_definitions=False)
+    return _rewrite_command(
+        args, env.sig, lambda g: map_proves(g, package_atom), keep_definitions=False
+    )
 
 
 def cmd_fmt(args):
-    return _rewrite_command(args, lambda g, env: g, keep_definitions=True)
+    sig = _library_signature(args.lib)
+    return _rewrite_command(args, sig, lambda g: g, keep_definitions=True)
 
 
 def cmd_stats(args):
     codes = []
     for path in args.inputs:
-        env = Environment(args.lib, args.budget, args.trace)
-        src = parse_source(_read(path), env.sig, path)
+        sig = _library_signature(args.lib)
+        src = parse_source(_read(path), sig, path)
         for st in src.statements:
             if isinstance(st, (TypeDecl, InfixDecl)):
-                apply_declarations([st], env.sig)
+                apply_declarations([st], sig)
             elif isinstance(st, Solve):
                 proofs = []
-                map_proves(st.goal, lambda a, env: proofs.append(a.args[0]) or a)
+                map_proves(st.goal, lambda a, env: proofs.append(plain_spine(a)[1][0]) or a)
                 for proof in proofs:
                     s = proof_stats(proof)
                     print(

@@ -12,24 +12,18 @@ from __future__ import annotations
 import itertools
 
 from .errors import MetaTypeError
+from .signature import GOAL_FORMERS
 from .terms import (
-    All,
     App,
     Arrow,
-    Atom,
     Base,
     Bound,
-    Conj,
     Const,
-    Goal,
-    Impl,
     Lam,
     MetaType,
     O,
     SVar,
     Term,
-    arg_types,
-    map_children,
 )
 
 _uvar_ids = itertools.count(1)
@@ -126,7 +120,7 @@ class _Inference:
     def term(self, t, env):
         """Return (annotated term, meta-type with possible UVars)."""
         if isinstance(t, Const):
-            sch = self.sig.lookup(t.name)
+            sch = self.sig.lookup(t.name) or GOAL_FORMERS.get(t.name)
             if sch is None:
                 raise MetaTypeError(f"undeclared constant '{t.name}'", *(self.pos or ()))
             mt = _instantiate(sch)
@@ -136,6 +130,10 @@ class _Inference:
         if isinstance(t, App):
             fn, fmt = self.term(t.fn, env)
             arg, amt = self.term(t.arg, env)
+            fmt = _chase(fmt)
+            if isinstance(fmt, Arrow):  # as below, without a fresh variable
+                _unify(fmt.dom, amt, lambda: f"application {t!r}", self.pos)
+                return App(fn, arg), fmt.cod
             res = UVar()
             _unify(fmt, Arrow(amt, res), lambda: f"application {t!r}", self.pos)
             return App(fn, arg), res
@@ -143,40 +141,7 @@ class _Inference:
             dom = t.mt if t.mt is not None else UVar()
             body, bmt = self.term(t.body, (dom,) + env)
             return Lam(dom, body, t.hint), Arrow(dom, bmt)
-        if isinstance(t, Atom):
-            sch = self.sig.lookup(t.pred)
-            if sch is None:
-                raise MetaTypeError(f"undeclared predicate '{t.pred}'", *(self.pos or ()))
-            want = arg_types(sch.body)
-            if len(want) != len(t.args):
-                raise MetaTypeError(
-                    f"predicate '{t.pred}' expects {len(want)} arguments",
-                    *(self.pos or ()),
-                )
-            args = []
-            for a, w in zip(t.args, want):
-                if w == O and not isinstance(a, Atom):
-                    raise MetaTypeError(
-                        f"argument of '{t.pred}' must be an atomic goal",
-                        *(self.pos or ()),
-                    )
-                at, amt = self.term(a, env)
-                _unify(amt, w, f"argument of {t.pred}", self.pos)
-                args.append(at)
-            return Atom(t.pred, tuple(args)), O
-        if isinstance(t, All):
-            dom = t.mt if t.mt is not None else UVar()
-            return All(dom, self.goal(t.body, (dom,) + env), t.hint), O
-        if isinstance(t, Conj):
-            return Conj(self.goal(t.left, env), self.goal(t.right, env)), O
-        if isinstance(t, Impl):
-            return Impl(self.goal(t.clause, env), self.goal(t.goal, env)), O
         raise MetaTypeError(f"not a term: {t!r}", *(self.pos or ()))
-
-    def goal(self, g, env):
-        if not isinstance(g, Goal):
-            raise MetaTypeError(f"not a goal: {g!r}", *(self.pos or ()))
-        return self.term(g, env)[0]
 
     # -- resolution ---------------------------------------------------------
 
@@ -191,29 +156,38 @@ class _Inference:
         return mt
 
 
-def _zonk(t, d, inf):
-    """Ground every meta-type annotation of a term (`d` is unused)."""
+def _zonk(t, inf):
+    """Ground every meta-type annotation of a term."""
     if isinstance(t, Const):
         return Const(t.name, inf.zonk_mt(t.mt, f"constant '{t.name}'"), t.birth)
-    if isinstance(t, (Lam, All)):
+    if isinstance(t, Lam):
         mt = inf.zonk_mt(t.mt, f"binder '{t.hint or '_'}'")
-        return type(t)(mt, _zonk(t.body, d, inf), t.hint)
-    return map_children(t, _zonk, d, inf)
+        return Lam(mt, _zonk(t.body, inf), t.hint)
+    if isinstance(t, App):
+        # the argument first: an unresolved binder is named before the
+        # constant applied to its lambda, `pi` or `elam`
+        arg = _zonk(t.arg, inf)
+        return App(_zonk(t.fn, inf), arg)
+    return t
 
 
 def elaborate_term(t: Term, sig, expect: MetaType = None, pos=None):
     """Annotate a term, returning (term, ground meta-type)."""
+    return _elaborate(t, sig, expect, pos)
+
+
+def elaborate_goal(g, sig, pos=None):
+    """Annotate a goal, a term of meta-type o."""
+    return _elaborate(g, sig, O, pos)[0]
+
+
+def _elaborate(t, sig, expect, pos):
     inf = _Inference(sig, pos)
     t2, mt = inf.term(t, ())
     if expect is not None:
         _unify(mt, expect, "declared meta-type", pos)
-    t3 = _zonk(t2, 0, inf)
+    t3 = _zonk(t2, inf)
     return t3, inf.zonk_mt(mt, "the whole term")
-
-
-def elaborate_goal(g, sig, pos=None):
-    inf = _Inference(sig, pos)
-    return _zonk(inf.goal(g, ()), 0, inf)
 
 
 def infer_meta_type(t: Term, sig) -> MetaType:

@@ -1,11 +1,13 @@
 """The trusted checking core.
 
 A Session owns the clause store, the matching-variable trail, the
-eigenvariable timestamp counter and the step budget.  Goals are solved by
-a complete chronological-backtracking interpreter:
+eigenvariable timestamp counter and the step budget.  Goals, the terms of
+meta-type o, are solved by a complete chronological-backtracking
+interpreter that reads the constant at the head of each goal:
 
-  * universal goals introduce fresh eigenvariables,
-  * implication goals push their clause for the scope of the subgoal,
+  * `pi` goals introduce fresh eigenvariables,
+  * `,` goals solve both sides, left first,
+  * `=>` goals push their clause for the scope of the subgoal,
   * atoms dispatch on the head constant of the proof (or typed term):
     built-in rules are syntax-directed, the in-proof lemma/definition
     constructors get dedicated handlers, and everything else is resolved
@@ -23,15 +25,18 @@ Matching is one-directional (goal side ground) over the pattern fragment:
 a matching variable may appear bare or applied to distinct variables.
 Anything outside that fragment is a hard error, never a search.
 
-Invariant: every atom that reaches dispatch is beta-normal and eta-long,
-and holds no bound matching variable.  It is established once, not per
-step: `check_goal` normalizes its goal on entry, `push_clause` normalizes
-each clause (built-in rules are normalized when loaded), and `solve_atom`
-replaces the bound matching variables of an atom by their values, the one
-place a redex can appear (a value is a lambda at an applied head).  It
-does so by hereditary substitution (`terms.instantiate_metas`), which
-reduces each such redex as it forms and shares the unchanged parts, where
-normalizing would rebuild the whole atom.  Everything else keeps terms
+Invariant: every atom that reaches dispatch, and every stored clause, is
+beta-normal and eta-long and holds no bound matching variable.  It is
+established once, not per step: `check_goal` normalizes its goal on
+entry, `push_clause` normalizes each clause from outside the kernel
+(built-in rules are normalized when loaded), and `solve_atom` replaces
+the bound matching variables of an atom by their values, the one place a
+redex can appear (a value is a lambda at an applied head).  It does so by
+hereditary substitution (`terms.instantiate_metas`), which reduces each
+such redex as it forms and shares the unchanged parts, where normalizing
+would rebuild the whole atom; the clauses the kernel pushes itself (of an
+implication goal, a lemma or a definition) are instantiated the same way.
+Everything else keeps terms
 normal by construction.  With higher-order abstract syntax object
 substitution is a meta-level beta step, and in an eta-long term every
 occurrence of a bound variable is fully applied.
@@ -51,24 +56,27 @@ from dataclasses import dataclass, field
 from .errors import BudgetError, PatternError, StructuralError, ValidityError
 from .signature import builtin_signature
 from .terms import (
-    All,
+    AND,
+    ASSUMP,
+    HASTYPE,
+    PROVES,
     App,
     Arrow,
-    Atom,
     Bound,
-    Conj,
     Const,
-    Goal,
-    Impl,
     Lam,
     Meta,
     MetaCell,
+    O,
     PF,
     TM,
     TP,
     Term,
+    app,
     arg_types,
+    arrow,
     deref,
+    goal_spine,
     has_unbound_meta,
     instantiate_metas,
     map_children,
@@ -77,6 +85,7 @@ from .terms import (
     meta_type_of,
     normalize,
     normalize_goal,
+    pi,
     plain_spine,
     shift,
     spine,
@@ -128,19 +137,20 @@ pi T\\ pi A\\ pi Q\\ pi X\\
 def _load_rules():
     from .syntax import parse_source
 
-    proves_rules, hastype_rules = {}, {}
+    rules = {"proves": {}, "hastype": {}}
     for st in parse_source(_RULES_SRC, builtin_signature()).statements:
         clause = normalize_goal(st.goal)
-        g = clause
-        while isinstance(g, All):
-            g = g.body
-        head = g.goal if isinstance(g, Impl) else g
-        h, _ = spine(head.args[0])
-        assert isinstance(h, Const), "rule subjects are headed by constants"
-        target = proves_rules if head.pred == "proves" else hastype_rules
-        assert h.name not in target
+        pred, args = goal_spine(clause)
+        while pred == "pi":
+            pred, args = goal_spine(args[0].body)
+        if pred == "=>":
+            pred, args = goal_spine(args[1])
+        target = rules.get(pred)
+        h = plain_spine(args[0])[0] if target is not None else None
+        if not isinstance(h, Const) or h.name in target:
+            raise StructuralError("a built-in rule needs a subject constant of its own")
         target[h.name] = clause
-    return proves_rules, hastype_rules
+    return rules["proves"], rules["hastype"]
 
 
 PROVES_RULES, HASTYPE_RULES = _load_rules()
@@ -176,24 +186,19 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def valid_clause(g: Goal) -> bool:
+def valid_clause(g: Term) -> bool:
     """The whitelist grammar for clauses embedded in proofs."""
-    if isinstance(g, All):
-        return valid_clause(g.body)
-    if isinstance(g, Conj):
-        return valid_clause(g.left) and valid_clause(g.right)
-    if isinstance(g, Impl):
-        return valid_clause(g.clause) and valid_clause(g.goal)
-    if isinstance(g, Atom):
-        if g.pred in ("proves", "hastype"):
-            return len(g.args) == 2
-        if g.pred == "assump" and len(g.args) == 1:
-            a = g.args[0]
-            return isinstance(a, Atom) and a.pred == "proves" and valid_clause(a)
-    return False
+    name, args = goal_spine(g)
+    if name == "pi":
+        return valid_clause(args[0].body)
+    if name in (",", "=>"):
+        return valid_clause(args[0]) and valid_clause(args[1])
+    if name == "assump":
+        return goal_spine(args[0])[0] == "proves"
+    return name in ("proves", "hastype")
 
 
-def def_to_eqclause(result_tp: Term, name: Term, body: Term) -> Goal:
+def def_to_eqclause(result_tp: Term, name: Term, body: Term) -> Term:
     """Universally quantified equality clause linking a name to its body.
 
     One binder per arrow of the shared meta-type; at the base (which must
@@ -209,34 +214,35 @@ def def_to_eqclause(result_tp: Term, name: Term, body: Term) -> Goal:
                 mt.cod,
                 depth + 1,
             )
-            return All(mt.dom, inner)
+            return pi(mt.dom, inner)
         if mt != TM:
             raise StructuralError(
                 f"definition must end at meta-type tm, found {mt}"
             )
-        eq = Const("eq", Arrow(TP, Arrow(TM, Arrow(TM, TM))))
-        eq_term = App(App(App(eq, shift(result_tp, depth)), name_t), body_t)
-        return Atom("proves", (Const("def", PF), eq_term))
+        eq = Const("eq", arrow(TP, TM, TM, TM))
+        eq_term = app(eq, shift(result_tp, depth), name_t, body_t)
+        return app(PROVES, Const("def", PF), eq_term)
 
     return normalize_goal(build(name, body, mt, 0))
 
 
-def augment_goal(g: Goal) -> Goal:
+def augment_goal(g: Term) -> Term:
     """Prefix every positive proves atom with the typing of its formula.
 
     Applied once to each top-level statement: a proper check types the
     formula before checking the proof.
     """
+    # `a.arg` is the formula, the last argument of the atom
     return map_proves(
-        g, lambda a, env: Conj(Atom("hastype", (a.args[1], Const("form", TP))), a)
+        g, lambda a, env: app(AND, app(HASTYPE, a.arg, Const("form", TP)), a)
     )
 
 
-def _goal_app(fn: Term, arg: Term) -> Goal:
-    t = normalize(App(fn, arg))
-    if not isinstance(t, Goal):
+def _goal_app(fn: Term, arg: Term) -> Term:
+    t = App(fn, arg)
+    if meta_type_of(t) != O:
         raise StructuralError("template application did not produce a goal")
-    return t
+    return normalize_goal(t)
 
 
 def instantiate(template, name, witness, kind, result_tp=None):
@@ -259,7 +265,7 @@ def instantiate(template, name, witness, kind, result_tp=None):
     return goal, lambda: (inst, def_to_eqclause(result_tp, name, witness))
 
 
-def head_key(atom: Atom):
+def head_key(atom: Term):
     """`(pred, name, birth)` of the constant at the head of an atom's
     subject, its first argument; an assumption is keyed by the subject of
     the atom it holds.  None for any other shape.
@@ -267,11 +273,11 @@ def head_key(atom: Atom):
     A clause head and an atom with different keys do not match: `match_goal`
     compares predicates, then the subject heads, before it binds anything.
     """
-    pred = atom.pred
-    if pred == "assump" and atom.args and isinstance(atom.args[0], Atom):
-        atom = atom.args[0]
-    if atom.args:
-        h, _ = plain_spine(atom.args[0])
+    pred, args = goal_spine(atom)
+    if pred == "assump":
+        args = goal_spine(args[0])[1]
+    if args:
+        h, _ = plain_spine(args[0])
         if isinstance(h, Const):
             return pred, h.name, h.birth
     return None
@@ -287,26 +293,26 @@ def _index_clause(g, keys):
     conjunction and the head side of an implication.
     """
     binders = 0
-    while isinstance(g, All):
-        g = g.body
+    name, args = goal_spine(g)
+    while name == "pi":
+        g = args[0].body
         binders += 1
+        name, args = goal_spine(g)
     ticks, metas = 1 + binders, binders
-    if isinstance(g, (Conj, Impl)):
-        parts = (g.left, g.right) if isinstance(g, Conj) else (g.goal,)
-        for part in parts:
+    if name in (",", "=>"):
+        for part in args if name == "," else args[1:]:
             t, m = _index_clause(part, keys)
             ticks, metas = ticks + t, metas + m
         return ticks, metas
-    if isinstance(g, Atom) and g.args:
-        if g.pred == "assump":
-            _index_clause(g.args[0], [])  # the head check only
-        elif g.pred in ("proves", "hastype"):
-            h, _ = spine(g.args[0])
-            if isinstance(h, (Bound, Meta)):
-                raise ValidityError(
-                    "a stored clause may not have a variable at its head"
-                )
-    keys.append(head_key(g) if isinstance(g, Atom) else None)
+    if name == "assump":
+        _index_clause(args[0], [])  # the head check only
+    elif name in ("proves", "hastype"):
+        h, _ = spine(args[0])
+        if isinstance(h, (Bound, Meta)):
+            raise ValidityError(
+                "a stored clause may not have a variable at its head"
+            )
+    keys.append(head_key(g))
     return ticks, metas
 
 
@@ -395,8 +401,12 @@ class Session:
 
     # -- clause store ----------------------------------------------------------
 
-    def push_clause(self, g: Goal):
-        g = normalize_goal(g)
+    def push_clause(self, g: Term):
+        """Store a clause from outside the kernel, normalized first."""
+        self._push(normalize_goal(g))
+
+    def _push(self, g):
+        """Store a normal clause."""
         keys = []
         ticks, metas = _index_clause(g, keys)
         self.store.append((g, None if None in keys else frozenset(keys), ticks, metas))
@@ -420,9 +430,9 @@ class Session:
         if isinstance(p, Lam):
             if not isinstance(t, Lam):
                 return False
+            if p.mt != t.mt:
+                return False  # the binder type of a `pi` counts
             return self.match(p.body, t.body, (p.mt,) + tuple(env))
-        if isinstance(p, Goal):
-            return self.match_goal(p, t, env)
         ph, pargs = plain_spine(p)
         if isinstance(ph, Meta):
             return self._bind_pattern(ph.cell, pargs, t)
@@ -507,52 +517,33 @@ class Session:
             value = Lam(mt, value)
         return self.bind(cell, value)
 
-    def match_goal(self, pg, tg, env=()) -> bool:
-        if isinstance(pg, Atom) and isinstance(tg, Atom):
-            if pg.pred != tg.pred or len(pg.args) != len(tg.args):
-                return False
-            for pa, ta in zip(pg.args, tg.args):
-                if not self.match(pa, ta, env):
-                    return False
-            return True
-        if isinstance(pg, All) and isinstance(tg, All):
-            if pg.mt != tg.mt:
-                return False
-            return self.match_goal(pg.body, tg.body, (pg.mt,) + tuple(env))
-        if isinstance(pg, Conj) and isinstance(tg, Conj):
-            return self.match_goal(pg.left, tg.left, env) and self.match_goal(
-                pg.right, tg.right, env
-            )
-        if isinstance(pg, Impl) and isinstance(tg, Impl):
-            return self.match_goal(pg.clause, tg.clause, env) and self.match_goal(
-                pg.goal, tg.goal, env
-            )
-        return False
+    def match_goal(self, head, atom) -> bool:
+        """Match a clause head against an atom: one attempt of `backchain`."""
+        return self.match(head, atom)
 
     # -- the interpreter ----------------------------------------------------------
 
-    def solve(self, g: Goal):
+    def solve(self, g: Term):
         """Generator yielding once per solution, chronological order."""
         self.tick()
-        if isinstance(g, Atom):
-            yield from self.solve_atom(g)
-        elif isinstance(g, Conj):
-            for _ in self.solve(g.left):
-                yield from self.solve(g.right)
-        elif isinstance(g, All):
-            x = self.fresh_eigen(g.mt, g.hint)
-            yield from self.solve(subst_goal(g.body, x))
-        elif isinstance(g, Impl):
+        name, args = goal_spine(g)
+        if name == ",":
+            for _ in self.solve(args[0]):
+                yield from self.solve(args[1])
+        elif name == "pi":
+            x = self.fresh_eigen(args[0].mt, args[0].hint)
+            yield from self.solve(subst_goal(args[0].body, x))
+        elif name == "=>":
             depth = len(self.store)
-            self.push_clause(g.clause)
+            self._push(instantiate_metas(args[0]))
             try:
-                yield from self.solve(g.goal)
+                yield from self.solve(args[1])
             finally:
                 del self.store[depth:]
         else:
-            raise StructuralError(f"not a goal: {g!r}")
+            yield from self.solve_atom(g)
 
-    def solve_atom(self, atom: Atom):
+    def solve_atom(self, atom: Term):
         atom = instantiate_metas(atom)
         self.goal_stack.append(atom)
         try:
@@ -565,10 +556,10 @@ class Session:
         finally:
             self.goal_stack.pop()
 
-    def _dispatch(self, atom: Atom):
-        pred = atom.pred
+    def _dispatch(self, atom: Term):
+        pred, args = goal_spine(atom)
         if pred == "proves":
-            p, a = atom.args
+            p, a = args
             if has_unbound_meta(a):
                 return  # the formula side must be ground
             h, args = plain_spine(p)
@@ -593,10 +584,10 @@ class Session:
                     return
             if isinstance(h, Meta) or has_unbound_meta(p):
                 return  # unresolved matching variable at dispatch
-            yield from self.solve_store(Atom("assump", (atom,)))
+            yield from self.solve_store(App(ASSUMP, atom))
             yield from self.solve_store(atom)
         elif pred == "hastype":
-            x, tp = atom.args
+            x, tp = args
             if has_unbound_meta(x) or has_unbound_meta(tp):
                 return
             h, _ = plain_spine(x)
@@ -612,7 +603,7 @@ class Session:
             yield from self.solve_store(atom)
         # unknown predicates have no rules: fail
 
-    def solve_store(self, atom: Atom):
+    def solve_store(self, atom: Term):
         """Try the dynamic clauses, most recently added first.
 
         A clause none of whose heads can match `atom` is not backchained but
@@ -634,32 +625,31 @@ class Session:
                 self.steps += ticks
                 self.counter += metas
 
-    def backchain(self, atom: Atom, clause: Goal):
+    def backchain(self, atom: Term, clause: Term):
         self.tick()
-        if isinstance(clause, All):
+        name, args = goal_spine(clause)
+        if name == "pi":
             # the whole pi prefix in one substitution pass, one step and
             # one fresh matching variable per binder, outermost first
             metas = []
-            while isinstance(clause, All):
-                metas.append(self.fresh_meta(clause.mt))
-                clause = clause.body
+            while name == "pi":
+                metas.append(self.fresh_meta(args[0].mt))
+                clause = args[0].body
                 self.tick()
+                name, args = goal_spine(clause)
             clause = subst_goal(clause, *metas)
-        if isinstance(clause, Conj):
-            m = self.mark()
-            try:
-                yield from self.backchain(atom, clause.left)
-            finally:
-                self.undo(m)
-            m = self.mark()
-            try:
-                yield from self.backchain(atom, clause.right)
-            finally:
-                self.undo(m)
-        elif isinstance(clause, Impl):
-            for _ in self.backchain(atom, clause.goal):
-                yield from self.solve(clause.clause)
-        elif isinstance(clause, Atom):
+            name, args = goal_spine(clause)
+        if name == ",":
+            for part in args:
+                m = self.mark()
+                try:
+                    yield from self.backchain(atom, part)
+                finally:
+                    self.undo(m)
+        elif name == "=>":
+            for _ in self.backchain(atom, args[1]):
+                yield from self.solve(args[0])
+        else:
             m = self.mark()
             try:
                 if self.match_goal(clause, atom):
@@ -685,9 +675,9 @@ class Session:
         for _ in self.solve(goal):
             depth = len(self.store)
             for clause in clauses():
-                self.push_clause(clause)
+                self._push(instantiate_metas(clause))
             try:
-                yield from self.solve(Atom("proves", (subst(rest.body, name), formula)))
+                yield from self.solve(app(PROVES, subst(rest.body, name), formula))
             finally:
                 del self.store[depth:]
 
@@ -697,27 +687,25 @@ class Session:
         if q.mt not in (TP, TM):
             raise ValidityError("elam may only quantify over tp or tm")
         b = self.fresh_meta(q.mt)
-        yield from self.solve(Atom("proves", (subst(q.body, b), formula)))
+        yield from self.solve(app(PROVES, subst(q.body, b), formula))
 
     def check_extract(self, pat, sub, formula):
         m = self.mark()
         try:
             if self.match(pat, formula):
-                yield from self.solve(Atom("proves", (sub, formula)))
+                yield from self.solve(app(PROVES, sub, formula))
         finally:
             self.undo(m)
 
     def check_extract_goal(self, g, sub, formula):
-        if not isinstance(g, Goal):
-            raise StructuralError("extractGoal expects a goal argument")
         if not valid_clause(g):
             raise ValidityError(f"extractGoal argument outside the allowed grammar: {g!r}")
         for _ in self.solve(g):
-            yield from self.solve(Atom("proves", (sub, formula)))
+            yield from self.solve(app(PROVES, sub, formula))
 
     # -- checking entry point -----------------------------------------------------
 
-    def check_goal(self, goal: Goal, augment=True) -> CheckReport:
+    def check_goal(self, goal: Term, augment=True) -> CheckReport:
         """Solve a closed top-level goal and report verdict plus statistics.
 
         Stack discipline is checked: the store and trail must be restored

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from .errors import LibraryError
 from .kernel import CheckReport, Session, instantiate
 from .terms import (
-    App,
     Arrow,
     Const,
     Lam,
@@ -19,6 +18,8 @@ from .terms import (
     PF,
     TP,
     Term,
+    app,
+    arrow,
     const_names,
     replace_const,
     shift,
@@ -211,30 +212,11 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
         a = entry.meta_type
         rest = Lam(a, emit(k + 1), hint=entry.name)
         if isinstance(entry, LemmaEntry):
-            head = Const(
-                "lemma_pf",
-                Arrow(Arrow(a, O), Arrow(a, Arrow(Arrow(a, PF), PF))),
-            )
-            return App(
-                App(
-                    App(head, replace_const(entry.template, mapping)),
-                    replace_const(entry.proof, mapping),
-                ),
-                rest,
-            )
-        head = Const(
-            "def_pf",
-            Arrow(TP, Arrow(Arrow(a, O), Arrow(a, Arrow(Arrow(a, PF), PF)))),
-        )
-        return App(
-            App(
-                App(
-                    App(head, replace_const(entry.result_tp, mapping)),
-                    replace_const(entry.typeinf, mapping),
-                ),
-                replace_const(entry.body, mapping),
-            ),
-            rest,
-        )
+            head = Const("lemma_pf", arrow(Arrow(a, O), a, Arrow(a, PF), PF))
+        else:
+            head = Const("def_pf", arrow(TP, Arrow(a, O), a, Arrow(a, PF), PF))
+        # `lemma_pf I L R` or `def_pf T I B R`, the entry's parts before R
+        parts = [replace_const(p, mapping) for p in _entry_parts(entry)]
+        return app(head, *parts, rest)
 
     return emit(0)

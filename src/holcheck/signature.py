@@ -60,9 +60,18 @@ BUILTIN_CONSTS = {
     "extractGoal": Scheme(arrow(O, PF, PF)),
 }
 
+# The goal formers: a goal is an application of one of them or of a
+# predicate.  The parser builds them from binder and infix syntax only, so
+# they are not in the signature's constants, and `pi` cannot be declared.
+GOAL_FORMERS = {
+    "pi": Scheme(arrow(Arrow(A, O), O), poly=True),
+    ",": Scheme(arrow(O, O, O)),
+    "=>": Scheme(arrow(O, O, O)),  # clause first
+}
+
 # name -> (assoc, precedence, kind); kind "term" builds an application of
-# the named constant, kind "goal" builds clause/goal structure.  Higher
-# precedence binds tighter.
+# the named constant, kind "goal" one of a goal former.  Higher precedence
+# binds tighter.
 BUILTIN_INFIX = {
     "arrow": ("right", 8, "term"),
     "imp": ("right", 7, "term"),
@@ -94,7 +103,7 @@ class Signature:
         return self.infixes.get(name)
 
     def declare(self, name, mt: MetaType, pos=None):
-        if name in BUILTIN_CONSTS:
+        if name in BUILTIN_CONSTS or name in GOAL_FORMERS:
             raise SourceError(f"cannot redeclare builtin constant '{name}'", *(pos or ()))
         if name in self.consts:
             raise SourceError(f"duplicate declaration of '{name}'", *(pos or ()))

@@ -13,28 +13,25 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SourceError
+from .errors import MetaTypeError, SourceError
 from .infer import elaborate_goal, elaborate_term
-from .signature import Signature
+from .signature import GOAL_FORMERS, Signature
 from .terms import (
-    All,
     App,
     Arrow,
-    Atom,
     Base,
     Bound,
-    Conj,
     Const,
-    Goal,
-    Impl,
     Lam,
     Meta,
     MetaType,
     O,
     Term,
     BASE_NAMES,
+    app,
     arg_types,
     deref,
+    goal_spine,
     plain_spine,
 )
 
@@ -179,7 +176,7 @@ class DefDefinition:
 
 @dataclass
 class Solve:
-    goal: Goal
+    goal: Term
     pos: tuple
 
 
@@ -408,20 +405,23 @@ class Parser:
     def resolve_term(self, e, scope):
         """Resolve to a term; its syntactic shape tells whether it is a goal."""
         if isinstance(e, SOp):
-            if e.op in ("==>>", "=>"):
-                return Impl(self.resolve_goal(e.left, scope), self.resolve_goal(e.right, scope))
-            if e.op in ("<<==", ":-"):
-                return Impl(self.resolve_goal(e.right, scope), self.resolve_goal(e.left, scope))
-            if e.op == ",":
-                return Conj(self.resolve_goal(e.left, scope), self.resolve_goal(e.right, scope))
+            if e.op in (",", "==>>", "=>", "<<==", ":-"):
+                # a goal former; `=>` takes the clause first
+                l, r = (e.right, e.left) if e.op in ("<<==", ":-") else (e.left, e.right)
+                op = Const("," if e.op == "," else "=>", None)
+                return app(op, self.resolve_goal(l, scope), self.resolve_goal(r, scope))
+            if self.sig.is_predicate(e.op):
+                # infix syntax makes no atom, so this would be no goal
+                raise SourceError("expected a goal here", *e.pos, self.path)
             # term-level infix operator
-            op = Const(e.op, None)
-            return App(
-                App(op, self.resolve_term(e.left, scope)),
+            return app(
+                Const(e.op, None),
+                self.resolve_term(e.left, scope),
                 self.resolve_term(e.right, scope),
             )
         if isinstance(e, SPi):
-            return All(None, self.resolve_goal(e.body, [e.name] + scope), hint=e.name)
+            body = self.resolve_goal(e.body, [e.name] + scope)
+            return App(Const("pi", None), Lam(None, body, hint=e.name))
         if isinstance(e, SLam):
             return Lam(None, self.resolve_term(e.body, [e.name] + scope), hint=e.name)
         if isinstance(e, SApp):
@@ -455,11 +455,18 @@ class Parser:
                 *head.pos,
                 self.path,
             )
-        return Atom(name, tuple(self.resolve_term(a, scope) for a in args))
+        args = [self.resolve_term(a, scope) for a in args]
+        for a, w in zip(args, want):
+            if w == O and not self.sig.is_predicate(goal_spine(a)[0]):
+                raise MetaTypeError(
+                    f"argument of '{name}' must be an atomic goal", *head.pos, self.path
+                )
+        return app(Const(name, None), *args)
 
     def resolve_goal(self, e, scope):
         r = self.resolve_term(e, scope)
-        if not isinstance(r, Goal):
+        name = goal_spine(r)[0]
+        if not (name in GOAL_FORMERS or self.sig.is_predicate(name)):
             pos = getattr(e, "pos", None) or ()
             raise SourceError("expected a goal here", *pos, self.path)
         return r
@@ -506,7 +513,7 @@ def parse_term(text, sig: Signature, expect: MetaType = None) -> Term:
     return t
 
 
-def parse_goal(text, sig: Signature) -> Goal:
+def parse_goal(text, sig: Signature) -> Term:
     p = Parser(tokenize(text), sig.copy())
     e = p.parse_expr(0)
     if p.peek().kind != "eof":
@@ -565,39 +572,34 @@ def _fmt(t, sig, names, req):
         return names[t.index] if t.index < len(names) else f"_{t.index}"
     if isinstance(t, Meta):
         return f"?{t.cell.birth}"
-    if isinstance(t, App):
-        head, args = plain_spine(t)
-        fix = sig.fixity(head.name) if isinstance(head, Const) else None
-        if fix and fix[2] == "term" and len(args) == 2:
-            assoc, p, _ = fix
-            l = _fmt(args[0], sig, names, p + 1 if assoc == "right" else p)
-            r = _fmt(args[1], sig, names, p if assoc == "right" else p + 1)
-            s = f"{l} {head.name} {r}"
-            return f"({s})" if req > p else s
-        parts = [_fmt(head, sig, names, _APP_PREC + 1)]
-        parts += [_fmt(a, sig, names, _APP_PREC + 1) for a in args]
-        s = " ".join(parts)
-        return f"({s})" if req > _APP_PREC else s
-    if isinstance(t, (Lam, All)):
-        name = _pick_name(t.hint, names, sig, len(names))
-        body = _fmt(t.body, sig, [name] + names, 0)
-        s = ("pi " if isinstance(t, All) else "") + f"{name}\\ {body}"
+    if isinstance(t, Lam):
+        return _fmt_binder("", t, sig, names, req)
+    if not isinstance(t, App):
+        return repr(t)
+    head, args = plain_spine(t)
+    name = head.name if isinstance(head, Const) else None
+    if name == "pi" and len(args) == 1 and isinstance(args[0], Lam):
+        return _fmt_binder("pi ", args[0], sig, names, req)
+    if name == "=>" and len(args) == 2:
+        s = f"{_fmt(args[1], sig, names, 1)} <<== {_fmt(args[0], sig, names, 1)}"
         return f"({s})" if req > 0 else s
-    if isinstance(t, Atom):
-        parts = [t.pred] + [_fmt(a, sig, names, _APP_PREC + 1) for a in t.args]
-        s = " ".join(parts)
-        return f"({s})" if req > _APP_PREC and len(parts) > 1 else s
-    if isinstance(t, Conj):
-        l = _fmt(t.left, sig, names, 3)
-        r = _fmt(t.right, sig, names, 2)
-        s = f"{l}, {r}"
-        return f"({s})" if req > 2 else s
-    if isinstance(t, Impl):
-        l = _fmt(t.goal, sig, names, 1)
-        r = _fmt(t.clause, sig, names, 1)
-        s = f"{l} <<== {r}"
-        return f"({s})" if req > 0 else s
-    return repr(t)
+    fix = sig.fixity(name) if len(args) == 2 else None
+    if fix:
+        assoc, p, _ = fix
+        l = _fmt(args[0], sig, names, p + 1 if assoc == "right" else p)
+        r = _fmt(args[1], sig, names, p if assoc == "right" else p + 1)
+        s = f"{l}, {r}" if name == "," else f"{l} {name} {r}"
+        return f"({s})" if req > p else s
+    parts = [_fmt(head, sig, names, _APP_PREC + 1)]
+    parts += [_fmt(a, sig, names, _APP_PREC + 1) for a in args]
+    s = " ".join(parts)
+    return f"({s})" if req > _APP_PREC else s
+
+
+def _fmt_binder(keyword, lam, sig, names, req):
+    name = _pick_name(lam.hint, names, sig, len(names))
+    s = f"{keyword}{name}\\ {_fmt(lam.body, sig, [name] + names, 0)}"
+    return f"({s})" if req > 0 else s
 
 
 def format_statement(st, sig: Signature) -> str:

@@ -1,9 +1,11 @@
-"""Meta-types, terms and goals.
+"""Meta-types and terms.
 
 Terms are simply-typed lambda-terms over a signature of constants, with
-de Bruijn indices for lambda-bound variables.  Goals and clauses are the
-terms of meta-type `o`: `Atom`, `All`, `Conj` and `Impl` nodes, which may
-stand wherever a term may, as an atom argument or a lambda body.
+de Bruijn indices for lambda-bound variables, in five node kinds: `Const`,
+`Bound`, `Meta`, `App` and `Lam`.  Goals and clauses are the terms of
+meta-type `o`, as in lambda-Prolog: applications of a predicate (`proves`,
+`hastype`, `assump` or a declared one) or of a goal former, `pi` to the
+lambda of its binder, `,` and `=>` (clause first) to two goals.
 
 Kernel-generated eigenvariables are constants carrying a positive birth
 timestamp; matching variables are Meta nodes around a mutable cell.
@@ -13,6 +15,7 @@ Everything else is immutable and freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterator, Optional, Union
 
 from .errors import StructuralError
@@ -185,54 +188,39 @@ class Lam(Term):
 # Goals
 # ---------------------------------------------------------------------------
 
+PROVES = Const("proves", arrow(PF, TM, O))
+HASTYPE = Const("hastype", arrow(TM, TP, O))
+ASSUMP = Const("assump", Arrow(O, O))
+AND = Const(",", arrow(O, O, O))
+IMP = Const("=>", arrow(O, O, O))  # clause first: push it, solve the goal
 
-class Goal(Term):
-    """A term of meta-type o."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Atom(Goal):
-    pred: str
-    args: tuple  # Terms; an o-typed argument is itself a Goal
-
-    def __repr__(self):
-        return "(" + " ".join([self.pred] + [repr(a) for a in self.args]) + ")"
+# arities of the goal formers and built-in predicates
+ARITY = {"pi": 1, ",": 2, "=>": 2, "proves": 2, "hastype": 2, "assump": 1}
 
 
-@dataclass(frozen=True)
-class All(Goal):
-    mt: Optional[MetaType]
-    body: Goal
-    hint: Optional[str] = field(default=None, compare=False, repr=False)
-
-    def __repr__(self):
-        return f"(pi\\ {self.body!r})"
+def app(head: Term, *args: Term) -> Term:
+    for a in args:
+        head = App(head, a)
+    return head
 
 
-@dataclass(frozen=True)
-class Conj(Goal):
-    left: Goal
-    right: Goal
-
-    def __repr__(self):
-        return f"({self.left!r}, {self.right!r})"
+def pi(mt: MetaType, body: Term, hint=None) -> Term:
+    """The universal goal over a binder of meta-type `mt`."""
+    return App(Const("pi", Arrow(Arrow(mt, O), O)), Lam(mt, body, hint))
 
 
-@dataclass(frozen=True)
-class Impl(Goal):
-    """One clause/goal implication; covers both surface arrows.
-
-    As a goal it means: push `clause`, solve `goal`.  Backchained as a
-    clause it means: `goal` is the head, `clause` the body.
-    """
-
-    clause: Goal
-    goal: Goal
-
-    def __repr__(self):
-        return f"({self.goal!r} <<== {self.clause!r})"
+def goal_spine(g: Term):
+    """`(name, args)`: the name of the constant at the head of goal `g`
+    and its arguments.  The name is None where the head is not a constant,
+    or is a former or built-in predicate without its arity (or, for `pi`,
+    without a lambda): a shape that is no goal."""
+    h, args = plain_spine(g)
+    name = h.name if isinstance(h, Const) else None
+    if ARITY.get(name, len(args)) != len(args) or (
+        name == "pi" and not isinstance(args[0], Lam)
+    ):
+        name = None
+    return name, args
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +231,7 @@ class Impl(Goal):
 def map_children(t, f, d, x):
     """Rebuild a node with `f(child, depth, x)` on each child, left to right.
 
-    `depth` is `d`, but `d + 1` for the body of a `Lam` or `All`.  If every
+    `depth` is `d`, but `d + 1` for the body of a `Lam`.  If every
     child comes back as the same object, `t` itself is returned, so
     unchanged subtrees stay shared; leaves (`Const`, `Bound`, `Meta`, not
     dereferenced) are returned as they are.
@@ -251,18 +239,9 @@ def map_children(t, f, d, x):
     if isinstance(t, App):
         fn, arg = f(t.fn, d, x), f(t.arg, d, x)
         return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, (Lam, All)):
+    if isinstance(t, Lam):
         body = f(t.body, d + 1, x)
-        return t if body is t.body else type(t)(t.mt, body, t.hint)
-    if isinstance(t, Atom):
-        args = tuple([f(a, d, x) for a in t.args])
-        return t if all(a is b for a, b in zip(args, t.args)) else Atom(t.pred, args)
-    if isinstance(t, Conj):
-        l, r = f(t.left, d, x), f(t.right, d, x)
-        return t if l is t.left and r is t.right else Conj(l, r)
-    if isinstance(t, Impl):
-        cl, g = f(t.clause, d, x), f(t.goal, d, x)
-        return t if cl is t.clause and g is t.goal else Impl(cl, g)
+        return t if body is t.body else Lam(t.mt, body, t.hint)
     return t
 
 
@@ -278,7 +257,7 @@ def deref(t: Term) -> Term:
 
 
 def shift(t, by: int, cutoff: int = 0):
-    """Shift free de Bruijn indices >= cutoff by `by` (terms and goals)."""
+    """Shift free de Bruijn indices >= cutoff by `by`."""
     if by == 0:
         return t
     return _shift(t, cutoff, by)
@@ -318,7 +297,7 @@ def _subst(t, d, vs):
     return map_children(t, _subst, d, vs)
 
 
-def subst_goal(body: Goal, *args: Term) -> Goal:
+def subst_goal(body: Term, *args: Term) -> Term:
     """Replace the len(args) innermost open binders of `body` in one pass,
     `args[-1]` for the innermost (index 0); with closed arguments,
     `subst_goal(b, x, y)` is `subst(subst(b, y), x)`."""
@@ -332,7 +311,6 @@ def subst_goal(body: Goal, *args: Term) -> Goal:
 
 def meta_type_of(t: Term, env=()) -> MetaType:
     """Meta-type of an annotated term; env lists binder types, innermost first."""
-    t0 = t
     if isinstance(t, Meta):
         return t.cell.mt
     if isinstance(t, Const):
@@ -344,15 +322,13 @@ def meta_type_of(t: Term, env=()) -> MetaType:
     if isinstance(t, App):
         fmt = meta_type_of(t.fn, env)
         if not isinstance(fmt, Arrow):
-            raise StructuralError(f"application of non-function in {t0!r}")
+            raise StructuralError(f"application of non-function in {t!r}")
         return fmt.cod
     if isinstance(t, Lam):
         if t.mt is None:
             raise StructuralError("unannotated binder")
         return Arrow(t.mt, meta_type_of(t.body, (t.mt,) + tuple(env)))
-    if isinstance(t, Goal):
-        return O
-    raise StructuralError(f"not a term: {t0!r}")
+    raise StructuralError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +363,6 @@ def plain_spine(t: Term):
     return t, args
 
 
-def _rebuild(head, args):
-    for a in args:
-        head = App(head, a)
-    return head
-
-
 def normalize(t: Term, env=()) -> Term:
     """Beta-normal eta-long form.  Terminates on all well-annotated input."""
     return _norm(t, meta_type_of(t, env), tuple(env), {})
@@ -411,15 +381,13 @@ def _norm(t, mt, env, memo):
             out = Lam(mt.dom, _norm(h.body, mt.cod, (mt.dom,) + env, memo), h.hint)
         else:
             # eta-expand a partially applied head
-            body = App(shift(_rebuild(h, args), 1), Bound(0))
+            body = App(shift(app(h, *args), 1), Bound(0))
             out = Lam(mt.dom, _norm(body, mt.cod, (mt.dom,) + env, memo))
-    elif mt == O:
-        h, args = spine(t)
-        if not isinstance(h, Goal) or args:
-            raise StructuralError(f"term of meta-type o is not a goal: {t!r}")
-        out = _norm_goal(h, env, memo)
     else:
         h, args = spine(t)
+        # a goal applies a predicate or a goal former
+        if mt == O and not (isinstance(h, Const) and h.birth == 0):
+            raise StructuralError(f"term of meta-type o is not a goal: {t!r}")
         if not args:
             out = h
         else:
@@ -434,21 +402,9 @@ def _norm(t, mt, env, memo):
     return out
 
 
-def _norm_goal(g, env, memo):
-    if isinstance(g, Atom):
-        args = tuple(_norm(a, meta_type_of(a, env), env, memo) for a in g.args)
-        return Atom(g.pred, args)
-    if isinstance(g, All):
-        return All(g.mt, _norm_goal(g.body, (g.mt,) + env, memo), g.hint)
-    if isinstance(g, Conj):
-        return Conj(_norm_goal(g.left, env, memo), _norm_goal(g.right, env, memo))
-    if isinstance(g, Impl):
-        return Impl(_norm_goal(g.clause, env, memo), _norm_goal(g.goal, env, memo))
-    raise StructuralError(f"not a goal: {g!r}")
-
-
-def normalize_goal(g: Goal, env=()) -> Goal:
-    return _norm_goal(g, tuple(env), {})
+def normalize_goal(g: Term, env=()) -> Term:
+    """`normalize` of a term of meta-type o."""
+    return _norm(g, O, tuple(env), {})
 
 
 def instantiate_metas(t):
@@ -471,7 +427,7 @@ def _reduce(fn, args):
             fn = fn.body
             n += 1
         fn, args = _hsubst(fn, 0, tuple(args[:n])), args[n:]
-    return _rebuild(fn, args)
+    return app(fn, *args)
 
 
 def _hsubst(t, d, vs):
@@ -485,9 +441,9 @@ def _hsubst(t, d, vs):
         if isinstance(h, Meta) and h.cell.value is not None:
             return _reduce(h.cell.value, new)
         fn = _hsubst(h, d, vs)
-        if fn is h and all(a is b for a, b in zip(new, args)):
+        if fn is h and all(map(is_, new, args)):
             return t
-        return _rebuild(fn, new)
+        return app(fn, *new)
     if isinstance(t, Bound):
         return _subst(t, d, vs)
     if isinstance(t, Meta) and t.cell.value is not None:
@@ -510,19 +466,13 @@ def alpha_beta_eq(a, b, env=()) -> bool:
 def children(t):
     if isinstance(t, App):
         return (t.fn, t.arg)
-    if isinstance(t, (Lam, All)):
+    if isinstance(t, Lam):
         return (t.body,)
-    if isinstance(t, Atom):
-        return tuple(t.args)
-    if isinstance(t, Conj):
-        return (t.left, t.right)
-    if isinstance(t, Impl):
-        return (t.clause, t.goal)
     return ()
 
 
 def walk(t) -> Iterator:
-    """All nodes of a term/goal tree, dereferencing bound meta cells."""
+    """All nodes of a term tree, dereferencing bound meta cells."""
     stack = [t]
     while stack:
         t = stack.pop()
@@ -544,8 +494,8 @@ def has_unbound_meta(t) -> bool:
             if t.cell.value is None:
                 return True
             stack.append(t.cell.value)
-        elif not isinstance(t, (Const, Bound)):
-            stack.extend(children(t))
+        elif isinstance(t, Lam):
+            stack.append(t.body)
     return False
 
 
@@ -563,8 +513,8 @@ def max_eigen_birth(t) -> int:
         elif isinstance(t, Meta):
             if t.cell.value is not None:
                 stack.append(t.cell.value)
-        elif not isinstance(t, Bound):
-            stack.extend(children(t))
+        elif isinstance(t, Lam):
+            stack.append(t.body)
     return best
 
 
@@ -589,7 +539,7 @@ def _replace_const(t, depth, mapping):
     return map_children(t, _replace_const, depth, mapping)
 
 
-def map_proves(g: Goal, fn, env=()) -> Goal:
+def map_proves(g: Term, fn, env=()) -> Term:
     """Replace every positive `proves` atom of a goal by `fn(atom, env)`.
 
     Positive atoms are those reached through universals, conjunctions and
@@ -597,12 +547,14 @@ def map_proves(g: Goal, fn, env=()) -> Goal:
     entered so far, innermost first.  Clauses, which are hypotheses, and
     other atoms are kept.
     """
-    if isinstance(g, Atom):
-        return fn(g, env) if g.pred == "proves" else g
-    if isinstance(g, All):
-        return All(g.mt, map_proves(g.body, fn, (g.mt,) + tuple(env)), g.hint)
-    if isinstance(g, Conj):
-        return Conj(map_proves(g.left, fn, env), map_proves(g.right, fn, env))
-    if isinstance(g, Impl):
-        return Impl(g.clause, map_proves(g.goal, fn, env))
-    return g
+    name, args = goal_spine(g)
+    if name == "pi":
+        lam = args[0]
+        args = [Lam(lam.mt, map_proves(lam.body, fn, (lam.mt,) + tuple(env)), lam.hint)]
+    elif name == ",":
+        args = [map_proves(a, fn, env) for a in args]
+    elif name == "=>":
+        args = [args[0], map_proves(args[1], fn, env)]
+    else:
+        return fn(g, env) if name == "proves" else g
+    return app(plain_spine(g)[0], *args)

@@ -5,17 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    All,
+    O,
+    PROVES,
     App,
-    Atom,
     Const,
-    Goal,
     Lam,
+    app,
     children,
     map_children,
     map_proves,
     normalize,
     plain_spine,
+    result_base,
 )
 
 
@@ -40,9 +41,9 @@ def expand_lemmas(proof, env=()):
 
 def _expand(t, env, _):
     # binders extend `env`, so they are rebuilt here, not by map_children
-    if isinstance(t, (Lam, All)):
+    if isinstance(t, Lam):
         body = _expand(t.body, (t.mt,) + env, None)
-        t = t if body is t.body else type(t)(t.mt, body, t.hint)
+        t = t if body is t.body else Lam(t.mt, body, t.hint)
     else:
         t = map_children(t, _expand, env, None)
     head, args = plain_spine(t)
@@ -57,14 +58,16 @@ def expand_statement_goal(g, env=()):
 
 
 def _expand_atom(atom, env):
-    return Atom("proves", (expand_lemmas(atom.args[0], env), atom.args[1]))
+    proof, formula = plain_spine(atom)[1]
+    return app(PROVES, expand_lemmas(proof, env), formula)
 
 
 def _skeleton_children(t):
     """Children for size metrics: an embedded clause template is a single
     leaf.  Templates state; only proof structure is measured."""
-    if isinstance(t, Goal):
-        return ()
+    h, _ = plain_spine(t)
+    if isinstance(h, Const) and result_base(h.mt) == O:
+        return ()  # a goal: it applies a constant of result type o
     return children(t)
 
 

@@ -4,10 +4,13 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# the property helpers assert too; rewritten, they also hold under python -O
+pytest.register_assert_rewrite("props")
 
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
 from holcheck.syntax import apply_declarations, parse_source
+from holcheck.terms import goal_spine, plain_spine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -47,6 +50,21 @@ def load_corpus_goal(name, sig=None):
     src = parse_source((CORPUS / name).read_text(), sig, name)
     (st,) = src.statements
     return st.goal
+
+
+def atom_args(atom):
+    """The arguments of an atom, its predicate applied to them."""
+    return plain_spine(atom)[1]
+
+
+def goal_atom(goal):
+    """The atom a goal ends in, under its `pi` binders and the goal sides
+    of its implications."""
+    name, args = goal_spine(goal)
+    while name in ("pi", "=>"):
+        goal = args[0].body if name == "pi" else args[1]
+        name, args = goal_spine(goal)
+    return goal
 
 
 def load_full_library():

@@ -10,14 +10,14 @@ from holcheck.kernel import Session, def_to_eqclause
 from holcheck.signature import builtin_signature
 from holcheck.syntax import format_term, parse_term
 from holcheck.terms import (
+    AND,
+    HASTYPE,
+    IMP,
+    PROVES,
     App,
     Arrow,
-    Atom,
-    All,
     Bound,
-    Conj,
     Const,
-    Impl,
     Lam,
     Meta,
     MetaCell,
@@ -28,6 +28,9 @@ from holcheck.terms import (
     arg_types,
     meta_type_of,
     normalize,
+    app,
+    goal_spine,
+    pi,
     result_base,
     subst,
 )
@@ -65,14 +68,14 @@ def gen_goal(rng, env=(), fuel=2):
     kind = rng.randrange(6)
     if kind == 0 and fuel > 0:
         mt = rng.choice((TP, TM, PF))
-        return All(mt, gen_goal(rng, (mt,) + tuple(env), fuel - 1), hint=None)
+        return pi(mt, gen_goal(rng, (mt,) + tuple(env), fuel - 1))
     if kind == 1 and fuel > 0:
-        return Conj(gen_goal(rng, env, fuel - 1), gen_goal(rng, env, fuel - 1))
+        return app(AND, gen_goal(rng, env, fuel - 1), gen_goal(rng, env, fuel - 1))
     if kind == 2 and fuel > 0:
-        return Impl(gen_goal(rng, env, fuel - 1), gen_goal(rng, env, fuel - 1))
+        return app(IMP, gen_goal(rng, env, fuel - 1), gen_goal(rng, env, fuel - 1))
     if rng.randrange(2):
-        return Atom("proves", (gen_term(rng, PF, env, 2), gen_term(rng, TM, env, 2)))
-    return Atom("hastype", (gen_term(rng, TM, env, 2), gen_term(rng, TP, env, 2)))
+        return app(PROVES, gen_term(rng, PF, env, 2), gen_term(rng, TM, env, 2))
+    return app(HASTYPE, gen_term(rng, TM, env, 2), gen_term(rng, TP, env, 2))
 
 
 def subterm_positions(t, env=(), depth=0):
@@ -187,10 +190,10 @@ def run_eqclause_arity(n, seed=15):
         body = gen_term(rng, mt, (), fuel=2)
         clause = def_to_eqclause(Const("form", TP), name, body)
         binders = 0
-        g = clause
-        while isinstance(g, All):
+        name, args = goal_spine(clause)
+        while name == "pi":
             binders += 1
-            g = g.body
+            name, args = goal_spine(args[0].body)
         # independent oracle: count the arrows of the shared meta-type
         oracle = 0
         m = mt
@@ -198,5 +201,5 @@ def run_eqclause_arity(n, seed=15):
             oracle += 1
             m = m.cod
         assert binders == oracle, f"case {i}: binder count mismatch"
-        assert isinstance(g, Atom) and g.pred == "proves"
+        assert name == "proves"
     return n

@@ -7,7 +7,7 @@ property runs at >= 1000 cases.
 
 import time
 
-from conftest import CORPUS, THEOREM_FILES, load_corpus_goal, load_full_library
+from conftest import CORPUS, THEOREM_FILES, atom_args, load_corpus_goal, load_full_library
 
 import props
 from negatives import CASES
@@ -30,7 +30,7 @@ def proofs_with_env(goal):
     out = []
 
     def collect(atom, env):
-        out.append((atom.args[0], env))
+        out.append((atom_args(atom)[0], env))
         return atom
 
     map_proves(goal, collect)
@@ -116,10 +116,10 @@ def test_criterion_4_packaging_round_trip():
     sig, ses, reg = load_full_library()
 
     goal = load_corpus_goal("symm_via_lib.hol", sig)
-    proof, formula = goal.args
+    proof, formula = atom_args(goal)
     packaged = package(formula, proof, reg)
     display = load_corpus_goal("symm_implicit.hol", builtin_signature())
-    assert alpha_beta_eq(packaged, display.args[0])
+    assert alpha_beta_eq(packaged, atom_args(display)[0])
 
     code = main(
         [

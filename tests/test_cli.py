@@ -188,6 +188,34 @@ def test_library_failure_exits_like_its_cause(tmp_path, capsys):
     assert code == 2  # the library is unusable: reported as invalid input
 
 
+def test_stats_expand_and_fmt_read_only_library_declarations(
+    tmp_path, capsys, monkeypatch
+):
+    # these commands need only the signature: no library entry is checked,
+    # so a budget too small for the library does not stop them
+    from holcheck.kernel import Session
+
+    checked = []
+    check_goal = Session.check_goal
+
+    def counted(self, *args, **kwargs):
+        checked.append(args)
+        return check_goal(self, *args, **kwargs)
+
+    monkeypatch.setattr(Session, "check_goal", counted)
+    lib = ["--lib", str(CORPUS / "lib_full.hol"), "--budget", "10"]
+    path = str(CORPUS / "symm_via_lib.hol")
+    assert run("stats", *lib, path) == 0
+    assert capsys.readouterr().out == (
+        f"{path}:2: nodes=12 tree_nodes=12 lemmas=0 defs=0 depth=8\n"
+    )
+    for command in ("expand", "fmt"):
+        assert run(command, *lib, path, "-o", str(tmp_path / f"{command}.hol")) == 0
+    assert checked == []
+    # the library itself is checked where it is used
+    assert run("check", *lib, path) == 3
+
+
 def test_multiple_files_process_in_order(capsys):
     assert (
         run("check", str(CORPUS / "symm_basic.hol"), str(CORPUS / "symm_lemma.hol"))
@@ -253,7 +281,7 @@ def test_thirty_link_chain_checks(tmp_path, capsys):
 
     With one interpreter frame per clause binder and a normalization of
     every atom, 30 links exhausted it (exit 3); with this link mix the
-    first failing length is now 46."""
+    first failing length is now 47."""
     import random
 
     from chain import chain_statement

@@ -11,20 +11,26 @@ from holcheck.kernel import Session, augment_goal, def_to_eqclause, valid_clause
 from holcheck.signature import builtin_signature
 from holcheck.syntax import parse_goal, parse_term
 from holcheck.terms import (
+    AND,
+    ASSUMP,
+    HASTYPE,
+    PROVES,
     App,
     Arrow,
-    Atom,
-    Conj,
     Const,
     Meta,
     MetaCell,
+    O,
     PF,
     TM,
     TP,
     alpha_beta_eq,
+    app,
     arrow,
+    goal_spine,
     normalize,
     normalize_goal,
+    pi,
     walk,
 )
 from negatives import CASES
@@ -240,26 +246,25 @@ def _assert_rejected_not_raised(sig, bad):
     assert valid_clause(bad) is False
     ses = Session(sig)
     ses.push_clause(bad)
-    assumed = Atom("proves", (Const("refl", PF), Const("false", TM)))
-    assert ses.check_goal(Atom("assump", (assumed,)), augment=False).failed
+    assumed = app(PROVES, Const("refl", PF), Const("false", TM))
+    assert ses.check_goal(App(ASSUMP, assumed), augment=False).failed
 
 
 def test_assumption_of_a_non_goal_is_rejected_not_raised(sig):
     # an o-typed atom argument is a goal; a hand-built one may not be
-    _assert_rejected_not_raised(sig, Atom("assump", (Const("c", TM),)))
+    _assert_rejected_not_raised(sig, App(ASSUMP, Const("c", TM)))
 
 
-@pytest.mark.parametrize(
-    "atom",
-    [
-        Atom("assump", ()),
-        Atom("assump", (Atom("proves", ()),)),
-        Atom("proves", ()),
-        Atom("proves", (Const("refl", PF),)),
-        Atom("hastype", (Const("false", TM),)),
-    ],
-    ids=repr,
-)
+WRONG_ARITY = {
+    "(assump)": ASSUMP,
+    "(assump (proves))": App(ASSUMP, PROVES),
+    "(proves)": PROVES,
+    "(proves refl)": App(PROVES, Const("refl", PF)),
+    "(hastype false)": App(HASTYPE, Const("false", TM)),
+}
+
+
+@pytest.mark.parametrize("atom", WRONG_ARITY.values(), ids=WRONG_ARITY.keys())
 def test_atom_of_the_wrong_arity_is_rejected_not_raised(sig, atom):
     # a hand-built atom need not respect its predicate's arity
     _assert_rejected_not_raised(sig, atom)
@@ -416,7 +421,7 @@ def test_eqclause_zero_arrows(sig):
     clause = def_to_eqclause(
         parse_term("intty", sig), parse_term("d0", sig), parse_term("c0", sig)
     )
-    assert isinstance(clause, Atom) and clause.pred == "proves"
+    assert goal_spine(clause)[0] == "proves"
 
 
 def test_eqclause_requires_tm_base(sig):
@@ -533,20 +538,24 @@ def test_backtracking_undoes_bindings_between_alternatives():
 
 
 class NormalFormSession(Session):
-    """Asserts that every dispatched atom is already beta-normal eta-long:
-    the kernel normalizes goals on entry and atoms only when they hold a
-    bound matching variable.  Also asserts that the argument of every
-    `assump` atom of a stored clause is an atom."""
+    """Asserts that every dispatched atom and every stored clause is
+    already beta-normal eta-long: the kernel normalizes goals on entry,
+    clauses from outside it when pushed, and atoms and its own clauses
+    only by instantiating their bound matching variables.  Also asserts
+    that the argument of every `assump` atom of a stored clause is an
+    atom."""
 
     def _dispatch(self, atom):
         assert normalize_goal(atom) == atom, f"atom not normal: {atom!r}"
         return super()._dispatch(atom)
 
-    def push_clause(self, g):
+    def _push(self, g):
+        assert normalize_goal(g) == g, f"stored clause not normal: {g!r}"
         for node in walk(g):
-            if isinstance(node, Atom) and node.pred == "assump":
-                assert isinstance(node.args[0], Atom), repr(node)
-        super().push_clause(g)
+            name, args = goal_spine(node)
+            if name == "assump":
+                assert goal_spine(args[0])[0] not in (None, "pi", ",", "=>"), repr(node)
+        super()._push(g)
 
 
 def _check_files(monkeypatch, session_cls, *args):
@@ -683,11 +692,11 @@ def _backchained(sig, clauses, goal):
 
 def test_assumption_and_proof_clause_with_one_subject_are_told_apart(sig):
     p = Const("p", PF, birth=1)
-    fact = Atom("proves", (p, Const("false", TM)))
-    other = Atom("proves", (p, parse_term("eq intty false false", sig)))
-    clauses = [Atom("assump", (other,)), fact]
+    fact = app(PROVES, p, Const("false", TM))
+    other = app(PROVES, p, parse_term("eq intty false false", sig))
+    clauses = [App(ASSUMP, other), fact]
     # an assumption goal backchains only the assumption clause
-    assert _backchained(sig, clauses, Atom("assump", (fact,))) == (False, [0])
+    assert _backchained(sig, clauses, App(ASSUMP, fact)) == (False, [0])
     # a proof goal tries assumptions, then proof clauses; each pass
     # backchains only the clause of its own predicate
     assert _backchained(sig, clauses, fact) == (True, [0, 1])
@@ -696,9 +705,21 @@ def test_assumption_and_proof_clause_with_one_subject_are_told_apart(sig):
 def test_conjunction_clause_with_one_matching_head_is_backchained(sig):
     c, d = Const("c", TM, birth=1), Const("d", TM, birth=2)
     intty, form = Const("intty", TP), Const("form", TP)
-    refl = Atom("proves", (Const("refl", PF), Const("false", TM)))
-    stored = [Conj(refl, Atom("hastype", (c, intty)))]
-    assert _backchained(sig, stored, Atom("hastype", (c, intty))) == (True, [0])
-    assert _backchained(sig, stored, Atom("hastype", (c, form))) == (False, [0])
+    refl = app(PROVES, Const("refl", PF), Const("false", TM))
+    stored = [app(AND, refl, app(HASTYPE, c, intty))]
+    assert _backchained(sig, stored, app(HASTYPE, c, intty)) == (True, [0])
+    assert _backchained(sig, stored, app(HASTYPE, c, form)) == (False, [0])
     # no head has subject d
-    assert _backchained(sig, stored, Atom("hastype", (d, intty))) == (False, [])
+    assert _backchained(sig, stored, app(HASTYPE, d, intty)) == (False, [])
+
+
+def test_pi_binder_types_count_in_matching(sig):
+    # the stored assumption and the goal differ only in the binder type of
+    # a `pi` inside an o-typed argument of their subject
+    def assumption(mt):
+        inner = pi(mt, app(HASTYPE, Const("false", TM), Const("form", TP)))
+        subject = app(Const("extractGoal", arrow(O, PF, PF)), inner, Const("refl", PF))
+        return App(ASSUMP, app(PROVES, subject, Const("false", TM)))
+
+    assert _backchained(sig, [assumption(TM)], assumption(TP)) == (False, [0])
+    assert _backchained(sig, [assumption(TM)], assumption(TM)) == (True, [0])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import CORPUS, load_corpus_goal, load_full_library
+from conftest import CORPUS, atom_args, goal_atom, load_corpus_goal, load_full_library
 
 from holcheck.errors import LibraryError
 from holcheck.kernel import Session
@@ -148,24 +148,23 @@ def test_library_file_may_not_contain_goals():
 def test_package_without_registry_references_is_identity():
     sig, ses, reg = load_full_library()
     goal = load_corpus_goal("symm_basic.hol", builtin_signature())
-    proof, formula = goal.args
+    proof, formula = atom_args(goal)
     assert package(formula, proof, reg) is proof
 
 
 def test_package_reproduces_in_proof_display():
     sig, ses, reg = load_full_library()
     goal = load_corpus_goal("symm_via_lib.hol", sig)
-    proof, formula = goal.args
+    proof, formula = atom_args(goal)
     packaged = package(formula, proof, reg)
     display = load_corpus_goal("symm_implicit.hol", builtin_signature())
-    assert alpha_beta_eq(packaged, display.args[0])
+    assert alpha_beta_eq(packaged, atom_args(display)[0])
 
 
 def test_packaged_output_is_registry_closed():
     sig, ses, reg = load_full_library()
     goal = load_corpus_goal("assoc_via_lib.hol", sig)
-    atom = goal.body.body.goal
-    proof, formula = atom.args
+    proof, formula = atom_args(goal_atom(goal))
     packaged = package(formula, proof, reg)
     assert not (const_names(packaged) & reg.names())
     assert [e.name for e in dependencies(proof, reg)] == [
@@ -181,17 +180,15 @@ def test_packaged_output_is_registry_closed():
 def test_packaged_proof_checks_in_empty_registry():
     sig, ses, reg = load_full_library()
     goal = load_corpus_goal("assoc_via_lib.hol", sig)
-    atom = goal.body.body.goal
-    proof, formula = atom.args
+    proof, formula = atom_args(goal_atom(goal))
     packaged = package(formula, proof, reg)
-    from holcheck.terms import All, Atom, Impl
+    from holcheck.terms import IMP, PROVES, TM as _TM, app, goal_spine, pi
 
-    rebuilt = goal.body.body
-    rebuilt = Impl(rebuilt.clause, Atom("proves", (packaged, formula)))
-    rebuilt = All(TP, rebuilt, hint="t")
-    from holcheck.terms import TM as _TM
-
-    rebuilt = All(arrow(_TM, _TM, _TM), rebuilt, hint="f")
+    # goal: pi f\ pi t\ (clause ==>> proves proof formula)
+    clause = goal_spine(goal.arg.body.arg.body)[1][0]
+    rebuilt = app(IMP, clause, app(PROVES, packaged, formula))
+    rebuilt = pi(TP, rebuilt, hint="t")
+    rebuilt = pi(arrow(_TM, _TM, _TM), rebuilt, hint="f")
     fresh = Session(builtin_signature())
     report = fresh.check_goal(rebuilt)
     assert report.ok
@@ -208,7 +205,7 @@ def test_in_registry_and_packaged_verdicts_agree():
 def test_package_rejects_unchecked_registry():
     reg, sig = parse_lib((CORPUS / "lib_basic.hol").read_text())
     goal = load_corpus_goal("symm_via_lib.hol", sig)
-    proof, formula = goal.args
+    proof, formula = atom_args(goal)
     with pytest.raises(LibraryError):
         package(formula, proof, reg)
 
@@ -220,8 +217,7 @@ def test_package_rejects_registry_names_in_formula():
     g = parse_goal(
         r"pi f\ pi t\ (proves def (eq form (assoc f t) (assoc f t)))", sig
     )
-    atom = g.body.body
-    proof, formula = atom.args
+    proof, formula = atom_args(goal_atom(g))
     with pytest.raises(LibraryError):
         package(formula, proof, reg)
 

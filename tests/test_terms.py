@@ -33,8 +33,9 @@ from holcheck.terms import (
     SVar,
     TM,
     TP,
-    Atom,
+    PROVES,
     alpha_beta_eq,
+    app,
     arrow,
     instantiate_metas,
     meta_type_of,
@@ -335,7 +336,7 @@ def test_instantiate_metas_is_normalization_of_a_normal_atom(seed):
     env = (rng.choice(_META_TYPES), rng.choice(_META_TYPES))
     # a normal atom over two variables, which become matching variables
     # as a clause prefix is instantiated
-    body = Atom("proves", (props.gen_term(rng, PF, env, 3), props.gen_term(rng, TM, env, 3)))
+    body = app(PROVES, props.gen_term(rng, PF, env, 3), props.gen_term(rng, TM, env, 3))
     cells = [MetaCell(mt, 0) for mt in reversed(env)]
     atom = normalize_goal(subst_goal(body, *(Meta(c) for c in cells)))
     assert instantiate_metas(atom) is atom

@@ -2,13 +2,13 @@
 
 import pytest
 
-from conftest import CORPUS, load_corpus_goal
+from conftest import CORPUS, atom_args, goal_atom, load_corpus_goal
 
 from holcheck.cli import main
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
 from holcheck.syntax import parse_term
-from holcheck.terms import App, Const, alpha_beta_eq, normalize, walk
+from holcheck.terms import App, Const, alpha_beta_eq, goal_spine, normalize, walk
 from holcheck.transform import (
     ProofStats,
     expand_lemmas,
@@ -24,19 +24,20 @@ def count_const(t, name):
 def test_expansion_of_single_lemma_gives_direct_proof():
     with_lemma = load_corpus_goal("symm_lemma.hol")
     direct = load_corpus_goal("symm_basic.hol")
-    expanded = expand_lemmas(with_lemma.args[0])
-    assert normalize(expanded) == normalize(direct.args[0])
-    assert alpha_beta_eq(expanded, direct.args[0])
+    expanded = expand_lemmas(atom_args(with_lemma)[0])
+    assert normalize(expanded) == normalize(atom_args(direct)[0])
+    assert alpha_beta_eq(expanded, atom_args(direct)[0])
 
 
 def test_expansion_is_identity_on_lemma_free_proofs():
     direct = load_corpus_goal("symm_basic.hol")
-    assert expand_lemmas(direct.args[0]) is direct.args[0]
+    proof = atom_args(direct)[0]
+    assert expand_lemmas(proof) is proof
 
 
 def test_expansion_duplicates_reused_lemma_body():
     goal = load_corpus_goal("symm_trans.hol")
-    proof = goal.args[0]
+    proof = atom_args(goal)[0]
     expanded = expand_lemmas(proof)
     # one congruence node per stated lemma proof before; afterwards the
     # symmetry body appears twice (in the former transitivity body and in
@@ -64,7 +65,7 @@ def test_expansion_idempotent():
 def test_definition_nodes_survive_expansion():
     goal = load_corpus_goal("assoc_def.hol")
     expanded = expand_statement_goal(goal)
-    proof = expanded.body.body.goal.args[0]
+    proof = atom_args(goal_atom(expanded))[0]
     stats = proof_stats(proof)
     assert stats.def_count == 1 and stats.lemma_count == 0
 
@@ -78,20 +79,20 @@ def test_stats_on_single_constructor():
 
 def test_lemma_and_definition_counts():
     trans_goal = load_corpus_goal("symm_trans.hol")
-    assert proof_stats(trans_goal.args[0]).lemma_count == 2
+    assert proof_stats(atom_args(trans_goal)[0]).lemma_count == 2
     poly_goal = load_corpus_goal("poly_lemmas.hol")
-    assert proof_stats(poly_goal.args[0]).lemma_count == 3
+    assert proof_stats(atom_args(poly_goal)[0]).lemma_count == 3
     assoc_goal = load_corpus_goal("assoc_def.hol")
-    proof = assoc_goal.body.body.goal.args[0]
+    proof = atom_args(goal_atom(assoc_goal))[0]
     s = proof_stats(proof)
     assert s.lemma_count == 5 and s.def_count == 1
 
 
 def test_tree_size_grows_when_lemmas_are_reused():
     cases = {
-        "symm_trans.hol": lambda g: g.args[0],
-        "poly_lemmas.hol": lambda g: g.args[0],
-        "assoc_def.hol": lambda g: g.body.body.goal.args[0],
+        "symm_trans.hol": lambda g: atom_args(g)[0],
+        "poly_lemmas.hol": lambda g: atom_args(g)[0],
+        "assoc_def.hol": lambda g: atom_args(goal_atom(g))[0],
     }
     for name, select in cases.items():
         goal = load_corpus_goal(name)
@@ -104,9 +105,9 @@ def test_tree_size_grows_when_lemmas_are_reused():
 def test_shared_count_never_exceeds_tree_count():
     for name in ("symm_trans.hol", "assoc_def.hol", "poly_lemmas.hol"):
         goal = load_corpus_goal(name)
-        proof = goal.args[0] if hasattr(goal, "args") else None
-        if proof is None:
-            continue
+        if goal_spine(goal)[0] != "proves":
+            continue  # an open proof under binders
+        proof = atom_args(goal)[0]
         s = proof_stats(proof)
         assert s.shared_nodes <= s.tree_nodes
         expanded = expand_lemmas(proof)
@@ -120,17 +121,12 @@ def test_expansion_inlines_specialized_definitions():
     # expanding the variants that introduce their definition through a
     # lemma substitutes the body for the defined name and the reflexivity
     # proof for its equality name; the result still checks
-    from holcheck.terms import All, Impl
-
     for name in ("assoc_def_speclemma.hol", "assoc_def_atomic.hol"):
         goal = load_corpus_goal(name)
         expanded = expand_statement_goal(goal)
         report = Session(builtin_signature()).check_goal(expanded)
         assert report.ok, name
-        g = expanded
-        while isinstance(g, (All, Impl)):
-            g = g.body if isinstance(g, All) else g.goal
-        assert proof_stats(g.args[0]).lemma_count == 0
+        assert proof_stats(atom_args(goal_atom(expanded))[0]).lemma_count == 0
 
 
 # `holcheck stats` lines of every corpus theorem, after the "path:line: "
@@ -163,14 +159,14 @@ def test_stats_lines_are_pinned(name, capsys):
 def test_stats_of_shared_subterms_are_pinned():
     # a parsed proof shares nothing; these share lemma and definition
     # subproofs, which the tree metrics count once per occurrence
-    lemma = load_corpus_goal("symm_lemma.hol").args[0]
-    defn = load_corpus_goal("and_def.hol").args[0]
+    lemma = atom_args(load_corpus_goal("symm_lemma.hol"))[0]
+    defn = atom_args(load_corpus_goal("and_def.hol"))[0]
     imp_e = parse_term("imp_e false refl refl", builtin_signature()).fn.fn.fn
     shared = App(App(App(imp_e, lemma), defn), App(defn, lemma))
     assert proof_stats(shared) == ProofStats(
         shared_nodes=87, tree_nodes=169, lemma_count=2, def_count=2, max_depth=16
     )
-    expanded = expand_lemmas(load_corpus_goal("symm_trans.hol").args[0])
+    expanded = expand_lemmas(atom_args(load_corpus_goal("symm_trans.hol"))[0])
     assert proof_stats(expanded) == ProofStats(
         shared_nodes=106, tree_nodes=130, lemma_count=0, def_count=0, max_depth=34
     )
