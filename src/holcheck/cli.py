@@ -10,6 +10,7 @@ take precedence over plain failures (1).
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 
 from .errors import (
@@ -101,6 +102,23 @@ class Environment:
                         raise BudgetError(report.stats.steps)
                     raise LibraryError(message)
 
+    def fork(self):
+        """A copy of this environment's state for one input file.
+
+        The copy gets its own signature, registry and clause store, each
+        holding what this environment holds, and an empty trail; nothing
+        the copy declares, installs or pushes reaches this environment.
+        """
+        env = copy.copy(self)
+        env.sig = self.sig.copy()
+        env.session = Session(env.sig, self.session.budget)
+        env.session.store = list(self.session.store)
+        env.session.counter = self.session.counter
+        env.session.clauses_added = self.session.clauses_added
+        env.registry = Registry(list(self.registry.entries), dict(self.registry.by_name))
+        env.codes = []
+        return env
+
     def emit(self, line):
         if self.trace != "quiet":
             print(line)
@@ -155,9 +173,10 @@ class Environment:
 
 
 def cmd_check(args):
+    library = Environment(args.lib, args.budget, args.trace)
     codes = []
     for path in args.inputs:
-        env = Environment(args.lib, args.budget, args.trace)
+        env = library.fork()
         src = parse_source(_read(path), env.sig, path)
         for st in src.statements:
             env.run_statement(st, path)
@@ -217,9 +236,9 @@ def cmd_fmt(args):
 
 
 def cmd_stats(args):
-    codes = []
+    library = _library_signature(args.lib)
     for path in args.inputs:
-        sig = _library_signature(args.lib)
+        sig = library.copy()
         src = parse_source(_read(path), sig, path)
         for st in src.statements:
             if isinstance(st, (TypeDecl, InfixDecl)):
@@ -234,8 +253,7 @@ def cmd_stats(args):
                         f"tree_nodes={s.tree_nodes} lemmas={s.lemma_count} "
                         f"defs={s.def_count} depth={s.max_depth}"
                     )
-        codes.append(EXIT_OK)
-    return _combine(codes)
+    return EXIT_OK
 
 
 def build_arg_parser():

@@ -26,16 +26,14 @@ from .terms import (
     Term,
 )
 
-_uvar_ids = itertools.count(1)
-
-
 class UVar:
-    """Unification variable over meta-types (inference-internal)."""
+    """Unification variable over meta-types (inference-internal), numbered
+    from 1 within one elaboration."""
 
     __slots__ = ("uid", "ref")
 
-    def __init__(self):
-        self.uid = next(_uvar_ids)
+    def __init__(self, uid):
+        self.uid = uid
         self.ref = None
 
     def __repr__(self):
@@ -95,25 +93,28 @@ def _zonk_loose(mt):
     return mt
 
 
-def _instantiate(scheme):
-    if not scheme.poly:
-        return scheme.body
-    v = UVar()
-
-    def go(mt):
-        if isinstance(mt, SVar):
-            return v
-        if isinstance(mt, Arrow):
-            return Arrow(go(mt.dom), go(mt.cod))
-        return mt
-
-    return go(scheme.body)
-
-
 class _Inference:
     def __init__(self, sig, pos):
         self.sig = sig
         self.pos = pos
+        self._uids = itertools.count(1)
+
+    def fresh(self):
+        return UVar(next(self._uids))
+
+    def instantiate(self, scheme):
+        if not scheme.poly:
+            return scheme.body
+        v = self.fresh()
+
+        def go(mt):
+            if isinstance(mt, SVar):
+                return v
+            if isinstance(mt, Arrow):
+                return Arrow(go(mt.dom), go(mt.cod))
+            return mt
+
+        return go(scheme.body)
 
     # -- constraint generation; terms come back annotated with UVars ------
 
@@ -123,7 +124,7 @@ class _Inference:
             sch = self.sig.lookup(t.name) or GOAL_FORMERS.get(t.name)
             if sch is None:
                 raise MetaTypeError(f"undeclared constant '{t.name}'", *(self.pos or ()))
-            mt = _instantiate(sch)
+            mt = self.instantiate(sch)
             return Const(t.name, mt, t.birth), mt
         if isinstance(t, Bound):
             return t, env[t.index]
@@ -134,11 +135,11 @@ class _Inference:
             if isinstance(fmt, Arrow):  # as below, without a fresh variable
                 _unify(fmt.dom, amt, lambda: f"application {t!r}", self.pos)
                 return App(fn, arg), fmt.cod
-            res = UVar()
+            res = self.fresh()
             _unify(fmt, Arrow(amt, res), lambda: f"application {t!r}", self.pos)
             return App(fn, arg), res
         if isinstance(t, Lam):
-            dom = t.mt if t.mt is not None else UVar()
+            dom = t.mt if t.mt is not None else self.fresh()
             body, bmt = self.term(t.body, (dom,) + env)
             return Lam(dom, body, t.hint), Arrow(dom, bmt)
         raise MetaTypeError(f"not a term: {t!r}", *(self.pos or ()))

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetError, PatternError, StructuralError, ValidityError
 from .signature import builtin_signature
+from .syntax import format_goal, parse_source
 from .terms import (
     AND,
     ASSUMP,
@@ -135,8 +136,6 @@ pi T\\ pi A\\ pi Q\\ pi X\\
 """
 
 def _load_rules():
-    from .syntax import parse_source
-
     rules = {"proves": {}, "hastype": {}}
     for st in parse_source(_RULES_SRC, builtin_signature()).statements:
         clause = normalize_goal(st.goal)
@@ -245,19 +244,20 @@ def _goal_app(fn: Term, arg: Term) -> Term:
     return normalize_goal(t)
 
 
-def instantiate(template, name, witness, kind, result_tp=None):
+def instantiate(sig, template, name, witness, kind, result_tp=None):
     """Instantiate a lemma or definition template; returns (goal, clauses).
 
     The template at `name` must be a whitelisted clause, else a
-    ValidityError names it by `kind`.  Solve `goal`, the template at
-    `witness`, first; then push `clauses()`: the instance and, for a
-    definition (`result_tp` given), its equality clause, built only after
-    `goal` succeeds so that an ill-typed body fails instead of raising.
+    ValidityError names it by `kind`, with an in-proof instance printed
+    over `sig`.  Solve `goal`, the template at `witness`, first; then push
+    `clauses()`: the instance and, for a definition (`result_tp` given),
+    its equality clause, built only after `goal` succeeds so that an
+    ill-typed body fails instead of raising.
     """
     inst = _goal_app(template, name)
     if not valid_clause(inst):
         # an in-proof name is an eigenvariable, shown through its clause
-        detail = f": {inst!r}" if name.birth else ""
+        detail = f": {format_goal(inst, sig)}" if name.birth else ""
         raise ValidityError(f"{kind} clause outside the allowed grammar{detail}")
     goal = _goal_app(template, witness)
     if result_tp is None:
@@ -671,7 +671,7 @@ class Session:
             raise StructuralError("lemma or definition node is not eta-long")
         name = self.fresh_eigen(template.mt, rest.hint)
         kind = "lemma" if result_tp is None else "definition typing"
-        goal, clauses = instantiate(template, name, witness, kind, result_tp)
+        goal, clauses = instantiate(self.sig, template, name, witness, kind, result_tp)
         for _ in self.solve(goal):
             depth = len(self.store)
             for clause in clauses():
@@ -699,7 +699,9 @@ class Session:
 
     def check_extract_goal(self, g, sub, formula):
         if not valid_clause(g):
-            raise ValidityError(f"extractGoal argument outside the allowed grammar: {g!r}")
+            raise ValidityError(
+                f"extractGoal argument outside the allowed grammar: {format_goal(g, self.sig)}"
+            )
         for _ in self.solve(g):
             yield from self.solve(app(PROVES, sub, formula))
 
@@ -744,8 +746,6 @@ class Session:
         )
         failure_stack = ()
         if not ok and error is None:
-            from .syntax import format_goal
-
             failure_stack = tuple(
                 format_goal(x, self.sig) for x in self.failure_snapshot
             )

@@ -118,10 +118,11 @@ def install_entry(entry, session: Session) -> CheckReport:
     name = name_const(entry)
     if isinstance(entry, LemmaEntry):
         goal, clauses = instantiate(
-            entry.template, name, entry.proof, f"lemma '{entry.name}'"
+            session.sig, entry.template, name, entry.proof, f"lemma '{entry.name}'"
         )
     else:
         goal, clauses = instantiate(
+            session.sig,
             entry.typeinf,
             name,
             entry.body,

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CORPUS, THEOREM_FILES
 
-from holcheck.cli import main
+from holcheck.cli import _combine, main
 from negatives import CASES
 
 
@@ -34,22 +34,27 @@ def test_check_with_libraries(capsys):
     assert out.count("success") == 2
 
 
+# a lemma proved by the library lemma symm, and a goal that uses it
+FLIP_LEMMA = (
+    "type flip pf -> pf.\n"
+    "def_lemma flip\n"
+    "  (Flip\\ pi T\\ pi A\\ pi B\\ pi P\\\n"
+    "    proves (Flip P) (eq T A B) <<==\n"
+    "      (hastype A T, hastype B T, proves P (eq T B A)))\n"
+    "  (P\\ elam T\\ elam A\\ elam B\\\n"
+    "    (extract (eq T A B) (symm P))).\n"
+)
+FLIP_USE = (
+    "proves (forall_i I\\ (forall_i J\\ (imp_i Q\\ (flip Q))))\n"
+    "  (forall intty I\\ forall intty J\\ (eq intty I J imp eq intty J I)).\n"
+)
+
+
 def test_repeatable_lib_flag_with_cross_references(tmp_path, capsys):
     extra = tmp_path / "uses_symm.hol"
-    extra.write_text(
-        "type flip pf -> pf.\n"
-        "def_lemma flip\n"
-        "  (Flip\\ pi T\\ pi A\\ pi B\\ pi P\\\n"
-        "    proves (Flip P) (eq T A B) <<==\n"
-        "      (hastype A T, hastype B T, proves P (eq T B A)))\n"
-        "  (P\\ elam T\\ elam A\\ elam B\\\n"
-        "    (extract (eq T A B) (symm P))).\n"
-    )
+    extra.write_text(FLIP_LEMMA)
     use = tmp_path / "use.hol"
-    use.write_text(
-        "proves (forall_i I\\ (forall_i J\\ (imp_i Q\\ (flip Q))))\n"
-        "  (forall intty I\\ forall intty J\\ (eq intty I J imp eq intty J I)).\n"
-    )
+    use.write_text(FLIP_USE)
     code = run(
         "check",
         "--lib",
@@ -149,6 +154,180 @@ def test_failure_stack_does_not_depend_on_earlier_files(
     alone = capsys.readouterr().err
     run("check", "--trace", "trace", *lib_args, str(CORPUS / "symm_basic.hol"), str(f))
     assert capsys.readouterr().err == alone
+
+
+# -- one checked library per invocation, forked for each input file ----------
+
+LIB_FULL = ["--lib", str(CORPUS / "lib_full.hol")]
+LIB_FULL_NEGATIVES = [c for c in CASES if c[2] == ["lib_full.hol"]]
+
+
+def _batches():
+    from workloads import LIB_BATCHES
+
+    for batch in LIB_BATCHES:
+        yield " ".join(batch), [str(CORPUS / n) for n in batch], {}
+    for name, text, _libs, _code in CASES:
+        # after the library even where the case needs none, since eigenvariable
+        # names count on from the library's; the negative last, so that an
+        # error that ends the run ends it here too
+        files = [str(CORPUS / "symm_via_lib.hol"), str(CORPUS / "assoc_via_lib.hol"), "case.hol"]
+        yield f"negative: {name}", files, {"case.hol": text}
+
+
+@pytest.mark.parametrize("files,texts", [b[1:] for b in _batches()], ids=[b[0] for b in _batches()])
+def test_multi_file_check_prints_what_one_call_per_file_prints(files, texts, tmp_path, capsys):
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    files = [f if f not in texts else str(tmp_path / f) for f in files]
+    expected_out = expected_err = ""
+    codes = []
+    for f in files:
+        codes.append(run("check", "--trace", "trace", *LIB_FULL, f))
+        captured = capsys.readouterr()
+        expected_out += captured.out
+        expected_err += captured.err
+    code = run("check", "--trace", "trace", *LIB_FULL, *files)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected_out, expected_err)
+    assert code == _combine(codes)
+
+
+def test_inputs_may_declare_the_same_names(tmp_path, capsys):
+    a, b = tmp_path / "a.hol", tmp_path / "b.hol"
+    a.write_text(FLIP_LEMMA)
+    b.write_text(FLIP_LEMMA + FLIP_USE)
+    assert run("check", *LIB_FULL, str(a), str(b)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and all("success" in line for line in out)
+
+
+def test_a_lemma_of_one_input_does_not_reach_the_next(tmp_path, capsys):
+    # the user declares flip, but its lemma clause is only in the file before
+    defines, uses = tmp_path / "defines.hol", tmp_path / "uses.hol"
+    defines.write_text(FLIP_LEMMA)
+    uses.write_text("type flip pf -> pf.\n" + FLIP_USE)
+    assert run("check", "--trace", "trace", *LIB_FULL, str(uses)) == 1
+    alone = capsys.readouterr()
+    assert "failure" in alone.out
+    assert run("check", "--trace", "trace", *LIB_FULL, str(defines), str(uses)) == 1
+    after = capsys.readouterr()
+    assert after.out.splitlines()[1:] == alone.out.splitlines()
+    assert after.err == alone.err
+
+
+def test_a_failing_input_leaves_the_next_unchanged(tmp_path, capsys):
+    ((_name, text, _libs, code),) = LIB_FULL_NEGATIVES
+    bad, good = tmp_path / "bad.hol", str(CORPUS / "assoc_via_lib.hol")
+    bad.write_text(text)
+    assert run("check", "--trace", "trace", *LIB_FULL, good) == 0
+    alone = capsys.readouterr().out
+    assert run("check", "--trace", "trace", *LIB_FULL, str(bad), good) == code
+    after = capsys.readouterr().out.splitlines()
+    assert "failure" in after[0] and after[1:] == alone.splitlines()
+
+
+def test_each_library_entry_is_checked_once_per_invocation(tmp_path, monkeypatch, capsys):
+    import holcheck.cli
+    import holcheck.library
+
+    installed = []
+    install_entry = holcheck.library.install_entry
+
+    def counted(entry, session):
+        installed.append(entry.name)
+        return install_entry(entry, session)
+
+    monkeypatch.setattr(holcheck.library, "install_entry", counted)
+    monkeypatch.setattr(holcheck.cli, "install_entry", counted)
+    flip = tmp_path / "flip.hol"
+    flip.write_text(FLIP_LEMMA + FLIP_USE)
+    inputs = [str(CORPUS / "symm_via_lib.hol"), str(flip), str(CORPUS / "assoc_via_lib.hol")]
+    assert run("check", *LIB_FULL, *inputs) == 0
+    library = ["symm", "trans", "def_i", "def_e", "assoc", "assoc_inst"]
+    assert installed == library + ["flip"]
+
+
+def test_stats_parses_each_library_once(monkeypatch, capsys):
+    import holcheck.cli
+
+    parsed = []
+    parse_source = holcheck.cli.parse_source
+
+    def counted(text, sig, path=None):
+        parsed.append(path)
+        return parse_source(text, sig, path)
+
+    monkeypatch.setattr(holcheck.cli, "parse_source", counted)
+    lib = str(CORPUS / "lib_full.hol")
+    inputs = [str(CORPUS / "symm_via_lib.hol"), str(CORPUS / "assoc_via_lib.hol")]
+    assert run("stats", "--lib", lib, *inputs) == 0
+    assert parsed == [lib, *inputs]
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+# -- message texts ----------------------------------------------------------------
+
+META_TYPE_MISMATCH = "hastype (f\\ x\\ f (f x)) form.\n"
+
+
+def test_inference_variables_are_numbered_per_elaboration(tmp_path, capsys):
+    f = tmp_path / "church.hol"
+    f.write_text(META_TYPE_MISMATCH)
+    errors = []
+    for args in ([], [], [*LIB_FULL, str(CORPUS / "symm_basic.hol")]):
+        assert run("check", *args, str(f)) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0].endswith(": tm vs (_3 -> _3) -> _3 -> _3\n")
+
+
+VALIDITY_MESSAGES = {
+    "assumption around a typing atom": (
+        "lemma clause outside the allowed grammar: pi T\\ pi A\\ pi P\\ "
+        "proves (bad_7 P) (eq T A A) <<== assump (hastype A T), proves P (eq T A A)"
+    ),
+    "foreign predicate inside a template": (
+        "lemma clause outside the allowed grammar: pi T\\ pi A\\ pi P\\ "
+        "proves (bad_7 P) (eq T A A) <<== noisy A, hastype A T, proves P (eq T A A)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALIDITY_MESSAGES)
+def test_validity_messages_print_source_text(name, tmp_path, capsys):
+    (text,) = [c[1] for c in CASES if c[0] == name]
+    f = tmp_path / "case.hol"
+    f.write_text(text)
+    assert run("check", str(f)) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith(f": goal: validity: {VALIDITY_MESSAGES[name]} (steps=20)")
+
+
+REPORTED_CASES = [c for c in CASES if c[3] == 1 or c[0] in VALIDITY_MESSAGES]
+
+
+@pytest.mark.parametrize(
+    "name,text,libs,expected", REPORTED_CASES, ids=[c[0] for c in REPORTED_CASES]
+)
+def test_an_input_starts_from_the_checked_library(name, text, libs, expected, tmp_path, capsys):
+    # as if the library's text opened the input: the same steps, and the
+    # same eigenvariable and matching-variable numbers in the messages
+    case, inline = tmp_path / "case.hol", tmp_path / "inline.hol"
+    case.write_text(text)
+    inline.write_text((CORPUS / "lib_full.hol").read_text() + text)
+    assert run("check", "--trace", "trace", *LIB_FULL, str(case)) == expected
+    after = capsys.readouterr()
+    assert run("check", "--trace", "trace", str(inline)) == expected
+    inlined = capsys.readouterr()
+
+    def verdicts(out):
+        return [line.split(": ", 1)[1] for line in out.splitlines()]
+
+    library = verdicts(inlined.out)[:6]  # lib_full's six entries
+    assert all(": success (" in v for v in library)
+    assert verdicts(inlined.out)[6:] == verdicts(after.out)
+    assert inlined.err == after.err
 
 
 def test_missing_input_file_reports_cleanly(capsys):

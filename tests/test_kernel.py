@@ -370,6 +370,7 @@ def test_extract_goal_validity_gate(sig):
         )
     )
     assert not r.ok and r.error == "validity"
+    assert r.message == "extractGoal argument outside the allowed grammar: noisy C_1"
 
 
 def test_definition_node_body_typing_failure():
