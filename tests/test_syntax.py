@@ -239,3 +239,37 @@ def test_impl_prints_with_head_first():
     sig = builtin_signature()
     g = parse_goal(r"pi A\ (hastype A form ==>> hastype A form)", sig)
     assert "<<==" in format_goal(g, sig)
+
+
+# Inputs with exactly one error, and the exact diagnostic each gets.
+SINGLE_ERROR_DIAGNOSTICS = {
+    "pi X\\ eq intty X X.": "1:18: expected a goal here",
+    "proves refl (eq intty false false), eq intty false false.":
+        "1:52: expected a goal here",
+    "pi P\\ pi A\\ (assump P ==>> proves P A).":
+        "1:14: argument of 'assump' must be an atomic goal",
+    "proves refl.": "1:1: predicate 'proves' expects 2 argument(s), got 1",
+    "type rel tm -> tm -> o. infixr rel 5. "
+    "proves (extractGoal (false rel false) refl) false.":
+        "1:66: expected a goal here",
+    "proves refl (eq intty mystery false).": "1:23: undeclared constant 'mystery'",
+    "proves refl (eq intty X false).": "1:23: unbound capitalized identifier 'X'",
+}
+
+
+@pytest.mark.parametrize("text", SINGLE_ERROR_DIAGNOSTICS)
+def test_single_error_diagnostic_is_pinned(text):
+    with pytest.raises(SourceError) as exc:
+        parse_source(text, builtin_signature())
+    assert str(exc.value) == SINGLE_ERROR_DIAGNOSTICS[text]
+
+
+@pytest.mark.parametrize(
+    "open_, close",
+    [("(app form (lam X\\ X) ", ")"), ("(", " imp false)")],
+    ids=["app", "imp"],
+)
+def test_deep_nesting_parses_without_recursion_error(open_, close):
+    text = "hastype " + open_ * 300 + "false" + close * 300 + " form."
+    (st,) = parse_source(text, builtin_signature()).statements
+    assert isinstance(st, Solve)
