@@ -23,10 +23,9 @@ from .errors import (
 )
 from .kernel import DEFAULT_BUDGET, Session
 from .library import (
-    DefinitionEntry,
-    LemmaEntry,
     Registry,
     check_library,
+    entry_of,
     install_entry,
     load_library,
     package,
@@ -128,15 +127,8 @@ class Environment:
         if isinstance(st, (TypeDecl, InfixDecl)):
             apply_declarations([st], self.sig)
             return
-        if isinstance(st, DefLemma):
-            entry = LemmaEntry(st.name, st.meta_type, st.template, st.proof)
-            self._install(entry, loc)
-            return
-        if isinstance(st, DefDefinition):
-            entry = DefinitionEntry(
-                st.name, st.meta_type, st.result_tp, st.typeinf, st.body
-            )
-            self._install(entry, loc)
+        if isinstance(st, (DefLemma, DefDefinition)):
+            self._install(entry_of(st), loc)
             return
         if isinstance(st, Solve):
             report = self.session.check_goal(st.goal, augment=True)

@@ -119,7 +119,8 @@ class _Inference:
     # -- constraint generation; terms come back annotated with UVars ------
 
     def term(self, t, env):
-        """Return (annotated term, meta-type with possible UVars)."""
+        """Return (annotated term, meta-type with possible UVars).  `env`
+        holds the enclosing binders' (meta-type, hint), innermost first."""
         if isinstance(t, Const):
             sch = self.sig.lookup(t.name) or GOAL_FORMERS.get(t.name)
             if sch is None:
@@ -127,22 +128,27 @@ class _Inference:
             mt = self.instantiate(sch)
             return Const(t.name, mt, t.birth), mt
         if isinstance(t, Bound):
-            return t, env[t.index]
+            return t, env[t.index][0]
         if isinstance(t, App):
             fn, fmt = self.term(t.fn, env)
             arg, amt = self.term(t.arg, env)
             fmt = _chase(fmt)
             if isinstance(fmt, Arrow):  # as below, without a fresh variable
-                _unify(fmt.dom, amt, lambda: f"application {t!r}", self.pos)
+                _unify(fmt.dom, amt, lambda: self.site(t, env), self.pos)
                 return App(fn, arg), fmt.cod
             res = self.fresh()
-            _unify(fmt, Arrow(amt, res), lambda: f"application {t!r}", self.pos)
+            _unify(fmt, Arrow(amt, res), lambda: self.site(t, env), self.pos)
             return App(fn, arg), res
         if isinstance(t, Lam):
             dom = t.mt if t.mt is not None else self.fresh()
-            body, bmt = self.term(t.body, (dom,) + env)
+            body, bmt = self.term(t.body, ((dom, t.hint),) + env)
             return Lam(dom, body, t.hint), Arrow(dom, bmt)
         raise MetaTypeError(f"not a term: {t!r}", *(self.pos or ()))
+
+    def site(self, t, env):
+        from .syntax import format_term  # syntax imports this module
+
+        return f"application {format_term(t, self.sig, [h or '_' for _, h in env])}"
 
     # -- resolution ---------------------------------------------------------
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from .errors import LibraryError
 from .kernel import CheckReport, Session, instantiate
+from .syntax import DefDefinition, DefLemma, InfixDecl, Solve, TypeDecl
 from .terms import (
     Arrow,
     Const,
@@ -60,6 +61,13 @@ class Registry:
         return set(self.by_name)
 
 
+def entry_of(st):
+    """The registry entry of a parsed `def_lemma` or `def_definition`."""
+    if isinstance(st, DefLemma):
+        return LemmaEntry(st.name, st.meta_type, st.template, st.proof)
+    return DefinitionEntry(st.name, st.meta_type, st.result_tp, st.typeinf, st.body)
+
+
 def _statement_parts(entry):
     """The parts that must only reference earlier names (proofs excluded:
     they are verified by running them)."""
@@ -74,17 +82,11 @@ def load_library(source, registry: Registry = None) -> Registry:
     File order is the dependency order: a statement part may reference only
     names defined earlier (or constants outside the registry).
     """
-    from .syntax import DefDefinition, DefLemma, InfixDecl, Solve, TypeDecl
-
     registry = registry if registry is not None else Registry()
     pending = []
     for st in source.statements:
-        if isinstance(st, DefLemma):
-            pending.append(LemmaEntry(st.name, st.meta_type, st.template, st.proof))
-        elif isinstance(st, DefDefinition):
-            pending.append(
-                DefinitionEntry(st.name, st.meta_type, st.result_tp, st.typeinf, st.body)
-            )
+        if isinstance(st, (DefLemma, DefDefinition)):
+            pending.append(entry_of(st))
         elif isinstance(st, Solve):
             raise LibraryError("a library file may not contain goal statements")
         elif not isinstance(st, (TypeDecl, InfixDecl)):

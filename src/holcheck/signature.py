@@ -69,17 +69,17 @@ GOAL_FORMERS = {
     "=>": Scheme(arrow(O, O, O)),  # clause first
 }
 
-# name -> (assoc, precedence, kind); kind "term" builds an application of
-# the named constant, kind "goal" one of a goal former.  Higher precedence
-# binds tighter.
+# name -> (assoc, precedence); higher precedence binds tighter.  The goal
+# formers' operators build `,` and `=>` goals, the others an application
+# of the named constant.
 BUILTIN_INFIX = {
-    "arrow": ("right", 8, "term"),
-    "imp": ("right", 7, "term"),
-    "==>>": ("right", 4, "goal"),
-    "=>": ("right", 4, "goal"),
-    ",": ("right", 2, "goal"),
-    "<<==": ("left", 0, "goal"),
-    ":-": ("left", 0, "goal"),
+    "arrow": ("right", 8),
+    "imp": ("right", 7),
+    "==>>": ("right", 4),
+    "=>": ("right", 4),
+    ",": ("right", 2),
+    "<<==": ("left", 0),
+    ":-": ("left", 0),
 }
 
 class Signature:
@@ -119,13 +119,13 @@ class Signature:
             raise SourceError(f"fixity declaration for undeclared constant '{name}'", *(pos or ()))
         if len(arg_types(sch.body)) < 2:
             raise SourceError(f"'{name}' is not at least binary", *(pos or ()))
-        for other, (a2, p2, _k) in self.infixes.items():
+        for other, (a2, p2) in self.infixes.items():
             if p2 == prec and a2 != assoc:
                 raise SourceError(
                     f"precedence {prec} already has {a2}-associative operator '{other}'",
                     *(pos or ()),
                 )
-        self.infixes[name] = (assoc, prec, "term")
+        self.infixes[name] = (assoc, prec)
 
 
 def builtin_signature() -> Signature:

@@ -1,10 +1,15 @@
 """Concrete syntax: lexer, parser and printer for `.hol` files.
 
 One grammar serves library files and check files.  Statements end with
-`.`; `%` starts a line comment.  Backslash lambdas and `pi` binders
-extend maximally to the right; the infix table drives both parsing and
-printing.  `=>` and `:-` are accepted and normalized to the stored
-implication form.
+`.`; `%` starts a line comment.  A statement is a goal unless it starts
+with a keyword: `type`, `infixr`, `infixl`, `def_lemma` or
+`def_definition`.  Backslash lambdas and `pi` binders extend maximally to
+the right; the infix table drives both parsing and printing.  `=>` and
+`:-` are accepted and normalized to the stored implication form.
+
+The parser builds terms in one pass: it resolves each name as it reads
+it, and checks goals and predicate applications where they end, so a
+statement reports its first error in reading order.
 """
 
 from __future__ import annotations
@@ -96,46 +101,6 @@ def tokenize(text, path=None):
 
 
 # ---------------------------------------------------------------------------
-# Surface expressions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SId:
-    name: str
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class SApp:
-    fn: object
-    arg: object
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class SLam:
-    name: str
-    body: object
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class SPi:
-    name: str
-    body: object
-    pos: tuple
-
-
-@dataclass(frozen=True)
-class SOp:
-    op: str
-    left: object
-    right: object
-    pos: tuple
-
-
-# ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
 
@@ -187,11 +152,19 @@ class SourceFile:
 
 
 class Parser:
-    def __init__(self, tokens, sig: Signature, path=None):
+    """Reads statements, building their terms as it goes.
+
+    The expression methods take the binder scope (names, innermost first)
+    and return `(term, pos)`; `pos` names the expression in a diagnostic:
+    an infix's operator, an application's last argument, or the token of an
+    identifier or binder.  With `head` set the expression may head a longer
+    application, so a predicate's application ending at `)` stays unchecked.
+    """
+
+    def __init__(self, tokens, sig: Signature):
         self.toks = tokens
         self.i = 0
         self.sig = sig  # working copy, extended by declarations
-        self.path = path
 
     # -- token plumbing ----------------------------------------------------
 
@@ -207,7 +180,7 @@ class Parser:
 
     def fail(self, msg, tok=None):
         tok = tok or self.peek()
-        raise SourceError(msg, tok.line, tok.col, self.path)
+        raise SourceError(msg, tok.line, tok.col)
 
     def expect_sym(self, s):
         t = self.next()
@@ -235,19 +208,15 @@ class Parser:
             return self.parse_type_decl()
         if t.kind == "ident" and t.value in ("infixr", "infixl"):
             return self.parse_infix_decl()
+        if t.kind == "ident" and t.value in ("def_lemma", "def_definition"):
+            return self.parse_def()
         if t.kind == "ident" and t.value == "kind":
             self.fail("kind declarations are not supported; the base meta-types are fixed")
         pos = (t.line, t.col)
-        expr = self.parse_expr(0)
+        g, gpos = self.parse_expr(0, [])
         self.expect_sym(".")
-        head, args = _sapp_spine(expr)
-        if isinstance(head, SId) and head.name == "def_lemma":
-            return self.build_def_lemma(head, args)
-        if isinstance(head, SId) and head.name == "def_definition":
-            return self.build_def_definition(head, args)
-        g = self.resolve_goal(expr, [])
-        g = elaborate_goal(g, self.sig, pos=pos)
-        return Solve(g, pos)
+        self.check_goal(g, gpos)
+        return Solve(elaborate_goal(g, self.sig, pos=pos), pos)
 
     def parse_type_decl(self):
         t0 = self.next()  # 'type'
@@ -255,11 +224,7 @@ class Parser:
         mt = self.parse_meta_type()
         self.expect_sym(".")
         pos = (t0.line, t0.col)
-        try:
-            self.sig.declare(name.value, mt, pos)
-        except SourceError as e:
-            e.path = self.path
-            raise
+        self.sig.declare(name.value, mt, pos)
         return TypeDecl(name.value, mt, pos)
 
     def parse_infix_decl(self):
@@ -271,17 +236,12 @@ class Parser:
             self.fail("expected a precedence number", prec)
         self.expect_sym(".")
         pos = (t0.line, t0.col)
-        try:
-            self.sig.declare_infix(name.value, assoc, int(prec.value), pos)
-        except SourceError as e:
-            e.path = self.path
-            raise
+        self.sig.declare_infix(name.value, assoc, int(prec.value), pos)
         return InfixDecl(name.value, assoc, int(prec.value), pos)
 
     def parse_meta_type(self):
         left = self.parse_meta_atom()
-        t = self.peek()
-        if t.kind == "sym" and t.value == "->":
+        if _is_sym(self.peek(), "->"):
             self.next()
             return Arrow(left, self.parse_meta_type())
         return left
@@ -296,61 +256,61 @@ class Parser:
             return Base(t.value)
         self.fail(f"expected a meta-type, found '{t.value or 'end of input'}'", t)
 
-    def build_def_lemma(self, head, args):
-        if len(args) != 3 or not isinstance(args[0], SId):
-            self.fail("def_lemma expects: name, statement template, proof", self.toks[self.i - 1])
-        name = args[0].name
-        sch = self.sig.lookup(name)
-        if sch is None or name in ("proves", "hastype", "assump"):
-            self.fail(f"def_lemma for undeclared name '{name}'", self.toks[self.i - 1])
+    def parse_def(self):
+        """`def_lemma NAME TEMPLATE PROOF.` or
+        `def_definition RESULT NAME TEMPLATE BODY.`"""
+        t0 = self.next()
+        kw, pos, lemma = t0.value, (t0.line, t0.col), t0.value == "def_lemma"
+        usage = f"{kw} expects: " + (
+            "name, statement template, proof" if lemma else "result type, name, typing template, body"
+        )
+        args = [] if lemma else [self.parse_arg()]
+        parens = 0
+        while _is_sym(self.peek(), "("):  # around the name
+            parens += 1
+            self.next()
+        name = self.next()
+        if name.kind != "ident":
+            self.fail(usage, name)
+        sch = self.sig.lookup(name.value)
+        if sch is None or lemma and name.value in ("proves", "hastype", "assump"):
+            self.fail(f"{kw} for undeclared name '{name.value}'", name)
+        for _ in range(parens):
+            self.expect_sym(")")
+        while (arg := self.parse_arg()) is not None:
+            args.append(arg)
+        end = self.expect_sym(".")
+        if None in args or len(args) != (2 if lemma else 3):
+            self.fail(usage, end)
         a = sch.body
-        tpl = self.resolve_term(args[1], [])
-        tpl, _ = elaborate_term(tpl, self.sig, expect=Arrow(a, O), pos=head.pos)
-        prf = self.resolve_term(args[2], [])
-        prf, _ = elaborate_term(prf, self.sig, expect=a, pos=head.pos)
-        return DefLemma(name, a, tpl, prf, head.pos)
-
-    def build_def_definition(self, head, args):
-        if len(args) != 4 or not isinstance(args[1], SId):
-            self.fail(
-                "def_definition expects: result type, name, typing template, body",
-                self.toks[self.i - 1],
-            )
-        name = args[1].name
-        sch = self.sig.lookup(name)
-        if sch is None:
-            self.fail(f"def_definition for undeclared name '{name}'", self.toks[self.i - 1])
-        a = sch.body
-        res = self.resolve_term(args[0], [])
-        res, _ = elaborate_term(res, self.sig, expect=Base("tp"), pos=head.pos)
-        tpl = self.resolve_term(args[2], [])
-        tpl, _ = elaborate_term(tpl, self.sig, expect=Arrow(a, O), pos=head.pos)
-        body = self.resolve_term(args[3], [])
-        body, _ = elaborate_term(body, self.sig, expect=a, pos=head.pos)
-        return DefDefinition(name, a, res, tpl, body, head.pos)
+        expect = [Arrow(a, O), a] if lemma else [Base("tp"), Arrow(a, O), a]
+        parts = [elaborate_term(t, self.sig, expect=e, pos=pos)[0] for t, e in zip(args, expect)]
+        return (DefLemma if lemma else DefDefinition)(name.value, a, *parts, pos)
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self, min_prec):
-        left = self.parse_app()
+    def parse_expr(self, min_prec, scope, head=False):
+        left, pos = self.parse_app(scope, head)
         while True:
-            fix = self.peek_fixity()
-            if fix is None:
-                return left
-            opname, (assoc, prec, _kind) = fix
-            if prec < min_prec:
-                return left
-            t = self.next()
-            rhs = self.parse_expr(prec + 1 if assoc == "left" else prec)
-            left = SOp(opname, left, rhs, (t.line, t.col))
-
-    def peek_fixity(self):
-        t = self.peek()
-        if t.kind == "ident" and self.sig.fixity(t.value):
-            return t.value, self.sig.fixity(t.value)
-        if t.kind == "sym" and self.sig.fixity(t.value):
-            return t.value, self.sig.fixity(t.value)
-        return None
+            t = self.peek()
+            fix = self.sig.fixity(t.value)
+            if fix is None or fix[1] < min_prec:
+                return left, pos
+            assoc, prec = fix
+            op = self.next().value
+            if self.sig.is_predicate(op):
+                # infix syntax makes no atom, so this would be no goal
+                self.fail("expected a goal here", t)
+            former = op in (",", "==>>", "=>", "<<==", ":-")
+            if former:
+                self.check_goal(left, pos)
+            right, rpos = self.parse_expr(prec + 1 if assoc == "left" else prec, scope)
+            if former:  # a goal; `=>` takes the clause first
+                self.check_goal(right, rpos)
+                if op in ("<<==", ":-"):
+                    left, right = right, left
+                op = "," if op == "," else "=>"
+            left, pos = app(Const(op, None), left, right), (t.line, t.col)
 
     def at_binder(self):
         t = self.peek()
@@ -360,125 +320,89 @@ class Parser:
             return self.peek(1).kind == "ident" and _is_sym(self.peek(2), "\\")
         return _is_sym(self.peek(1), "\\")
 
-    def parse_binder(self):
+    def parse_binder(self, scope):
         t = self.next()
-        if t.value == "pi":
-            name = self.expect_ident()
-            self.expect_sym("\\")
-            body = self.parse_expr(0)
-            return SPi(name.value, body, (t.line, t.col))
-        self.expect_sym("\\")
-        body = self.parse_expr(0)
-        return SLam(t.value, body, (t.line, t.col))
+        name = self.next().value if t.value == "pi" else t.value
+        self.next()  # the backslash
+        body, bpos = self.parse_expr(0, [name] + scope)
+        lam = Lam(None, body, hint=name)
+        if t.value != "pi":
+            return lam, (t.line, t.col)
+        self.check_goal(body, bpos)
+        return App(Const("pi", None), lam), (t.line, t.col)
 
-    def parse_app(self):
+    def parse_app(self, scope, head=False):
         if self.at_binder():
-            return self.parse_binder()
-        out = self.parse_primary()
+            return self.parse_binder(scope)
+        start = self.i
+        fn, pos = self.parse_primary(scope, True)
         while True:
+            t = self.peek()
             if self.at_binder():
                 # a trailing lambda swallows the rest of the expression
-                arg = self.parse_binder()
-                return SApp(out, arg, arg.pos)
-            t = self.peek()
-            if t.kind == "ident" and not self.sig.fixity(t.value):
-                self.next()
-                out = SApp(out, SId(t.value, (t.line, t.col)), (t.line, t.col))
-            elif _is_sym(t, "("):
-                arg = self.parse_primary()
-                out = SApp(out, arg, (t.line, t.col))
+                arg, pos = self.parse_binder(scope)
+            elif t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
+                arg, _ = self.parse_primary(scope)
+                pos = (t.line, t.col)
             else:
-                return out
+                break
+            fn = App(fn, arg)
+        if head and _is_sym(t, ")"):
+            return fn, pos
+        return self.check_atom(fn, start), pos
 
-    def parse_primary(self):
+    def parse_arg(self):
+        """An argument of a statement keyword, or None if none starts here."""
+        t = self.peek()
+        if self.at_binder():
+            return self.parse_binder([])[0]
+        if t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
+            return self.parse_primary([])[0]
+        return None
+
+    def parse_primary(self, scope, head=False):
         t = self.next()
         if _is_sym(t, "("):
-            e = self.parse_expr(0)
+            e = self.parse_expr(0, scope, head)
             self.expect_sym(")")
             return e
-        if t.kind == "ident":
-            return SId(t.value, (t.line, t.col))
-        self.fail(f"unexpected '{t.value or 'end of input'}'", t)
+        if t.kind != "ident":
+            self.fail(f"unexpected '{t.value or 'end of input'}'", t)
+        name, pos = t.value, (t.line, t.col)
+        if name in scope:
+            return Bound(scope.index(name)), pos
+        if self.sig.is_predicate(name):
+            c = Const(name, None)
+            return (c if head else self.check_atom(c, self.i - 1)), pos
+        if self.sig.lookup(name) is not None:
+            return Const(name, None), pos
+        if name[0].isupper():
+            self.fail(f"unbound capitalized identifier '{name}'", t)
+        self.fail(f"undeclared constant '{name}'", t)
 
-    # -- resolution to terms and goals ---------------------------------------
+    # -- checks where a construct ends ---------------------------------------
 
-    def resolve_term(self, e, scope):
-        """Resolve to a term; its syntactic shape tells whether it is a goal."""
-        if isinstance(e, SOp):
-            if e.op in (",", "==>>", "=>", "<<==", ":-"):
-                # a goal former; `=>` takes the clause first
-                l, r = (e.right, e.left) if e.op in ("<<==", ":-") else (e.left, e.right)
-                op = Const("," if e.op == "," else "=>", None)
-                return app(op, self.resolve_goal(l, scope), self.resolve_goal(r, scope))
-            if self.sig.is_predicate(e.op):
-                # infix syntax makes no atom, so this would be no goal
-                raise SourceError("expected a goal here", *e.pos, self.path)
-            # term-level infix operator
-            return app(
-                Const(e.op, None),
-                self.resolve_term(e.left, scope),
-                self.resolve_term(e.right, scope),
-            )
-        if isinstance(e, SPi):
-            body = self.resolve_goal(e.body, [e.name] + scope)
-            return App(Const("pi", None), Lam(None, body, hint=e.name))
-        if isinstance(e, SLam):
-            return Lam(None, self.resolve_term(e.body, [e.name] + scope), hint=e.name)
-        if isinstance(e, SApp):
-            head, args = _sapp_spine(e)
-            if isinstance(head, SId) and head.name not in scope and self.sig.is_predicate(head.name):
-                return self.resolve_atom(head, args, scope)
-            fn = self.resolve_term(head, scope)
-            for a in args:
-                fn = App(fn, self.resolve_term(a, scope))
-            return fn
-        if isinstance(e, SId):
-            if e.name in scope:
-                return Bound(scope.index(e.name))
-            if self.sig.is_predicate(e.name):
-                return self.resolve_atom(e, [], scope)
-            if self.sig.lookup(e.name) is not None:
-                return Const(e.name, None)
-            if e.name[0].isupper():
-                raise SourceError(
-                    f"unbound capitalized identifier '{e.name}'", *e.pos, self.path
-                )
-            raise SourceError(f"undeclared constant '{e.name}'", *e.pos, self.path)
-        raise SourceError("malformed expression", path=self.path)
-
-    def resolve_atom(self, head, args, scope):
-        name = head.name
-        want = arg_types(self.sig.lookup(name).body)
+    def check_atom(self, t, i):
+        """Check `t` where its application ends, if it applies a predicate;
+        `i` indexes the first token of its head."""
+        h, args = plain_spine(t)
+        if not (isinstance(h, Const) and self.sig.is_predicate(h.name)):
+            return t
+        while _is_sym(self.toks[i], "("):  # the head was parenthesized
+            i += 1
+        tok = self.toks[i]
+        want = arg_types(self.sig.lookup(h.name).body)
         if len(args) != len(want):
-            raise SourceError(
-                f"predicate '{name}' expects {len(want)} argument(s), got {len(args)}",
-                *head.pos,
-                self.path,
-            )
-        args = [self.resolve_term(a, scope) for a in args]
+            self.fail(f"predicate '{h.name}' expects {len(want)} argument(s), got {len(args)}", tok)
         for a, w in zip(args, want):
             if w == O and not self.sig.is_predicate(goal_spine(a)[0]):
-                raise MetaTypeError(
-                    f"argument of '{name}' must be an atomic goal", *head.pos, self.path
-                )
-        return app(Const(name, None), *args)
+                raise MetaTypeError(f"argument of '{h.name}' must be an atomic goal", tok.line, tok.col)
+        return t
 
-    def resolve_goal(self, e, scope):
-        r = self.resolve_term(e, scope)
-        name = goal_spine(r)[0]
+    def check_goal(self, t, pos):
+        name = goal_spine(t)[0]
         if not (name in GOAL_FORMERS or self.sig.is_predicate(name)):
-            pos = getattr(e, "pos", None) or ()
-            raise SourceError("expected a goal here", *pos, self.path)
-        return r
-
-
-def _sapp_spine(e):
-    args = []
-    while isinstance(e, SApp):
-        args.append(e.arg)
-        e = e.fn
-    args.reverse()
-    return e, args
+            raise SourceError("expected a goal here", *pos)
 
 
 def _is_sym(tok, s):
@@ -492,7 +416,7 @@ def _is_sym(tok, s):
 
 def parse_source(text, sig: Signature, path=None) -> SourceFile:
     """Parse a whole `.hol` source.  `sig` itself is not modified."""
-    p = Parser(tokenize(text, path), sig.copy(), path)
+    p = Parser(tokenize(text, path), sig.copy())
     try:
         stmts = p.parse_file()
     except SourceError as e:
@@ -505,20 +429,20 @@ def parse_source(text, sig: Signature, path=None) -> SourceFile:
 def parse_term(text, sig: Signature, expect: MetaType = None) -> Term:
     """Parse and annotate a single term expression (testing convenience)."""
     p = Parser(tokenize(text), sig.copy())
-    e = p.parse_expr(0)
+    t, pos = p.parse_expr(0, [])
     if p.peek().kind != "eof":
         p.fail("trailing input after term")
-    t = p.resolve_term(e, [])
-    t, _ = elaborate_term(t, sig, expect=expect, pos=e.pos)
+    t, _ = elaborate_term(t, sig, expect=expect, pos=pos)
     return t
 
 
 def parse_goal(text, sig: Signature) -> Term:
     p = Parser(tokenize(text), sig.copy())
-    e = p.parse_expr(0)
+    g, pos = p.parse_expr(0, [])
     if p.peek().kind != "eof":
         p.fail("trailing input after goal")
-    return elaborate_goal(p.resolve_goal(e, []), sig, pos=e.pos)
+    p.check_goal(g, pos)
+    return elaborate_goal(g, sig, pos=pos)
 
 
 def apply_declarations(stmts, sig: Signature):
@@ -585,7 +509,7 @@ def _fmt(t, sig, names, req):
         return f"({s})" if req > 0 else s
     fix = sig.fixity(name) if len(args) == 2 else None
     if fix:
-        assoc, p, _ = fix
+        assoc, p = fix
         l = _fmt(args[0], sig, names, p + 1 if assoc == "right" else p)
         r = _fmt(args[1], sig, names, p if assoc == "right" else p + 1)
         s = f"{l}, {r}" if name == "," else f"{l} {name} {r}"

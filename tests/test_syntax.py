@@ -273,3 +273,55 @@ def test_deep_nesting_parses_without_recursion_error(open_, close):
     text = "hastype " + open_ * 300 + "false" + close * 300 + " form."
     (st,) = parse_source(text, builtin_signature()).statements
     assert isinstance(st, Solve)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("def_lemma a b c.", "1:11: def_lemma for undeclared name 'a'"),
+        ("def_definition form b c d.", "1:21: def_definition for undeclared name 'b'"),
+        ("type s pf. def_lemma s (S\\ proves S false).",
+         "1:43: def_lemma expects: name, statement template, proof"),
+    ],
+)
+def test_def_statement_diagnostics_point_at_their_cause(text, message):
+    # the name is checked before the arguments are read, at its own token
+    with pytest.raises(SourceError) as exc:
+        parse_source(text, builtin_signature())
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tYgj (", "1:1: undeclared constant 'tYgj'"),
+        ("(def_lemma a b c).", "1:2: undeclared constant 'def_lemma'"),
+        ("(proves refl x) y.", "1:14: undeclared constant 'x'"),
+    ],
+)
+def test_first_error_in_reading_order_is_reported(text, message):
+    with pytest.raises(SourceError) as exc:
+        parse_source(text, builtin_signature())
+    assert str(exc.value) == message
+
+
+def test_parentheses_around_a_predicate_head_are_transparent():
+    sig = builtin_signature()
+    plain = parse_goal("proves refl (eq intty false false)", sig)
+    for text in ("(proves refl) (eq intty false false)", "((proves) refl) (eq intty false false)"):
+        assert parse_goal(text, sig) == plain
+    with pytest.raises(SourceError, match="1:2: predicate 'proves' expects 2 argument"):
+        parse_goal("(proves refl) , proves refl false", sig)
+    lib = "type s pf -> pf.\ndef_lemma {} (S\\ pi P\\ proves (S P) false) (P\\ P).\n"
+    bare, paren = (parse_source(lib.format(n), sig).statements for n in ("s", "(s)"))
+    assert repr(bare) == repr(paren)
+
+
+def test_meta_type_error_names_its_site_by_source_text():
+    # a variable bound outside the failing application keeps its name
+    with pytest.raises(SourceError) as exc:
+        parse_source(
+            "proves (forall_i x\\ extract (eq intty x x) refl lemma_pf) false.",
+            builtin_signature(),
+        )
+    assert "in application extract (eq intty x x) refl lemma_pf: pf vs" in str(exc.value)
