@@ -152,14 +152,11 @@ class SourceFile:
 
 
 class Parser:
-    """Reads statements, building their terms as it goes.
-
-    The expression methods take the binder scope (names, innermost first)
-    and return `(term, pos)`; `pos` names the expression in a diagnostic:
-    an infix's operator, an application's last argument, or the token of an
-    identifier or binder.  With `head` set the expression may head a longer
-    application, so a predicate's application ending at `)` stays unchecked.
-    """
+    """Reads statements, building their terms as it goes.  Expression methods
+    take the binder scope (names, innermost first) and return `(term, pos)`;
+    `pos` names the expression in a diagnostic: an infix's operator, an
+    application's last argument, or an identifier's or binder's token.  With
+    `head` set, a predicate's application ending at `)` is left unchecked."""
 
     def __init__(self, tokens, sig: Signature):
         self.toks = tokens
@@ -169,8 +166,7 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead=0):
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
 
     def next(self):
         t = self.toks[self.i]
@@ -257,12 +253,13 @@ class Parser:
         self.fail(f"expected a meta-type, found '{t.value or 'end of input'}'", t)
 
     def parse_def(self):
-        """`def_lemma NAME TEMPLATE PROOF.` or
-        `def_definition RESULT NAME TEMPLATE BODY.`"""
+        """`def_lemma NAME TEMPLATE PROOF.` or `def_definition RESULT NAME TEMPLATE BODY.`"""
         t0 = self.next()
         kw, pos, lemma = t0.value, (t0.line, t0.col), t0.value == "def_lemma"
         usage = f"{kw} expects: " + (
-            "name, statement template, proof" if lemma else "result type, name, typing template, body"
+            "name, statement template, proof"
+            if lemma
+            else "result type, name, typing template, body"
         )
         args = [] if lemma else [self.parse_arg()]
         parens = 0
@@ -270,7 +267,7 @@ class Parser:
             parens += 1
             self.next()
         name = self.next()
-        if name.kind != "ident":
+        if name.kind != "ident" or not parens and self.sig.fixity(name.value):
             self.fail(usage, name)
         sch = self.sig.lookup(name.value)
         if sch is None or lemma and name.value in ("proves", "hastype", "assump"):
@@ -352,7 +349,8 @@ class Parser:
         return self.check_atom(fn, start), pos
 
     def parse_arg(self):
-        """An argument of a statement keyword, or None if none starts here."""
+        """A statement keyword's argument, or None.  (`parse_app` reads its own
+        inline: a call per argument would cost a frame per level of nesting.)"""
         t = self.peek()
         if self.at_binder():
             return self.parse_binder([])[0]
@@ -396,7 +394,9 @@ class Parser:
             self.fail(f"predicate '{h.name}' expects {len(want)} argument(s), got {len(args)}", tok)
         for a, w in zip(args, want):
             if w == O and not self.sig.is_predicate(goal_spine(a)[0]):
-                raise MetaTypeError(f"argument of '{h.name}' must be an atomic goal", tok.line, tok.col)
+                raise MetaTypeError(
+                    f"argument of '{h.name}' must be an atomic goal", tok.line, tok.col
+                )
         return t
 
     def check_goal(self, t, pos):

@@ -282,6 +282,9 @@ def test_deep_nesting_parses_without_recursion_error(open_, close):
         ("def_definition form b c d.", "1:21: def_definition for undeclared name 'b'"),
         ("type s pf. def_lemma s (S\\ proves S false).",
          "1:43: def_lemma expects: name, statement template, proof"),
+        # an infix name reads as an operator unless parenthesized
+        ("def_lemma imp (I\\ hastype (I false false) form) (a\\ b\\ a).",
+         "1:11: def_lemma expects: name, statement template, proof"),
     ],
 )
 def test_def_statement_diagnostics_point_at_their_cause(text, message):
