@@ -275,9 +275,14 @@ def test_deep_nesting_parses_without_recursion_error(open_, close):
     assert isinstance(st, Solve)
 
 
+# A statement reports its first error in reading order; a definition's name
+# is checked, at its own token, before its arguments are read.
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("tYgj (", "1:1: undeclared constant 'tYgj'"),
+        ("(def_lemma a b c).", "1:2: undeclared constant 'def_lemma'"),
+        ("(proves refl x) y.", "1:14: undeclared constant 'x'"),
         ("def_lemma a b c.", "1:11: def_lemma for undeclared name 'a'"),
         ("def_definition form b c d.", "1:21: def_definition for undeclared name 'b'"),
         ("type s pf. def_lemma s (S\\ proves S false).",
@@ -285,21 +290,6 @@ def test_deep_nesting_parses_without_recursion_error(open_, close):
         # an infix name reads as an operator unless parenthesized
         ("def_lemma imp (I\\ hastype (I false false) form) (a\\ b\\ a).",
          "1:11: def_lemma expects: name, statement template, proof"),
-    ],
-)
-def test_def_statement_diagnostics_point_at_their_cause(text, message):
-    # the name is checked before the arguments are read, at its own token
-    with pytest.raises(SourceError) as exc:
-        parse_source(text, builtin_signature())
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("tYgj (", "1:1: undeclared constant 'tYgj'"),
-        ("(def_lemma a b c).", "1:2: undeclared constant 'def_lemma'"),
-        ("(proves refl x) y.", "1:14: undeclared constant 'x'"),
     ],
 )
 def test_first_error_in_reading_order_is_reported(text, message):
