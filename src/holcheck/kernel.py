@@ -26,27 +26,24 @@ a matching variable may appear bare or applied to distinct variables.
 Anything outside that fragment is a hard error, never a search.
 
 Invariant: every atom that reaches dispatch, and every stored clause, is
-beta-normal and eta-long and holds no bound matching variable.  It is
-established once, not per step: `check_goal` normalizes its goal on
-entry, `push_clause` normalizes each clause from outside the kernel
-(built-in rules are normalized when loaded), and `solve_atom` replaces
-the bound matching variables of an atom by their values, the one place a
-redex can appear (a value is a lambda at an applied head).  It does so by
-hereditary substitution (`terms.instantiate_metas`), which reduces each
-such redex as it forms and shares the unchanged parts, where normalizing
-would rebuild the whole atom; the clauses the kernel pushes itself (of an
-implication goal, a lemma or a definition) are instantiated the same way.
-Everything else keeps terms
-normal by construction.  With higher-order abstract syntax object
-substitution is a meta-level beta step, and in an eta-long term every
-occurrence of a bound variable is fully applied.
-So replacing a binder by an eigenvariable, or by a fresh matching variable
-(closed, and unbound, so not a lambda), leaves the term normal: no redex
-and no partial application appears.  Universal goals, clause prefixes,
-the rest of a lemma or definition node and `elam` are instantiated that
-way, with `subst` on the body of the lambda instead of an application
-that would need normalizing.  The handlers read their arguments as
-sub-terms of a normal atom.
+beta-normal and eta-long and holds no bound matching variable.  Terms are
+normalized only where they enter: the goal of `check_goal`, a clause from
+outside (`push_clause`), a template applied to its argument (`_goal_app`),
+a definition's equality clause and the built-in rules.  Inside, every
+reduction is hereditary substitution (`terms.instantiate_metas`), which
+reduces each redex as it forms and shares the unchanged parts.  A redex
+forms only where a bound matching variable, whose value is a lambda, is
+applied: `solve_atom` instantiates its atom, `match` a pattern whose head
+variable got bound mid-walk, and the kernel's own clauses (of an
+implication goal, a lemma or a definition) are instantiated as pushed.
+Everything else keeps terms normal by construction.  With higher-order
+abstract syntax object substitution is a meta-level beta step, and in an
+eta-long term every occurrence of a bound variable is fully applied, so
+replacing a binder by an eigenvariable, or by a fresh matching variable
+(closed, and unbound, so not a lambda), leaves the term normal.  Universal
+goals, clause prefixes, the rest of a lemma or definition node and `elam`
+are instantiated that way, with `subst` on the body of the lambda.  The
+handlers read their arguments as sub-terms of a normal atom.
 """
 
 from __future__ import annotations
@@ -84,76 +81,15 @@ from .terms import (
     map_proves,
     max_eigen_birth,
     meta_type_of,
-    normalize,
     normalize_goal,
     pi,
     plain_spine,
     shift,
-    spine,
     subst,
     subst_goal,
 )
 
 DEFAULT_BUDGET = 1_000_000
-
-# ---------------------------------------------------------------------------
-# Built-in rules, stated in the clause language itself
-# ---------------------------------------------------------------------------
-
-_RULES_SRC = """
-% typing
-pi T\\ pi X\\ pi Y\\ (hastype (eq T X Y) form <<== (hastype X T, hastype Y T)).
-pi A\\ pi B\\ (hastype (A imp B) form <<== (hastype A form, hastype B form)).
-pi T\\ pi A\\ (hastype (forall T A) form <<== pi X\\ (hastype X T ==>> hastype (A X) form)).
-hastype false form.
-pi T1\\ pi T2\\ pi F\\
-  (hastype (lam F) (T1 arrow T2) <<== pi X\\ (hastype X T1 ==>> hastype (F X) T2)).
-pi T1\\ pi T2\\ pi F\\ pi X\\
-  (hastype (app T1 F X) T2 <<== (hastype F (T1 arrow T2), hastype X T1)).
-pi T1\\ pi T2\\ pi X\\ pi Y\\
-  (hastype (mkpair X Y) (pair T1 T2) <<== (hastype X T1, hastype Y T2)).
-pi T1\\ pi T2\\ pi X\\ (hastype (fst T2 X) T1 <<== hastype X (pair T1 T2)).
-pi T1\\ pi T2\\ pi X\\ (hastype (snd T1 X) T2 <<== hastype X (pair T1 T2)).
-
-% proof checking
-pi T\\ pi X\\ (proves refl (eq T X X)).
-pi T1\\ pi T2\\ pi F\\ pi X\\ (proves beta (eq T2 (app T1 (lam F) X) (F X))).
-pi T1\\ pi T2\\ pi X\\ pi Y\\ (proves fstpair (eq T1 (fst T2 (mkpair X Y)) X)).
-pi T1\\ pi T2\\ pi X\\ pi Y\\ (proves sndpair (eq T2 (snd T1 (mkpair X Y)) Y)).
-pi T1\\ pi T2\\ pi Z\\ (proves surjpair (eq (pair T1 T2) (mkpair (fst T2 Z) (snd T1 Z)) Z)).
-pi T\\ pi X\\ pi Z\\ pi H\\ pi P1\\ pi P2\\
-  (proves (congr T X Z H P1 P2) (H X) <<==
-     (hastype X T, hastype Z T, proves P1 (eq T X Z), proves P2 (H Z))).
-pi A\\ pi B\\ pi Q\\
-  (proves (imp_i Q) (A imp B) <<== pi P\\ (assump (proves P A) ==>> proves (Q P) B)).
-pi A\\ pi B\\ pi Q1\\ pi Q2\\
-  (proves (imp_e A Q1 Q2) B <<== (hastype A form, proves Q1 (A imp B), proves Q2 A)).
-pi T\\ pi A\\ pi Q\\
-  (proves (forall_i Q) (forall T A) <<== pi Y\\ (hastype Y T ==>> proves (Q Y) (A Y))).
-pi T\\ pi A\\ pi Q\\ pi X\\
-  (proves (forall_e T A Q X) (A X) <<==
-     (pi Y\\ (hastype Y T ==>> hastype (A Y) form), hastype X T, proves Q (forall T A))).
-"""
-
-def _load_rules():
-    rules = {"proves": {}, "hastype": {}}
-    for st in parse_source(_RULES_SRC, builtin_signature()).statements:
-        clause = normalize_goal(st.goal)
-        pred, args = goal_spine(clause)
-        while pred == "pi":
-            pred, args = goal_spine(args[0].body)
-        if pred == "=>":
-            pred, args = goal_spine(args[1])
-        target = rules.get(pred)
-        h = plain_spine(args[0])[0] if target is not None else None
-        if not isinstance(h, Const) or h.name in target:
-            raise StructuralError("a built-in rule needs a subject constant of its own")
-        target[h.name] = clause
-    return rules["proves"], rules["hastype"]
-
-
-PROVES_RULES, HASTYPE_RULES = _load_rules()
-
 
 # ---------------------------------------------------------------------------
 # Reports
@@ -307,13 +243,69 @@ def _index_clause(g, keys):
     if name == "assump":
         _index_clause(args[0], [])  # the head check only
     elif name in ("proves", "hastype"):
-        h, _ = spine(args[0])
+        h, _ = plain_spine(args[0])
         if isinstance(h, (Bound, Meta)):
             raise ValidityError(
                 "a stored clause may not have a variable at its head"
             )
     keys.append(head_key(g))
     return ticks, metas
+
+
+# ---------------------------------------------------------------------------
+# Built-in rules, stated in the clause language itself
+# ---------------------------------------------------------------------------
+
+_RULES_SRC = """
+% typing
+pi T\\ pi X\\ pi Y\\ (hastype (eq T X Y) form <<== (hastype X T, hastype Y T)).
+pi A\\ pi B\\ (hastype (A imp B) form <<== (hastype A form, hastype B form)).
+pi T\\ pi A\\ (hastype (forall T A) form <<== pi X\\ (hastype X T ==>> hastype (A X) form)).
+hastype false form.
+pi T1\\ pi T2\\ pi F\\
+  (hastype (lam F) (T1 arrow T2) <<== pi X\\ (hastype X T1 ==>> hastype (F X) T2)).
+pi T1\\ pi T2\\ pi F\\ pi X\\
+  (hastype (app T1 F X) T2 <<== (hastype F (T1 arrow T2), hastype X T1)).
+pi T1\\ pi T2\\ pi X\\ pi Y\\
+  (hastype (mkpair X Y) (pair T1 T2) <<== (hastype X T1, hastype Y T2)).
+pi T1\\ pi T2\\ pi X\\ (hastype (fst T2 X) T1 <<== hastype X (pair T1 T2)).
+pi T1\\ pi T2\\ pi X\\ (hastype (snd T1 X) T2 <<== hastype X (pair T1 T2)).
+
+% proof checking
+pi T\\ pi X\\ (proves refl (eq T X X)).
+pi T1\\ pi T2\\ pi F\\ pi X\\ (proves beta (eq T2 (app T1 (lam F) X) (F X))).
+pi T1\\ pi T2\\ pi X\\ pi Y\\ (proves fstpair (eq T1 (fst T2 (mkpair X Y)) X)).
+pi T1\\ pi T2\\ pi X\\ pi Y\\ (proves sndpair (eq T2 (snd T1 (mkpair X Y)) Y)).
+pi T1\\ pi T2\\ pi Z\\ (proves surjpair (eq (pair T1 T2) (mkpair (fst T2 Z) (snd T1 Z)) Z)).
+pi T\\ pi X\\ pi Z\\ pi H\\ pi P1\\ pi P2\\
+  (proves (congr T X Z H P1 P2) (H X) <<==
+     (hastype X T, hastype Z T, proves P1 (eq T X Z), proves P2 (H Z))).
+pi A\\ pi B\\ pi Q\\
+  (proves (imp_i Q) (A imp B) <<== pi P\\ (assump (proves P A) ==>> proves (Q P) B)).
+pi A\\ pi B\\ pi Q1\\ pi Q2\\
+  (proves (imp_e A Q1 Q2) B <<== (hastype A form, proves Q1 (A imp B), proves Q2 A)).
+pi T\\ pi A\\ pi Q\\
+  (proves (forall_i Q) (forall T A) <<== pi Y\\ (hastype Y T ==>> proves (Q Y) (A Y))).
+pi T\\ pi A\\ pi Q\\ pi X\\
+  (proves (forall_e T A Q X) (A X) <<==
+     (pi Y\\ (hastype Y T ==>> hastype (A Y) form), hastype X T, proves Q (forall T A))).
+"""
+
+def _load_rules():
+    rules = {"proves": {}, "hastype": {}}
+    for st in parse_source(_RULES_SRC, builtin_signature()).statements:
+        clause = normalize_goal(st.goal)
+        keys = []
+        _index_clause(clause, keys)
+        key = keys[0] if len(keys) == 1 else None
+        target = rules.get(key[0]) if key else None
+        if target is None or key[1] in target:
+            raise StructuralError("a built-in rule needs a subject constant of its own")
+        target[key[1]] = clause
+    return rules["proves"], rules["hastype"]
+
+
+PROVES_RULES, HASTYPE_RULES = _load_rules()
 
 
 class _Escape(Exception):
@@ -416,24 +408,26 @@ class Session:
 
     # -- matching ----------------------------------------------------------------
 
-    def match(self, pattern, target, env=()) -> bool:
+    def match(self, pattern, target) -> bool:
         """Match a pattern against a ground target, committing bindings.
 
         Both sides are beta-normal and eta-long; binding a head mid-walk
-        may expose a redex in the pattern, which is re-normalized on
-        demand.  `env` lists the binder meta-types entered so far.
+        may expose a redex in the pattern, which is reduced on demand by
+        instantiating the pattern's bound matching variables.
         """
-        p = self._resolve_pattern(pattern, env)
+        ph, pargs = plain_spine(pattern)
+        if isinstance(ph, Meta) and ph.cell.value is not None:
+            pattern = instantiate_metas(pattern)
+            ph, pargs = plain_spine(pattern)
         t = deref(target)
         if isinstance(t, Meta):
             return False  # target must be ground
-        if isinstance(p, Lam):
+        if isinstance(pattern, Lam):
             if not isinstance(t, Lam):
                 return False
-            if p.mt != t.mt:
+            if pattern.mt != t.mt:
                 return False  # the binder type of a `pi` counts
-            return self.match(p.body, t.body, (p.mt,) + tuple(env))
-        ph, pargs = plain_spine(p)
+            return self.match(pattern.body, t.body)
         if isinstance(ph, Meta):
             return self._bind_pattern(ph.cell, pargs, t)
         th, targs = plain_spine(t)
@@ -448,17 +442,9 @@ class Session:
         if len(pargs) != len(targs):
             return False
         for pa, ta in zip(pargs, targs):
-            if not self.match(pa, ta, env):
+            if not self.match(pa, ta):
                 return False
         return True
-
-    def _resolve_pattern(self, p, env):
-        h = p
-        while isinstance(h, App):
-            h = h.fn
-        if isinstance(h, Meta) and h.cell.value is not None:
-            return normalize(p, env)
-        return p
 
     def _eta_var(self, t):
         """Contract an eta-expansion down to its head variable, or None.

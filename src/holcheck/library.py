@@ -13,18 +13,20 @@ from .kernel import CheckReport, Session, instantiate
 from .syntax import DefDefinition, DefLemma, InfixDecl, Solve, TypeDecl
 from .terms import (
     Arrow,
+    Bound,
     Const,
     Lam,
+    Meta,
     O,
     PF,
     TP,
     Term,
     app,
     arrow,
-    const_names,
-    replace_const,
+    map_children,
     shift,
 )
+from .transform import children
 
 
 @dataclass
@@ -154,6 +156,44 @@ def check_library(registry: Registry, session: Session):
         if not report.ok:
             break
     return results
+
+
+# ---------------------------------------------------------------------------
+# Walks over terms
+# ---------------------------------------------------------------------------
+
+
+def walk(t):
+    """All nodes of a term tree, dereferencing bound meta cells."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Meta) and t.cell.value is not None:
+            stack.append(t.cell.value)
+        else:
+            yield t
+            stack.extend(children(t))
+
+
+def const_names(t) -> set:
+    return {n.name for n in walk(t) if isinstance(n, Const)}
+
+
+def replace_const(t, mapping, depth=0):
+    """Replace constants by de Bruijn variables.
+
+    `mapping` sends a constant name to the number of binders between the
+    root of `t` and its binder; indices are adjusted under inner binders.
+    """
+    return _replace_const(t, depth, mapping)
+
+
+def _replace_const(t, depth, mapping):
+    if isinstance(t, Const):
+        if t.name in mapping:
+            return Bound(mapping[t.name] + depth)
+        return t
+    return map_children(t, _replace_const, depth, mapping)
 
 
 # ---------------------------------------------------------------------------

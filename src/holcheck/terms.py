@@ -10,13 +10,20 @@ lambda of its binder, `,` and `=>` (clause first) to two goals.
 Kernel-generated eigenvariables are constants carrying a positive birth
 timestamp; matching variables are Meta nodes around a mutable cell.
 Everything else is immutable and freely shareable.
+
+Normal forms are beta-normal and eta-long.  Object-level substitution is
+a meta-level beta step, and every such step is taken by hereditary
+substitution (`_hsubst`, as in the canonical forms of Watkins, Cervesato,
+Pfenning & Walker, 2002): a lambda substituted at an applied head is
+reduced at once, so normal terms substituted into a normal term give a
+normal term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import StructuralError
 
@@ -27,20 +34,9 @@ from .errors import StructuralError
 BASE_NAMES = ("tp", "tm", "pf", "o")
 
 
-# Each meta-type node computes its hash once, from its children's cached
-# hashes, so that hashing a normalization memo key is O(1) per meta-type
-# instead of a walk of the type tree.  Equality stays structural.
-
-
 @dataclass(frozen=True)
 class Base:
     name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.name))
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return self.name
@@ -50,12 +46,6 @@ class Base:
 class Arrow:
     dom: "MetaType"
     cod: "MetaType"
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.dom, self.cod)))
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         d = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
@@ -67,12 +57,6 @@ class SVar:
     """Type parameter of a polymorphic constant scheme (never ground)."""
 
     name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.name))
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return self.name
@@ -332,29 +316,13 @@ def meta_type_of(t: Term, env=()) -> MetaType:
 
 
 # ---------------------------------------------------------------------------
-# Normalization: beta-normal, eta-long
+# Normalization by hereditary substitution
 # ---------------------------------------------------------------------------
-
-
-def spine(t: Term):
-    """Head and arguments after top-level beta contraction and dereferencing."""
-    args = []
-    while True:
-        t = deref(t)
-        if isinstance(t, App):
-            args.append(t.arg)
-            t = t.fn
-        elif isinstance(t, Lam) and args:
-            t = subst(t.body, args.pop())
-        else:
-            break
-    args.reverse()
-    return t, args
 
 
 def plain_spine(t: Term):
     """Head and arguments of an application, without contraction or
-    dereferencing (for input that is already normal)."""
+    dereferencing."""
     args = []
     while isinstance(t, App):
         args.append(t.arg)
@@ -364,47 +332,48 @@ def plain_spine(t: Term):
 
 
 def normalize(t: Term, env=()) -> Term:
-    """Beta-normal eta-long form.  Terminates on all well-annotated input."""
-    return _norm(t, meta_type_of(t, env), tuple(env), {})
+    """Beta-normal eta-long form.  Terminates on all well-annotated input.
+
+    Unchanged subtrees, and `t` itself if it is normal, are returned as the
+    same objects."""
+    return _norm(t, meta_type_of(t, env), tuple(env))
 
 
-def _norm(t, mt, env, memo):
-    # the memo entry pins the keyed node: id() of a dead temporary could
-    # otherwise be recycled for a different node mid-normalization
-    key = (id(t), mt, env)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
+def _norm(t, mt, env):
+    # a walk guided by the meta-type `mt` of `t`: first its head is made a
+    # variable, a constant or a lambda without arguments, by dereferencing
+    # it and by contracting each redex, its arguments normalized first and
+    # then substituted hereditarily; only then is the head checked
+    h, args = plain_spine(t)
+    while isinstance(h, Lam) and args or isinstance(h, Meta) and h.cell.value is not None:
+        h = deref(h)
+        doms = arg_types(meta_type_of(h, env))
+        if len(args) > len(doms):
+            raise StructuralError(f"over-applied head in {t!r}")
+        t = _reduce(h, [_norm(a, dom, env) for a, dom in zip(args, doms)])
+        h, args = plain_spine(t)
     if isinstance(mt, Arrow):
-        h, args = spine(t)
-        if isinstance(h, Lam) and not args:
-            out = Lam(mt.dom, _norm(h.body, mt.cod, (mt.dom,) + env, memo), h.hint)
-        else:
-            # eta-expand a partially applied head
-            body = App(shift(app(h, *args), 1), Bound(0))
-            out = Lam(mt.dom, _norm(body, mt.cod, (mt.dom,) + env, memo))
-    else:
-        h, args = spine(t)
-        # a goal applies a predicate or a goal former
-        if mt == O and not (isinstance(h, Const) and h.birth == 0):
-            raise StructuralError(f"term of meta-type o is not a goal: {t!r}")
-        if not args:
-            out = h
-        else:
-            hmt = meta_type_of(h, env)
-            out = h
-            for a in args:
-                if not isinstance(hmt, Arrow):
-                    raise StructuralError(f"over-applied head in {t!r}")
-                out = App(out, _norm(a, hmt.dom, env, memo))
-                hmt = hmt.cod
-    memo[key] = (t, out)
-    return out
+        if isinstance(h, Lam):
+            body = _norm(h.body, mt.cod, (mt.dom,) + env)
+            return h if body is h.body and h.mt == mt.dom else Lam(mt.dom, body, h.hint)
+        # eta-expand a partially applied head
+        return Lam(mt.dom, _norm(App(shift(t, 1), Bound(0)), mt.cod, (mt.dom,) + env))
+    # a goal applies a predicate or a goal former
+    if mt == O and not (isinstance(h, Const) and h.birth == 0):
+        raise StructuralError(f"term of meta-type o is not a goal: {t!r}")
+    hmt = meta_type_of(h, env)
+    new = []
+    for a in args:
+        if not isinstance(hmt, Arrow):
+            raise StructuralError(f"over-applied head in {t!r}")
+        new.append(_norm(a, hmt.dom, env))
+        hmt = hmt.cod
+    return t if all(map(is_, new, args)) else app(h, *new)
 
 
 def normalize_goal(g: Term, env=()) -> Term:
     """`normalize` of a term of meta-type o."""
-    return _norm(g, O, tuple(env), {})
+    return _norm(g, O, tuple(env))
 
 
 def instantiate_metas(t):
@@ -412,15 +381,16 @@ def instantiate_metas(t):
     reducing the redexes this makes by hereditary substitution.
 
     A value is closed, meta-free and normal (the kernel binds nothing
-    else), so the result is normal again.  In a closed `t`, unchanged
-    subtrees are returned as the same objects, and so is `t` itself when
-    no variable is bound.
+    else), so the result is normal again.  Unchanged subtrees are
+    returned as the same objects, and so is `t` itself when no variable
+    is bound.
     """
     return _hsubst(t, 0, ())
 
 
 def _reduce(fn, args):
-    """The normal form of `fn` applied to `args`, all normal and eta-long."""
+    """`fn` applied to `args`, its head redexes contracted hereditarily: the
+    normal form if `fn` and `args` are normal and eta-long."""
     while args and isinstance(fn, Lam):
         n = 0
         while n < len(args) and isinstance(fn, Lam):
@@ -445,11 +415,21 @@ def _hsubst(t, d, vs):
             return t
         return app(fn, *new)
     if isinstance(t, Bound):
-        return _subst(t, d, vs)
+        return _subst(t, d, vs) if vs else t
     if isinstance(t, Meta) and t.cell.value is not None:
         return t.cell.value
     if isinstance(t, (Const, Meta)):
         return t
+    if vs and t.hint is None:
+        # an eta-expansion of a replaced variable under unnamed binders, as
+        # normalization makes them, is the value itself, binder names kept
+        n, body = 0, t
+        while isinstance(body, Lam) and body.hint is None:
+            body, n = body.body, n + 1
+        h, args = plain_spine(body)
+        i = h.index - d - n if isinstance(h, Bound) else -1
+        if 0 <= i < len(vs) and args == [Bound(k) for k in range(n - 1, -1, -1)]:
+            return shift(vs[-1 - i], d)
     return map_children(t, _hsubst, d, vs)
 
 
@@ -459,28 +439,8 @@ def alpha_beta_eq(a, b, env=()) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Walks and measurements
+# Scans and the positive-atom map
 # ---------------------------------------------------------------------------
-
-
-def children(t):
-    if isinstance(t, App):
-        return (t.fn, t.arg)
-    if isinstance(t, Lam):
-        return (t.body,)
-    return ()
-
-
-def walk(t) -> Iterator:
-    """All nodes of a term tree, dereferencing bound meta cells."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Meta) and t.cell.value is not None:
-            stack.append(t.cell.value)
-        else:
-            yield t
-            stack.extend(children(t))
 
 
 def has_unbound_meta(t) -> bool:
@@ -516,27 +476,6 @@ def max_eigen_birth(t) -> int:
         elif isinstance(t, Lam):
             stack.append(t.body)
     return best
-
-
-def const_names(t) -> set:
-    return {n.name for n in walk(t) if isinstance(n, Const)}
-
-
-def replace_const(t, mapping, depth=0):
-    """Replace constants by de Bruijn variables.
-
-    `mapping` sends a constant name to the number of binders between the
-    root of `t` and its binder; indices are adjusted under inner binders.
-    """
-    return _replace_const(t, depth, mapping)
-
-
-def _replace_const(t, depth, mapping):
-    if isinstance(t, Const):
-        if t.name in mapping:
-            return Bound(mapping[t.name] + depth)
-        return t
-    return map_children(t, _replace_const, depth, mapping)
 
 
 def map_proves(g: Term, fn, env=()) -> Term:

@@ -11,7 +11,6 @@ from .terms import (
     Const,
     Lam,
     app,
-    children,
     map_children,
     map_proves,
     normalize,
@@ -60,6 +59,14 @@ def expand_statement_goal(g, env=()):
 def _expand_atom(atom, env):
     proof, formula = plain_spine(atom)[1]
     return app(PROVES, expand_lemmas(proof, env), formula)
+
+
+def children(t):
+    if isinstance(t, App):
+        return (t.fn, t.arg)
+    if isinstance(t, Lam):
+        return (t.body,)
+    return ()
 
 
 def _skeleton_children(t):

@@ -26,12 +26,14 @@ from holcheck.terms import (
     TP,
     alpha_beta_eq,
     arg_types,
+    deref,
     meta_type_of,
     normalize,
     app,
     goal_spine,
     pi,
     result_base,
+    shift,
     subst,
 )
 
@@ -104,6 +106,32 @@ def subterm_positions(t, env=(), depth=0):
 
     walk(t, env, depth, False)
     return out
+
+
+def ref_normalize(t, mt, env=()):
+    """Reference normalizer of `t` at meta-type `mt`: contract each head
+    redex by plain substitution of its unnormalized argument, then
+    normalize what is left, rebuilding every node."""
+    args = []
+    while True:
+        t = deref(t)
+        if isinstance(t, App):
+            args.append(t.arg)
+            t = t.fn
+        elif isinstance(t, Lam) and args:
+            t = subst(t.body, args.pop())
+        else:
+            break
+    args.reverse()
+    if isinstance(mt, Arrow):
+        if args or not isinstance(t, Lam):
+            t = Lam(mt.dom, App(shift(app(t, *args), 1), Bound(0)))
+        return Lam(mt.dom, ref_normalize(t.body, mt.cod, (mt.dom,) + tuple(env)), t.hint)
+    hmt = meta_type_of(t, env)
+    for a in args:
+        t = App(t, ref_normalize(a, hmt.dom, env))
+        hmt = hmt.cod
+    return t
 
 
 def replace_nodes(t, table):

@@ -446,6 +446,8 @@ CHURCH_TWO = "(f\\ x\\ f (f x))"
 DEEP_INPUTS = {
     # 2 applied to itself four deep normalizes to 65536 nested applications
     "church numeral tower": f"(({CHURCH_TWO} {CHURCH_TWO} {CHURCH_TWO} {CHURCH_TWO}) s z)",
+    # five deep, to 2^65536
+    "five-numeral church tower": f"(({' '.join([CHURCH_TWO] * 5)}) s z)",
     "3000 nested applications": "(s " * 3000 + "z" + ")" * 3000,
 }
 

@@ -8,6 +8,7 @@ from holcheck import cli
 
 from holcheck.errors import PatternError, StructuralError, ValidityError
 from holcheck.kernel import Session, augment_goal, def_to_eqclause, valid_clause
+from holcheck.library import walk
 from holcheck.signature import builtin_signature
 from holcheck.syntax import parse_goal, parse_term
 from holcheck.terms import (
@@ -31,7 +32,6 @@ from holcheck.terms import (
     normalize,
     normalize_goal,
     pi,
-    walk,
 )
 from negatives import CASES
 

@@ -10,13 +10,14 @@ from holcheck.library import (
     DefinitionEntry,
     LemmaEntry,
     check_library,
+    const_names,
     dependencies,
     load_library,
     package,
 )
 from holcheck.signature import builtin_signature
 from holcheck.syntax import apply_declarations, parse_source
-from holcheck.terms import PF, TM, TP, alpha_beta_eq, arrow, const_names
+from holcheck.terms import PF, TM, TP, alpha_beta_eq, arrow
 
 
 def parse_lib(text, sig=None):

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import props
 from conftest import CORPUS
-from holcheck import terms
-from holcheck.errors import MetaTypeError
+from holcheck.errors import MetaTypeError, StructuralError
 from holcheck.infer import infer_meta_type
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
@@ -26,6 +25,7 @@ from holcheck.terms import (
     Base,
     Bound,
     Const,
+    Lam,
     Meta,
     MetaCell,
     O,
@@ -91,6 +91,34 @@ def test_beta_normalize_proof_redex():
     sig = builtin_signature()
     sig.declare("p", PF)
     assert alpha_beta_eq(parse_term(r"(q\ q) p", sig), parse_term("p", sig))
+
+
+# an atom for the contraction-order pins
+_ATOM = app(PROVES, Const("refl", PF), app(EQ, INTTY, Const("c0", TM), Const("c0", TM)))
+
+
+def test_a_redex_at_type_o_is_contracted_before_its_head_is_checked():
+    # the lambda's body, a bare variable, is no goal on its own
+    assert normalize_goal(App(Lam(O, Bound(0)), _ATOM)) == _ATOM
+
+
+def test_a_matching_variable_of_type_o_normalizes_to_its_value():
+    cell = MetaCell(O, 0)
+    cell.value = _ATOM
+    assert normalize_goal(Meta(cell)) == _ATOM
+    cell.value = Const("c_3", O, birth=3)  # an eigenvariable is no goal
+    with pytest.raises(StructuralError, match="not a goal"):
+        normalize_goal(Meta(cell))
+
+
+def test_a_substituted_lambda_keeps_its_binder_name():
+    # normalizing the argument first eta-expands its parameter h under an
+    # unnamed binder; the lambda substituted for h keeps its name there
+    g = Const("g", arrow(Arrow(TM, TM), TM))
+    arg = Lam(Arrow(TM, TM), App(g, Bound(0)), "h")
+    use = Lam(arrow(Arrow(TM, TM), TM), App(Bound(0), Lam(TM, Bound(0), "x")), "l")
+    out = normalize(App(use, arg))
+    assert out == App(g, Lam(TM, Bound(0))) and out.arg.hint == "x"
 
 
 def test_alpha_equivalence_of_binders():
@@ -254,7 +282,7 @@ def test_goals_are_terms_of_meta_type_o(name):
 
 
 # ---------------------------------------------------------------------------
-# Properties: cached meta-type hashes, normalization, one-pass substitution
+# Properties: meta-type hashes, normalization, one-pass substitution
 # ---------------------------------------------------------------------------
 
 # a meta-type shape: ("base", name), ("svar", name) or a (dom, cod) pair
@@ -286,26 +314,18 @@ def test_separately_built_meta_types_hash_alike(a, b):
         assert hash(x) == hash(z)
 
 
-class _NoMemo(dict):
-    """A normalization memo that never hits."""
-
-    def get(self, key, default=None):
-        return default
-
-
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_SEEDS)
 def test_normalize_agrees_with_memo_free_normalization(seed):
-    # meta-types key the memo; a memo that never hits is the reference
     rng = random.Random(seed)
     dom = rng.choice((TM, TP, PF, Arrow(TM, TM), Arrow(TM, Arrow(TM, PF))))
     cod = rng.choice((TM, PF, Arrow(TM, TM)))
     lam = props.gen_term(rng, Arrow(dom, cod), (), fuel=3)
     t = App(lam, props.gen_term(rng, dom, (), fuel=2))
-    assert normalize(t) == terms._norm(t, cod, (), _NoMemo())
+    assert normalize(t) == props.ref_normalize(t, cod)
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,6 +349,12 @@ _META_TYPES = (
 )
 
 
+def test_instantiate_metas_returns_an_open_term_without_bound_variables_itself():
+    # a pattern under binders, as `Session.match` re-instantiates it
+    t = App(Const("s", Arrow(TM, TM)), Bound(0))
+    assert instantiate_metas(t) is t
+
+
 @settings(max_examples=300, deadline=None)
 @given(_SEEDS)
 def test_instantiate_metas_is_normalization_of_a_normal_atom(seed):
@@ -342,4 +368,4 @@ def test_instantiate_metas_is_normalization_of_a_normal_atom(seed):
     assert instantiate_metas(atom) is atom
     for c in cells:
         c.value = normalize(props.gen_term(rng, c.mt, (), 2))
-    assert instantiate_metas(atom) == normalize_goal(atom)
+    assert instantiate_metas(atom) == props.ref_normalize(atom, O)

@@ -6,9 +6,10 @@ from conftest import CORPUS, atom_args, goal_atom, load_corpus_goal
 
 from holcheck.cli import main
 from holcheck.kernel import Session
+from holcheck.library import walk
 from holcheck.signature import builtin_signature
 from holcheck.syntax import parse_term
-from holcheck.terms import App, Const, alpha_beta_eq, goal_spine, normalize, walk
+from holcheck.terms import App, Const, alpha_beta_eq, goal_spine, normalize
 from holcheck.transform import (
     ProofStats,
     expand_lemmas,
