@@ -84,12 +84,21 @@ from .terms import (
     normalize_goal,
     pi,
     plain_spine,
+    result_base,
     shift,
     subst,
     subst_goal,
 )
 
 DEFAULT_BUDGET = 1_000_000
+
+# `CheckReport.error` by the exact type of the exception (none is subclassed)
+_ERROR_KINDS = {
+    BudgetError: "budget",
+    ValidityError: "validity",
+    PatternError: "pattern",
+    StructuralError: "structural",
+}
 
 # ---------------------------------------------------------------------------
 # Reports
@@ -140,25 +149,16 @@ def def_to_eqclause(result_tp: Term, name: Term, body: Term) -> Term:
     be tm) the clause asserts the definitional equality at `result_tp`.
     """
     mt = meta_type_of(name)
-
-    def build(name_t, body_t, mt, depth):
-        if isinstance(mt, Arrow):
-            inner = build(
-                App(shift(name_t, 1), Bound(0)),
-                App(shift(body_t, 1), Bound(0)),
-                mt.cod,
-                depth + 1,
-            )
-            return pi(mt.dom, inner)
-        if mt != TM:
-            raise StructuralError(
-                f"definition must end at meta-type tm, found {mt}"
-            )
-        eq = Const("eq", arrow(TP, TM, TM, TM))
-        eq_term = app(eq, shift(result_tp, depth), name_t, body_t)
-        return app(PROVES, Const("def", PF), eq_term)
-
-    return normalize_goal(build(name, body, mt, 0))
+    if result_base(mt) != TM:
+        raise StructuralError(f"definition must end at meta-type tm, found {result_base(mt)}")
+    doms = arg_types(mt)
+    k = len(doms)
+    xs = [Bound(i) for i in reversed(range(k))]
+    eq = app(Const("eq", arrow(TP, TM, TM, TM)), shift(result_tp, k))
+    g = app(PROVES, Const("def", PF), app(eq, app(shift(name, k), *xs), app(shift(body, k), *xs)))
+    for dom in reversed(doms):
+        g = pi(dom, g)
+    return normalize_goal(g)
 
 
 def augment_goal(g: Term) -> Term:
@@ -307,6 +307,15 @@ def _load_rules():
 
 PROVES_RULES, HASTYPE_RULES = _load_rules()
 
+# the proof constructors with handlers of their own, by name and arity
+_CONSTRUCTORS = {
+    ("lemma_pf", 3): "check_template_pf",
+    ("def_pf", 4): "check_template_pf",
+    ("elam", 1): "check_elam",
+    ("extract", 2): "check_extract",
+    ("extractGoal", 2): "check_extract_goal",
+}
+
 
 class _Escape(Exception):
     """A local variable of a matching target would escape its binding."""
@@ -452,46 +461,26 @@ class Session:
         In eta-long form a functional variable argument shows up as
         `x1\\ .. xn\\ v x1 .. xn`; it counts as the variable v.
         """
-        t = deref(t)
-        n = 0
-        body = t
+        n, body = 0, deref(t)
         while isinstance(body, Lam):
-            body = body.body
-            n += 1
-        if n == 0:
-            if isinstance(t, Bound) or (isinstance(t, Const) and t.birth > 0):
-                return t
-            return None
+            n, body = n + 1, body.body
         h, args = plain_spine(body)
-        if len(args) != n:
+        if len(args) != n or any(self._eta_var(a) != Bound(n - 1 - i) for i, a in enumerate(args)):
             return None
-        for i, a in enumerate(args):
-            v = self._eta_var(a)
-            if not (isinstance(v, Bound) and v.index == n - 1 - i):
-                return None
         if isinstance(h, Bound):
             return Bound(h.index - n) if h.index >= n else None
-        if isinstance(h, Const) and h.birth > 0:
-            return h
-        return None
+        return h if isinstance(h, Const) and h.birth > 0 else None
 
     def _bind_pattern(self, cell, args, target):
         """The flexible case: cell applied to distinct variables."""
         keys = []
         for a in args:
             v = self._eta_var(a)
-            if isinstance(v, Bound):
-                k = ("b", v.index)
-            elif isinstance(v, Const):
-                k = ("c", v.birth)
-            else:
-                raise PatternError(
-                    "matching variable applied to a non-variable argument"
-                )
+            if v is None:
+                raise PatternError("matching variable applied to a non-variable argument")
+            k = ("b", v.index) if isinstance(v, Bound) else ("c", v.birth)
             if k in keys:
-                raise PatternError(
-                    "matching variable applied to a repeated argument"
-                )
+                raise PatternError("matching variable applied to a repeated argument")
             keys.append(k)
         try:
             body = _abstract(target, 0, keys)
@@ -550,20 +539,11 @@ class Session:
                 return  # the formula side must be ground
             h, args = plain_spine(p)
             if isinstance(h, Const):
-                n = h.name
-                if (n, len(args)) in (("lemma_pf", 3), ("def_pf", 4)):
-                    yield from self.check_template_pf(args, a)
+                check = _CONSTRUCTORS.get((h.name, len(args)))
+                if check is not None:
+                    yield from getattr(self, check)(*args, a)
                     return
-                if n == "elam" and len(args) == 1:
-                    yield from self.check_elam(args[0], a)
-                    return
-                if n == "extract" and len(args) == 2:
-                    yield from self.check_extract(args[0], args[1], a)
-                    return
-                if n == "extractGoal" and len(args) == 2:
-                    yield from self.check_extract_goal(args[0], args[1], a)
-                    return
-                rule = PROVES_RULES.get(n)
+                rule = PROVES_RULES.get(h.name)
                 if rule is not None:
                     # exactly one built-in rule per proof constructor
                     yield from self.backchain(atom, rule)
@@ -645,10 +625,12 @@ class Session:
 
     # -- lemma and definition constructors -------------------------------------
 
-    def check_template_pf(self, args, formula):
-        """`lemma_pf I L R` and `def_pf T I B R`: check the template I at
-        the witness L (or B), then check R at a fresh name with the
-        instance (and the definition's equality) as clauses in scope."""
+    def check_template_pf(self, *args):
+        """`lemma_pf I L R` and `def_pf T I B R`, then the formula: check the
+        template I at the witness L (or B), then check R at a fresh name
+        with the instance (and the definition's equality) as clauses in
+        scope."""
+        *args, formula = args
         if any(has_unbound_meta(x) for x in args):
             return
         result_tp = args[0] if len(args) == 4 else None
@@ -715,14 +697,8 @@ class Session:
                 ok = False
             finally:
                 gen.close()
-        except BudgetError as e:
-            error, message = "budget", str(e)
-        except ValidityError as e:
-            error, message = "validity", str(e)
-        except PatternError as e:
-            error, message = "pattern", str(e)
-        except StructuralError as e:
-            error, message = "structural", str(e)
+        except tuple(_ERROR_KINDS) as e:
+            error, message = _ERROR_KINDS[type(e)], str(e)
         if len(self.store) != depth or len(self.trail) != tmark:
             raise StructuralError("store/trail stack discipline violated")
         stats = Stats(

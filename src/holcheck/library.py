@@ -179,21 +179,13 @@ def const_names(t) -> set:
     return {n.name for n in walk(t) if isinstance(n, Const)}
 
 
-def replace_const(t, mapping, depth=0):
-    """Replace constants by de Bruijn variables.
-
-    `mapping` sends a constant name to the number of binders between the
-    root of `t` and its binder; indices are adjusted under inner binders.
-    """
-    return _replace_const(t, depth, mapping)
-
-
-def _replace_const(t, depth, mapping):
+def replace_const(t, depth, mapping):
+    """Replace constants by de Bruijn variables: `mapping` sends a constant
+    name to the number of binders between the root and its binder, and
+    `depth` counts the binders between the root and `t`."""
     if isinstance(t, Const):
-        if t.name in mapping:
-            return Bound(mapping[t.name] + depth)
-        return t
-    return map_children(t, _replace_const, depth, mapping)
+        return Bound(mapping[t.name] + depth) if t.name in mapping else t
+    return map_children(t, replace_const, depth, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +241,7 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
             # the core may reference binders of the enclosing goal; its free
             # variables cross every wrapper binder
             mapping = {e.name: len(order) - 1 - j for j, e in enumerate(order)}
-            return replace_const(shift(proof, len(order)), mapping)
+            return replace_const(shift(proof, len(order)), 0, mapping)
         entry = order[k]
         mapping = {e.name: k - 1 - j for j, e in enumerate(order[:k])}
         a = entry.meta_type
@@ -259,7 +251,7 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
         else:
             head = Const("def_pf", arrow(TP, Arrow(a, O), a, Arrow(a, PF), PF))
         # `lemma_pf I L R` or `def_pf T I B R`, the entry's parts before R
-        parts = [replace_const(p, mapping) for p in _entry_parts(entry)]
+        parts = [replace_const(p, 0, mapping) for p in _entry_parts(entry)]
         return app(head, *parts, rest)
 
     return emit(0)

@@ -12,11 +12,13 @@ timestamp; matching variables are Meta nodes around a mutable cell.
 Everything else is immutable and freely shareable.
 
 Normal forms are beta-normal and eta-long.  Object-level substitution is
-a meta-level beta step, and every such step is taken by hereditary
-substitution (`_hsubst`, as in the canonical forms of Watkins, Cervesato,
-Pfenning & Walker, 2002): a lambda substituted at an applied head is
-reduced at once, so normal terms substituted into a normal term give a
-normal term.
+a meta-level beta step.  `normalize` takes these steps in one walk with an
+environment of the contracted redexes' arguments, each normalized when its
+binder is first used and shared by every use.  On normal terms they are
+taken by hereditary substitution (`_hsubst`, as in the canonical forms of
+Watkins, Cervesato, Pfenning & Walker, 2002): a lambda substituted at an
+applied head is reduced at once, so normal terms substituted into a normal
+term give a normal term.
 """
 
 from __future__ import annotations
@@ -316,7 +318,7 @@ def meta_type_of(t: Term, env=()) -> MetaType:
 
 
 # ---------------------------------------------------------------------------
-# Normalization by hereditary substitution
+# Normalization
 # ---------------------------------------------------------------------------
 
 
@@ -336,44 +338,86 @@ def normalize(t: Term, env=()) -> Term:
 
     Unchanged subtrees, and `t` itself if it is normal, are returned as the
     same objects."""
-    return _norm(t, meta_type_of(t, env), tuple(env))
-
-
-def _norm(t, mt, env):
-    # a walk guided by the meta-type `mt` of `t`: first its head is made a
-    # variable, a constant or a lambda without arguments, by dereferencing
-    # it and by contracting each redex, its arguments normalized first and
-    # then substituted hereditarily; only then is the head checked
-    h, args = plain_spine(t)
-    while isinstance(h, Lam) and args or isinstance(h, Meta) and h.cell.value is not None:
-        h = deref(h)
-        doms = arg_types(meta_type_of(h, env))
-        if len(args) > len(doms):
-            raise StructuralError(f"over-applied head in {t!r}")
-        t = _reduce(h, [_norm(a, dom, env) for a, dom in zip(args, doms)])
-        h, args = plain_spine(t)
-    if isinstance(mt, Arrow):
-        if isinstance(h, Lam):
-            body = _norm(h.body, mt.cod, (mt.dom,) + env)
-            return h if body is h.body and h.mt == mt.dom else Lam(mt.dom, body, h.hint)
-        # eta-expand a partially applied head
-        return Lam(mt.dom, _norm(App(shift(t, 1), Bound(0)), mt.cod, (mt.dom,) + env))
-    # a goal applies a predicate or a goal former
-    if mt == O and not (isinstance(h, Const) and h.birth == 0):
-        raise StructuralError(f"term of meta-type o is not a goal: {t!r}")
-    hmt = meta_type_of(h, env)
-    new = []
-    for a in args:
-        if not isinstance(hmt, Arrow):
-            raise StructuralError(f"over-applied head in {t!r}")
-        new.append(_norm(a, hmt.dom, env))
-        hmt = hmt.cod
-    return t if all(map(is_, new, args)) else app(h, *new)
+    return _norm(t, (), len(env), [], meta_type_of(t, env), tuple(env))
 
 
 def normalize_goal(g: Term, env=()) -> Term:
     """`normalize` of a term of meta-type o."""
-    return _norm(g, O, tuple(env))
+    return _norm(g, (), len(env), [], O, tuple(env))
+
+
+class _Arg:
+    """The argument of a contracted redex, with its substitution: normalized
+    when its binder is first used, then shared by every use."""
+
+    __slots__ = ("term", "sub", "base", "mt", "env", "value")
+
+    def __init__(self, term, sub, base, mt, env):
+        self.term, self.sub, self.base, self.mt, self.env = term, sub, base, mt, env
+        self.value = None
+
+    def force(self, depth):
+        if self.value is None:
+            self.value = _norm(self.term, self.sub, self.base, [], self.mt, self.env)
+        return shift(self.value, depth - len(self.env))
+
+
+def _norm(t, sub, base, args, mt, env):
+    # the normal form at meta-type `mt`, under binders of the types `env`,
+    # of `t` applied to `args`, (term, sub, base) closures.  Index i of a
+    # term stands for sub[i], an `_Arg` or the level of a binder of `env`,
+    # and past `sub` for level base - 1 - (i - len(sub)).  A redex binds
+    # its argument unnormalized, so an argument is normalized only if its
+    # binder is used, once however often; the head is checked last
+    d, orig = len(env), None if args else t
+    while True:
+        h, more = plain_spine(t)
+        args = [(a, sub, base) for a in more] + args
+        if isinstance(h, Lam) and args:
+            sub, t, args = (_Arg(*args[0], h.mt, env),) + sub, h.body, args[1:]
+        elif isinstance(h, Meta) and h.cell.value is not None:
+            t, sub, base = h.cell.value, (), d
+        elif isinstance(h, Bound):
+            v = sub[h.index] if h.index < len(sub) else base - 1 - h.index + len(sub)
+            if isinstance(v, _Arg) and not args:
+                return v.force(d)
+            if isinstance(v, _Arg):
+                t, sub, base = v.force(len(v.env)), (), len(v.env)
+            elif v < 0:
+                raise StructuralError(f"unbound index {h.index} outside environment")
+            else:
+                orig, h = (orig, h) if d - 1 - v == h.index else (None, Bound(d - 1 - v))
+                break
+        else:
+            break
+        orig = None
+    if isinstance(mt, Arrow) and isinstance(h, Lam):
+        # an unnamed eta-expansion of an argument, as normalization makes
+        # them, is the argument's normal form, binder names kept
+        n, body = 0, h
+        while isinstance(body, Lam) and body.hint is None:
+            n, body = n + 1, body.body
+        b, bargs = plain_spine(body)
+        v = sub[b.index - n] if isinstance(b, Bound) and n <= b.index < n + len(sub) else 0
+        if isinstance(v, _Arg) and bargs == [Bound(k) for k in range(n - 1, -1, -1)]:
+            return v.force(d)
+        body = _norm(h.body, (d,) + sub, base, [], mt.cod, (mt.dom,) + env)
+        return h if body is h.body and h.mt == mt.dom else Lam(mt.dom, body, h.hint)
+    if isinstance(mt, Arrow):  # eta-expand a partially applied head
+        args = args + [(Bound(0), (d,), 0)]
+        return Lam(mt.dom, _norm(h, (), d, args, mt.cod, (mt.dom,) + env))
+    raw = [a for a, _, _ in args]
+    # a goal applies a predicate or a goal former
+    if mt == O and not (isinstance(h, Const) and h.birth == 0):
+        raise StructuralError(f"term of meta-type o is not a goal: {app(h, *raw)!r}")
+    hmt = env[h.index] if isinstance(h, Bound) else h.cell.mt if isinstance(h, Meta) else h.mt
+    new = []
+    for a in args:
+        if not isinstance(hmt, Arrow):
+            raise StructuralError(f"over-applied head in {app(h, *raw)!r}")
+        new.append(_norm(*a, [], hmt.dom, env))
+        hmt = hmt.cod
+    return orig if orig is not None and all(map(is_, new, raw)) else app(h, *new)
 
 
 def instantiate_metas(t):
@@ -389,8 +433,7 @@ def instantiate_metas(t):
 
 
 def _reduce(fn, args):
-    """`fn` applied to `args`, its head redexes contracted hereditarily: the
-    normal form if `fn` and `args` are normal and eta-long."""
+    """The normal form of `fn` applied to `args`, all normal and eta-long."""
     while args and isinstance(fn, Lam):
         n = 0
         while n < len(args) and isinstance(fn, Lam):
@@ -420,16 +463,6 @@ def _hsubst(t, d, vs):
         return t.cell.value
     if isinstance(t, (Const, Meta)):
         return t
-    if vs and t.hint is None:
-        # an eta-expansion of a replaced variable under unnamed binders, as
-        # normalization makes them, is the value itself, binder names kept
-        n, body = 0, t
-        while isinstance(body, Lam) and body.hint is None:
-            body, n = body.body, n + 1
-        h, args = plain_spine(body)
-        i = h.index - d - n if isinstance(h, Bound) else -1
-        if 0 <= i < len(vs) and args == [Bound(k) for k in range(n - 1, -1, -1)]:
-            return shift(vs[-1 - i], d)
     return map_children(t, _hsubst, d, vs)
 
 

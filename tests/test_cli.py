@@ -462,6 +462,17 @@ def test_recursion_limit_is_a_resource_exit(term, tmp_path, capsys):
     assert "recursion" in err[0]
 
 
+def test_a_discarded_church_tower_is_never_normalized(tmp_path, capsys):
+    # the argument of (y\ X) would normalize to 65536 nested applications
+    f = tmp_path / "discard.hol"
+    f.write_text(
+        "type s tm -> tm.\ntype z tm.\nproves (forall_i X\\ refl) (forall intty X\\ "
+        f"eq intty ((y\\ X) {DEEP_INPUTS['church numeral tower']}) X).\n"
+    )
+    assert run("check", str(f)) == 0
+    assert "success" in capsys.readouterr().out
+
+
 def test_thirty_link_chain_checks(tmp_path, capsys):
     """A 30-link transitivity chain fits in the default recursion limit.
 

@@ -1,6 +1,7 @@
 """Substitution, normalization, equality and meta-type inference."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,13 +113,38 @@ def test_a_matching_variable_of_type_o_normalizes_to_its_value():
 
 
 def test_a_substituted_lambda_keeps_its_binder_name():
-    # normalizing the argument first eta-expands its parameter h under an
-    # unnamed binder; the lambda substituted for h keeps its name there
+    # the function applied at the head is normalized first, which
+    # eta-expands its parameter h under an unnamed binder; the lambda
+    # substituted for h keeps its name there
     g = Const("g", arrow(Arrow(TM, TM), TM))
     arg = Lam(Arrow(TM, TM), App(g, Bound(0)), "h")
     use = Lam(arrow(Arrow(TM, TM), TM), App(Bound(0), Lam(TM, Bound(0), "x")), "l")
     out = normalize(App(use, arg))
     assert out == App(g, Lam(TM, Bound(0))) and out.arg.hint == "x"
+
+
+def test_a_shared_argument_is_normalized_once():
+    # (x\ f x x) applied 40 deep: a normal form of 2^40 leaves, shared in a
+    # graph of 40 levels; a normalizer that walks the tree would not end
+    f, z = Const("f", arrow(TM, TM, TM)), Const("z", TM)
+    t = z
+    for _ in range(40):
+        t = App(Lam(TM, app(f, Bound(0), Bound(0)), "x"), t)
+
+    def too_slow(*_):
+        pytest.fail("normalization took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        out = normalize(t)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for _ in range(40):
+        assert out.fn.fn is f and out.fn.arg is out.arg
+        out = out.arg
+    assert out is z
 
 
 def test_alpha_equivalence_of_binders():
