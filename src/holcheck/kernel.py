@@ -28,22 +28,20 @@ Anything outside that fragment is a hard error, never a search.
 Invariant: every atom that reaches dispatch, and every stored clause, is
 beta-normal and eta-long and holds no bound matching variable.  Terms are
 normalized only where they enter: the goal of `check_goal`, a clause from
-outside (`push_clause`), a template applied to its argument (`_goal_app`),
-a definition's equality clause and the built-in rules.  Inside, every
-reduction is hereditary substitution (`terms.instantiate_metas`), which
-reduces each redex as it forms and shares the unchanged parts.  A redex
-forms only where a bound matching variable, whose value is a lambda, is
-applied: `solve_atom` instantiates its atom, `match` a pattern whose head
-variable got bound mid-walk, and the kernel's own clauses (of an
-implication goal, a lemma or a definition) are instantiated as pushed.
-Everything else keeps terms normal by construction.  With higher-order
-abstract syntax object substitution is a meta-level beta step, and in an
-eta-long term every occurrence of a bound variable is fully applied, so
-replacing a binder by an eigenvariable, or by a fresh matching variable
-(closed, and unbound, so not a lambda), leaves the term normal.  Universal
-goals, clause prefixes, the rest of a lemma or definition node and `elam`
-are instantiated that way, with `subst` on the body of the lambda.  The
-handlers read their arguments as sub-terms of a normal atom.
+outside (`push_clause`), a definition's equality clause and the built-in
+rules.  Inside, a goal or clause body is a closure: a normal term open over
+`vs`, the values of the `pi` binders entered (eigenvariables in `solve`,
+fresh matching variables in `backchain`), innermost last; entering a binder
+substitutes nothing.  A term is built where it is used (the atom of
+`solve_atom`, a head to match, the clause of an implication goal, a
+template at its argument) in one walk, `terms._hsubst`, that substitutes
+`vs` and the bound matching variables and reduces each redex as it forms,
+and collects the unbound matching variables it meets, so that an atom that
+holds none is not scanned for them.  Object substitution is a meta-level
+beta step, and in an eta-long term a bound variable is fully applied, so a
+name or a fresh matching variable put into a normal term with `subst` keeps
+it normal: the handlers do so for `elam` and the rest of a lemma node,
+whose parts they read as sub-terms of a normal atom.
 """
 
 from __future__ import annotations
@@ -70,6 +68,7 @@ from .terms import (
     TM,
     TP,
     Term,
+    _hsubst,
     app,
     arg_types,
     arrow,
@@ -87,7 +86,6 @@ from .terms import (
     result_base,
     shift,
     subst,
-    subst_goal,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -174,14 +172,15 @@ def augment_goal(g: Term) -> Term:
 
 
 def _goal_app(fn: Term, arg: Term) -> Term:
-    t = App(fn, arg)
-    if meta_type_of(t) != O:
+    """A normal template applied to a normal argument."""
+    if meta_type_of(App(fn, arg)) != O:
         raise StructuralError("template application did not produce a goal")
-    return normalize_goal(t)
+    return _hsubst(fn.body, 0, (arg,))
 
 
 def instantiate(sig, template, name, witness, kind, result_tp=None):
-    """Instantiate a lemma or definition template; returns (goal, clauses).
+    """Instantiate a normal lemma or definition template at `name` and at a
+    normal `witness`; returns (goal, clauses).
 
     The template at `name` must be a whitelisted clause, else a
     ValidityError names it by `kind`, with an in-proof instance printed
@@ -307,7 +306,9 @@ def _load_rules():
 
 PROVES_RULES, HASTYPE_RULES = _load_rules()
 
-# the proof constructors with handlers of their own, by name and arity
+# the proof constructors with handlers of their own, by name and arity; a
+# handler gets `_dispatch`'s `unbound`, the constructor's arguments and the
+# formula
 _CONSTRUCTORS = {
     ("lemma_pf", 3): "check_template_pf",
     ("def_pf", 4): "check_template_pf",
@@ -392,10 +393,8 @@ class Session:
         The scope condition is the freshness proviso in checkable form: a
         value may not mention an eigenvariable younger than the cell.
         """
-        if has_unbound_meta(value):
-            return False
-        if max_eigen_birth(value) > cell.birth:
-            return False
+        if not 0 <= max_eigen_birth(value) <= cell.birth:
+            return False  # -1: an unbound matching variable
         cell.value = value
         self.trail.append(cell)
         return True
@@ -498,32 +497,34 @@ class Session:
 
     # -- the interpreter ----------------------------------------------------------
 
-    def solve(self, g: Term):
-        """Generator yielding once per solution, chronological order."""
+    def solve(self, g: Term, vs=()):
+        """Generator yielding once per solution, chronological order, for
+        `g` open over `vs`, as the module docstring describes."""
         self.tick()
         name, args = goal_spine(g)
         if name == ",":
-            for _ in self.solve(args[0]):
-                yield from self.solve(args[1])
+            for _ in self.solve(args[0], vs):
+                yield from self.solve(args[1], vs)
         elif name == "pi":
             x = self.fresh_eigen(args[0].mt, args[0].hint)
-            yield from self.solve(subst_goal(args[0].body, x))
+            yield from self.solve(args[0].body, vs + (x,))
         elif name == "=>":
             depth = len(self.store)
-            self._push(instantiate_metas(args[0]))
+            self._push(_hsubst(args[0], 0, vs))
             try:
-                yield from self.solve(args[1])
+                yield from self.solve(args[1], vs)
             finally:
                 del self.store[depth:]
         else:
-            yield from self.solve_atom(g)
+            yield from self.solve_atom(g, vs)
 
-    def solve_atom(self, atom: Term):
-        atom = instantiate_metas(atom)
+    def solve_atom(self, atom: Term, vs):
+        seen = []
+        atom = _hsubst(atom, 0, vs, seen)
         self.goal_stack.append(atom)
         try:
             produced = False
-            for _ in self._dispatch(atom):
+            for _ in self._dispatch(atom, bool(seen)):
                 produced = True
                 yield
             if not produced and len(self.goal_stack) >= len(self.failure_snapshot):
@@ -531,42 +532,34 @@ class Session:
         finally:
             self.goal_stack.pop()
 
-    def _dispatch(self, atom: Term):
+    def _dispatch(self, atom: Term, unbound: bool):
+        # only if `unbound` may `atom` hold an unbound matching variable
         pred, args = goal_spine(atom)
         if pred == "proves":
             p, a = args
-            if has_unbound_meta(a):
+            if unbound and has_unbound_meta(a):
                 return  # the formula side must be ground
             h, args = plain_spine(p)
             if isinstance(h, Const):
                 check = _CONSTRUCTORS.get((h.name, len(args)))
                 if check is not None:
-                    yield from getattr(self, check)(*args, a)
+                    yield from getattr(self, check)(unbound, *args, a)
                     return
                 rule = PROVES_RULES.get(h.name)
                 if rule is not None:
                     # exactly one built-in rule per proof constructor
                     yield from self.backchain(atom, rule)
                     return
-            if isinstance(h, Meta) or has_unbound_meta(p):
+            if unbound and has_unbound_meta(p):
                 return  # unresolved matching variable at dispatch
             yield from self.solve_store(App(ASSUMP, atom))
             yield from self.solve_store(atom)
-        elif pred == "hastype":
-            x, tp = args
-            if has_unbound_meta(x) or has_unbound_meta(tp):
+        elif pred in ("hastype", "assump"):
+            if unbound and has_unbound_meta(atom):
                 return
-            h, _ = plain_spine(x)
-            if isinstance(h, Const):
-                rule = HASTYPE_RULES.get(h.name)
-                if rule is not None:
-                    yield from self.backchain(atom, rule)
-                    return
-            yield from self.solve_store(atom)
-        elif pred == "assump":
-            if has_unbound_meta(atom):
-                return
-            yield from self.solve_store(atom)
+            h, _ = plain_spine(args[0])
+            rule = pred == "hastype" and isinstance(h, Const) and HASTYPE_RULES.get(h.name)
+            yield from self.backchain(atom, rule) if rule else self.solve_store(atom)
         # unknown predicates have no rules: fail
 
     def solve_store(self, atom: Term):
@@ -591,47 +584,43 @@ class Session:
                 self.steps += ticks
                 self.counter += metas
 
-    def backchain(self, atom: Term, clause: Term):
+    def backchain(self, atom: Term, clause: Term, vs=()):
+        """Try `clause`, open over `vs`, on `atom`: one step and one fresh
+        matching variable per `pi` binder; only heads are built."""
         self.tick()
         name, args = goal_spine(clause)
-        if name == "pi":
-            # the whole pi prefix in one substitution pass, one step and
-            # one fresh matching variable per binder, outermost first
-            metas = []
-            while name == "pi":
-                metas.append(self.fresh_meta(args[0].mt))
-                clause = args[0].body
-                self.tick()
-                name, args = goal_spine(clause)
-            clause = subst_goal(clause, *metas)
+        while name == "pi":
+            vs += (self.fresh_meta(args[0].mt),)
+            clause = args[0].body
+            self.tick()
             name, args = goal_spine(clause)
         if name == ",":
             for part in args:
                 m = self.mark()
                 try:
-                    yield from self.backchain(atom, part)
+                    yield from self.backchain(atom, part, vs)
                 finally:
                     self.undo(m)
         elif name == "=>":
-            for _ in self.backchain(atom, args[1]):
-                yield from self.solve(args[0])
+            for _ in self.backchain(atom, args[1], vs):
+                yield from self.solve(args[0], vs)
         else:
             m = self.mark()
             try:
-                if self.match_goal(clause, atom):
+                if self.match_goal(_hsubst(clause, 0, vs) if vs else clause, atom):
                     yield
             finally:
                 self.undo(m)
 
     # -- lemma and definition constructors -------------------------------------
 
-    def check_template_pf(self, *args):
+    def check_template_pf(self, unbound, *args):
         """`lemma_pf I L R` and `def_pf T I B R`, then the formula: check the
         template I at the witness L (or B), then check R at a fresh name
         with the instance (and the definition's equality) as clauses in
         scope."""
         *args, formula = args
-        if any(has_unbound_meta(x) for x in args):
+        if unbound and any(has_unbound_meta(x) for x in args):
             return
         result_tp = args[0] if len(args) == 4 else None
         template, witness, rest = args[-3:]
@@ -643,13 +632,13 @@ class Session:
         for _ in self.solve(goal):
             depth = len(self.store)
             for clause in clauses():
-                self._push(instantiate_metas(clause))
+                self._push(clause)  # built from the atom: no matching variable
             try:
                 yield from self.solve(app(PROVES, subst(rest.body, name), formula))
             finally:
                 del self.store[depth:]
 
-    def check_elam(self, q, formula):
+    def check_elam(self, unbound, q, formula):
         if not isinstance(q, Lam):
             raise StructuralError("elam node is not eta-long")
         if q.mt not in (TP, TM):
@@ -657,7 +646,7 @@ class Session:
         b = self.fresh_meta(q.mt)
         yield from self.solve(app(PROVES, subst(q.body, b), formula))
 
-    def check_extract(self, pat, sub, formula):
+    def check_extract(self, unbound, pat, sub, formula):
         m = self.mark()
         try:
             if self.match(pat, formula):
@@ -665,7 +654,7 @@ class Session:
         finally:
             self.undo(m)
 
-    def check_extract_goal(self, g, sub, formula):
+    def check_extract_goal(self, unbound, g, sub, formula):
         if not valid_clause(g):
             raise ValidityError(
                 f"extractGoal argument outside the allowed grammar: {format_goal(g, self.sig)}"

@@ -24,6 +24,7 @@ from .terms import (
     app,
     arrow,
     map_children,
+    normalize,
     shift,
 )
 from .transform import children
@@ -120,16 +121,21 @@ def install_entry(entry, session: Session) -> CheckReport:
     for the rest of the session (library scope).
     """
     name = name_const(entry)
+    # `instantiate` takes a normal template and witness
     if isinstance(entry, LemmaEntry):
         goal, clauses = instantiate(
-            session.sig, entry.template, name, entry.proof, f"lemma '{entry.name}'"
+            session.sig,
+            normalize(entry.template),
+            name,
+            normalize(entry.proof),
+            f"lemma '{entry.name}'",
         )
     else:
         goal, clauses = instantiate(
             session.sig,
-            entry.typeinf,
+            normalize(entry.typeinf),
             name,
-            entry.body,
+            normalize(entry.body),
             f"definition '{entry.name}' typing",
             entry.result_tp,
         )

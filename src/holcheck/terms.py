@@ -362,6 +362,20 @@ class _Arg:
         return shift(self.value, depth - len(self.env))
 
 
+def _eta_index(t):
+    # the index, outside `t`, of the variable that `t` is an unnamed
+    # eta-expansion of, as normalization makes them; else -1
+    n, b = 0, t
+    while isinstance(b, Lam) and b.hint is None:
+        n, b = n + 1, b.body
+    h, args = plain_spine(b)
+    if n and isinstance(h, Bound) and h.index >= n and args == [
+        Bound(k) for k in range(n - 1, -1, -1)
+    ]:
+        return h.index - n
+    return -1
+
+
 def _norm(t, sub, base, args, mt, env):
     # the normal form at meta-type `mt`, under binders of the types `env`,
     # of `t` applied to `args`, (term, sub, base) closures.  Index i of a
@@ -392,15 +406,11 @@ def _norm(t, sub, base, args, mt, env):
             break
         orig = None
     if isinstance(mt, Arrow) and isinstance(h, Lam):
-        # an unnamed eta-expansion of an argument, as normalization makes
-        # them, is the argument's normal form, binder names kept
-        n, body = 0, h
-        while isinstance(body, Lam) and body.hint is None:
-            n, body = n + 1, body.body
-        b, bargs = plain_spine(body)
-        v = sub[b.index - n] if isinstance(b, Bound) and n <= b.index < n + len(sub) else 0
-        if isinstance(v, _Arg) and bargs == [Bound(k) for k in range(n - 1, -1, -1)]:
-            return v.force(d)
+        # an unnamed eta-expansion of an argument is the argument's normal
+        # form, binder names kept
+        i = _eta_index(h)
+        if 0 <= i < len(sub) and isinstance(sub[i], _Arg):
+            return sub[i].force(d)
         body = _norm(h.body, (d,) + sub, base, [], mt.cod, (mt.dom,) + env)
         return h if body is h.body and h.mt == mt.dom else Lam(mt.dom, body, h.hint)
     if isinstance(mt, Arrow):  # eta-expand a partially applied head
@@ -432,38 +442,50 @@ def instantiate_metas(t):
     return _hsubst(t, 0, ())
 
 
-def _reduce(fn, args):
+def _reduce(fn, args, seen):
     """The normal form of `fn` applied to `args`, all normal and eta-long."""
     while args and isinstance(fn, Lam):
         n = 0
         while n < len(args) and isinstance(fn, Lam):
             fn = fn.body
             n += 1
-        fn, args = _hsubst(fn, 0, tuple(args[:n])), args[n:]
+        fn, args = _hsubst(fn, 0, tuple(args[:n]), seen), args[n:]
     return app(fn, *args)
 
 
-def _hsubst(t, d, vs):
+def _hsubst(t, d, vs, seen=None):
     # `_subst` that also replaces bound matching variables by their values,
-    # and reduces a replaced head with its arguments at once
+    # reduces a replaced head with its arguments at once, and appends to
+    # `seen`, if given, each unbound matching variable it meets: a superset
+    # of those left in the result, which holds none if `seen` stays empty
     if isinstance(t, App):
         h, args = plain_spine(t)
-        new = [_hsubst(a, d, vs) for a in args]
-        if isinstance(h, Bound) and 0 <= h.index - d < len(vs):
-            return _reduce(shift(vs[-1 - (h.index - d)], d), new)
-        if isinstance(h, Meta) and h.cell.value is not None:
-            return _reduce(h.cell.value, new)
-        fn = _hsubst(h, d, vs)
+        new = [a if isinstance(a, Const) else _hsubst(a, d, vs, seen) for a in args]
+        fn = h if isinstance(h, Const) else _hsubst(h, d, vs, seen)
         if fn is h and all(map(is_, new, args)):
             return t
-        return app(fn, *new)
+        return _reduce(fn, new, seen)
     if isinstance(t, Bound):
-        return _subst(t, d, vs) if vs else t
-    if isinstance(t, Meta) and t.cell.value is not None:
-        return t.cell.value
-    if isinstance(t, (Const, Meta)):
+        if not vs:
+            return t
+        t = _subst(t, d, vs)
+        if not isinstance(t, Meta):
+            return t  # an index, or a value of `vs`: built already
+    if isinstance(t, Meta):
+        if t.cell.value is not None:
+            return t.cell.value
+        if seen is not None:
+            seen.append(t)
         return t
-    return map_children(t, _hsubst, d, vs)
+    if isinstance(t, Lam):
+        # an unnamed eta-expansion of a variable whose value is a lambda is
+        # that value, binder names kept, as in `_norm`
+        i = _eta_index(t) - d if vs else -1
+        if 0 <= i < len(vs) and isinstance(vs[-1 - i], Lam):
+            return shift(vs[-1 - i], d)
+        body = _hsubst(t.body, d + 1, vs, seen)
+        return t if body is t.body else Lam(t.mt, body, t.hint)
+    return t
 
 
 def alpha_beta_eq(a, b, env=()) -> bool:
@@ -493,6 +515,8 @@ def has_unbound_meta(t) -> bool:
 
 
 def max_eigen_birth(t) -> int:
+    """The latest birth of an eigenvariable in `t`, 0 if none; -1 if `t`
+    holds an unbound matching variable."""
     best = 0
     stack = [t]
     while stack:
@@ -504,8 +528,9 @@ def max_eigen_birth(t) -> int:
             if t.birth > best:
                 best = t.birth
         elif isinstance(t, Meta):
-            if t.cell.value is not None:
-                stack.append(t.cell.value)
+            if t.cell.value is None:
+                return -1
+            stack.append(t.cell.value)
         elif isinstance(t, Lam):
             stack.append(t.body)
     return best

@@ -1,10 +1,13 @@
 """The trusted core: rules, matching, backchaining, lemma/definition nodes."""
 
+import random
+
 import pytest
 
+import props
 from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goal
 
-from holcheck import cli
+from holcheck import cli, kernel
 
 from holcheck.errors import PatternError, StructuralError, ValidityError
 from holcheck.kernel import Session, augment_goal, def_to_eqclause, valid_clause
@@ -18,7 +21,9 @@ from holcheck.terms import (
     PROVES,
     App,
     Arrow,
+    Bound,
     Const,
+    Lam,
     Meta,
     MetaCell,
     O,
@@ -29,9 +34,11 @@ from holcheck.terms import (
     app,
     arrow,
     goal_spine,
+    has_unbound_meta,
     normalize,
     normalize_goal,
     pi,
+    subst_goal,
 )
 from negatives import CASES
 
@@ -546,9 +553,9 @@ class NormalFormSession(Session):
     that the argument of every `assump` atom of a stored clause is an
     atom."""
 
-    def _dispatch(self, atom):
+    def _dispatch(self, atom, unbound):
         assert normalize_goal(atom) == atom, f"atom not normal: {atom!r}"
-        return super()._dispatch(atom)
+        return super()._dispatch(atom, unbound)
 
     def _push(self, g):
         assert normalize_goal(g) == g, f"stored clause not normal: {g!r}"
@@ -670,9 +677,9 @@ class BackchainLog(Session):
         super().__init__(*args)
         self.tried = []
 
-    def backchain(self, atom, clause):
+    def backchain(self, atom, clause, vs=()):
         self.tried += [i for i, entry in enumerate(self.store) if entry[0] is clause]
-        return super().backchain(atom, clause)
+        return super().backchain(atom, clause, vs)
 
 
 def _backchained(sig, clauses, goal):
@@ -712,6 +719,75 @@ def test_conjunction_clause_with_one_matching_head_is_backchained(sig):
     assert _backchained(sig, stored, app(HASTYPE, c, form)) == (False, [0])
     # no head has subject d
     assert _backchained(sig, stored, app(HASTYPE, d, intty)) == (False, [])
+
+
+class ClauseLog(Session):
+    """Records the stored clauses at each `solve_store` and the goals
+    `solve` gets."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stored, self.goals = [], []
+
+    def solve_store(self, atom):
+        self.stored += [entry[0] for entry in self.store]
+        return super().solve_store(atom)
+
+    def solve(self, g, vs=()):
+        self.goals.append(g)
+        return super().solve(g, vs)
+
+
+@pytest.mark.parametrize("subject,matches", [("d", True), ("false", False)])
+def test_a_clause_body_is_built_only_after_its_head_matches(subject, matches, sig, monkeypatch):
+    sig.declare("w", PF)
+    sig.declare("d", TM)
+    ses = ClauseLog(sig)
+    ses.push_clause(parse_goal(r"pi X\ (proves w (eq intty X X) <<== hastype X form)", sig))
+    built = []
+    real = kernel._hsubst
+    monkeypatch.setattr(kernel, "_hsubst", lambda t, *rest: built.append(t) or real(t, *rest))
+    goal = parse_goal(f"proves w (eq intty {subject} d)", sig)
+    assert not ses.check_goal(goal, augment=False).ok  # `hastype d form` fails
+    assert set(ses.stored) == {ses.store[0][0]}
+    body = goal_spine(goal_spine(ses.store[0][0])[1][0].body)[1][0]
+    assert any(g is body for g in ses.goals) == matches
+    assert any(n is body for t in built for n in walk(t)) == matches
+
+
+def _scans_refuse(value, cell):
+    """What `bind` refused with two scans: a value that holds an unbound
+    matching variable or an eigenvariable born after the cell."""
+    births = [n.birth for n in walk(value) if isinstance(n, Const)]
+    return has_unbound_meta(value) or max(births, default=0) > cell.birth
+
+
+def test_bind_refuses_what_the_two_scans_refused(sig):
+    rng = random.Random(0)
+    env = (TM, Arrow(TM, TM))  # innermost first
+    outcomes = set()
+    for _ in range(500):
+        values = []
+        for mt in reversed(env):
+            birth = rng.randrange(1, 6)
+            eigen = Const("e", mt, birth=birth)
+            kind = rng.randrange(3)
+            if kind == 0:
+                values.append(eigen)
+                continue
+            cell = MetaCell(mt, birth)
+            if kind == 1:
+                cell.value = eigen if mt == TM else Lam(TM, App(eigen, Bound(0)))
+            values.append(Meta(cell))
+        value = subst_goal(props.gen_term(rng, TM, env, 3), *values)
+        cell = MetaCell(TM, rng.randrange(6))
+        ses = Session(sig)
+        refused = _scans_refuse(value, cell)
+        assert ses.bind(cell, value) == (not refused)
+        assert ses.trail == ([] if refused else [cell])
+        assert cell.value is (None if refused else value)
+        outcomes.add((refused, has_unbound_meta(value)))
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_pi_binder_types_count_in_matching(sig):

@@ -10,13 +10,14 @@ import props
 from conftest import CORPUS
 from holcheck.errors import MetaTypeError, StructuralError
 from holcheck.infer import infer_meta_type
-from holcheck.kernel import Session
+from holcheck.kernel import Session, _goal_app
 from holcheck.signature import builtin_signature
 from holcheck.syntax import (
     DefDefinition,
     DefLemma,
     Solve,
     apply_declarations,
+    format_goal,
     parse_source,
     parse_term,
 )
@@ -35,9 +36,11 @@ from holcheck.terms import (
     TM,
     TP,
     PROVES,
+    _hsubst,
     alpha_beta_eq,
     app,
     arrow,
+    has_unbound_meta,
     instantiate_metas,
     meta_type_of,
     normalize,
@@ -395,3 +398,63 @@ def test_instantiate_metas_is_normalization_of_a_normal_atom(seed):
     for c in cells:
         c.value = normalize(props.gen_term(rng, c.mt, (), 2))
     assert instantiate_metas(atom) == props.ref_normalize(atom, O)
+
+
+def _binder_value(rng, mt, i):
+    """A value of a closure's binder, as `Session.solve` and `backchain`
+    make them: an eigenvariable, or a matching variable, unbound or bound
+    to a closed normal term."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Const(f"e{i}", mt, birth=i + 1)
+    cell = MetaCell(mt, 0)
+    if kind == 1:
+        cell.value = normalize(props.gen_term(rng, mt, (), 2))
+    return Meta(cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS)
+def test_one_walk_builds_an_atom_as_substitution_then_instantiation(seed):
+    # an atom of a closure over three binders, built as `solve_atom` does
+    rng = random.Random(seed)
+    env = tuple(rng.choice(_META_TYPES) for _ in range(3))  # innermost first
+    body = app(PROVES, props.gen_term(rng, PF, env, 3), props.gen_term(rng, TM, env, 3))
+    body = normalize_goal(body, env)
+    vs = tuple(_binder_value(rng, mt, i) for i, mt in enumerate(reversed(env)))
+    seen = []
+    built = _hsubst(body, 0, vs, seen)
+    substituted = subst_goal(body, *vs)
+    assert built == instantiate_metas(substituted)
+    # the flag reports the unbound matching variables the walk met; a
+    # bound one whose value discards its argument may drop one of them
+    # from the result, so it is exact before reduction and safe after it
+    assert bool(seen) == has_unbound_meta(substituted)
+    assert has_unbound_meta(built) <= bool(seen)
+
+
+def _named(t, depth=0):
+    """`t` with a name on every binder, as source text gives them."""
+    if isinstance(t, App):
+        return App(_named(t.fn, depth), _named(t.arg, depth))
+    if isinstance(t, Lam):
+        return Lam(t.mt, _named(t.body, depth + 1), f"v{depth}")
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS)
+def test_template_application_is_normalization_binder_names_included(seed):
+    # a normal template at a normal argument, as `check_template_pf` has them
+    rng = random.Random(seed)
+    mt = rng.choice(_META_TYPES + (arrow(TM, TM, TM),))
+    formula = props.gen_term(rng, TM, (mt,), 3)
+    if mt == Arrow(TM, TM) and rng.randrange(2):
+        # the argument unapplied: normalization eta-expands it, unnamed
+        formula = App(Const("lam", Arrow(mt, TM)), Bound(0))
+    template = normalize(Lam(mt, app(PROVES, props.gen_term(rng, PF, (mt,), 3), formula), "t"))
+    arg = _named(normalize(props.gen_term(rng, mt, (), 2)))
+    built = _goal_app(template, arg)
+    expected = normalize_goal(App(template, arg))
+    assert built == expected
+    assert format_goal(built, props.SIG) == format_goal(expected, props.SIG)
