@@ -249,6 +249,9 @@ SINGLE_ERROR_DIAGNOSTICS = {
     "pi P\\ pi A\\ (assump P ==>> proves P A).":
         "1:14: argument of 'assump' must be an atomic goal",
     "proves refl.": "1:1: predicate 'proves' expects 2 argument(s), got 1",
+    # a predicate's arity is checked before its arguments' meta-types
+    "proves refl refl refl.": "1:1: predicate 'proves' expects 2 argument(s), got 3",
+    "hastype false form form.": "1:1: predicate 'hastype' expects 2 argument(s), got 3",
     "type rel tm -> tm -> o. infixr rel 5. "
     "proves (extractGoal (false rel false) refl) false.":
         "1:66: expected a goal here",
