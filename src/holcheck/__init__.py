@@ -14,7 +14,7 @@ from .errors import (
     StructuralError,
     ValidityError,
 )
-from .infer import elaborate_goal, elaborate_term, infer_meta_type
+from .infer import elaborate_goal, elaborate_term
 from .kernel import (
     CheckReport,
     Session,

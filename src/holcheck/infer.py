@@ -1,10 +1,12 @@
-"""Meta-type inference and annotation.
+"""Meta-type inference: instantiation, unification and grounding.
 
-Prenex-style inference over the four base meta-types: every binder gets a
-unification variable, the polymorphic builtins are instantiated fresh per
-occurrence, and after solving, every annotation must come out ground.  The
-instantiation chosen for a polymorphic constant is recorded on the constant
-node itself, where the kernel reads it back.
+The parser types each term as it builds it, with an `Inference` per
+statement and per `def_*` argument: a binder gets a unification variable,
+a polymorphic builtin a fresh instance per occurrence, and an application
+is unified where it is built.  Elaboration then grounds every annotation;
+an unsolved variable is reported at the token of the binder or constant
+that made it.  The instance chosen for a polymorphic constant is recorded
+on the constant node itself, where the kernel reads it back.
 """
 
 from __future__ import annotations
@@ -12,19 +14,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import MetaTypeError
-from .signature import GOAL_FORMERS
-from .terms import (
-    App,
-    Arrow,
-    Base,
-    Bound,
-    Const,
-    Lam,
-    MetaType,
-    O,
-    SVar,
-    Term,
-)
+from .terms import App, Arrow, Base, Const, Lam, MetaType, SVar, Term
+
 
 class UVar:
     """Unification variable over meta-types (inference-internal), numbered
@@ -56,14 +47,14 @@ def _occurs(v, mt):
 
 
 def _unify(a, b, where, pos):
-    """Unify two meta-types.  `where` names the site for an error message:
-    a string, or a function that builds it, called only on failure."""
+    """Unify two meta-types.  `where()` names the site for an error message,
+    called only on failure, which is reported at `pos`."""
     a, b = _chase(a), _chase(b)
     if a is b:
         return
     if isinstance(a, UVar):
         if _occurs(a, b):
-            raise MetaTypeError(f"circular meta-type in {_site(where)}", *(pos or ()))
+            raise MetaTypeError(f"circular meta-type in {where()}", *(pos or ()))
         a.ref = b
         return
     if isinstance(b, UVar):
@@ -76,33 +67,38 @@ def _unify(a, b, where, pos):
         _unify(a.cod, b.cod, where, pos)
         return
     raise MetaTypeError(
-        f"meta-type mismatch in {_site(where)}: {_zonk_loose(a)} vs {_zonk_loose(b)}",
+        f"meta-type mismatch in {where()}: {_resolve(a, True)} vs {_resolve(b, True)}",
         *(pos or ()),
     )
 
 
-def _site(where):
-    return where() if callable(where) else where
-
-
-def _zonk_loose(mt):
-    """Resolve as far as possible, keeping unsolved variables."""
+def _resolve(mt, loose=False):
+    """`mt` with its solved variables resolved, itself if it has none; None
+    if one is unsolved, unless `loose`, which keeps it."""
     mt = _chase(mt)
     if isinstance(mt, Arrow):
-        return Arrow(_zonk_loose(mt.dom), _zonk_loose(mt.cod))
-    return mt
+        dom, cod = _resolve(mt.dom, loose), _resolve(mt.cod, loose)
+        if dom is None or cod is None:
+            return None
+        return mt if dom is mt.dom and cod is mt.cod else Arrow(dom, cod)
+    return None if isinstance(mt, UVar) and not loose else mt
 
 
-class _Inference:
-    def __init__(self, sig, pos):
-        self.sig = sig
-        self.pos = pos
+class Inference:
+    """The unification variables of one elaboration.  `at` maps the
+    meta-type made for a binder or a polymorphic constant to its token."""
+
+    def __init__(self):
         self._uids = itertools.count(1)
+        self.at = {}
 
-    def fresh(self):
-        return UVar(next(self._uids))
+    def fresh(self, pos=None):
+        v = UVar(next(self._uids))
+        if pos is not None:
+            self.at[v] = pos
+        return v
 
-    def instantiate(self, scheme):
+    def instantiate(self, scheme, pos):
         if not scheme.poly:
             return scheme.body
         v = self.fresh()
@@ -114,89 +110,50 @@ class _Inference:
                 return Arrow(go(mt.dom), go(mt.cod))
             return mt
 
-        return go(scheme.body)
-
-    # -- constraint generation; terms come back annotated with UVars ------
-
-    def term(self, t, env):
-        """Return (annotated term, meta-type with possible UVars).  `env`
-        holds the enclosing binders' (meta-type, hint), innermost first."""
-        if isinstance(t, Const):
-            sch = self.sig.lookup(t.name) or GOAL_FORMERS.get(t.name)
-            if sch is None:
-                raise MetaTypeError(f"undeclared constant '{t.name}'", *(self.pos or ()))
-            mt = self.instantiate(sch)
-            return Const(t.name, mt, t.birth), mt
-        if isinstance(t, Bound):
-            return t, env[t.index][0]
-        if isinstance(t, App):
-            fn, fmt = self.term(t.fn, env)
-            arg, amt = self.term(t.arg, env)
-            fmt = _chase(fmt)
-            if isinstance(fmt, Arrow):  # as below, without a fresh variable
-                _unify(fmt.dom, amt, lambda: self.site(t, env), self.pos)
-                return App(fn, arg), fmt.cod
-            res = self.fresh()
-            _unify(fmt, Arrow(amt, res), lambda: self.site(t, env), self.pos)
-            return App(fn, arg), res
-        if isinstance(t, Lam):
-            dom = t.mt if t.mt is not None else self.fresh()
-            body, bmt = self.term(t.body, ((dom, t.hint),) + env)
-            return Lam(dom, body, t.hint), Arrow(dom, bmt)
-        raise MetaTypeError(f"not a term: {t!r}", *(self.pos or ()))
-
-    def site(self, t, env):
-        from .syntax import format_term  # syntax imports this module
-
-        return f"application {format_term(t, self.sig, [h or '_' for _, h in env])}"
-
-    # -- resolution ---------------------------------------------------------
-
-    def zonk_mt(self, mt, where):
-        mt = _chase(mt)
-        if isinstance(mt, UVar):
-            raise MetaTypeError(
-                f"cannot infer a ground meta-type for {where}", *(self.pos or ())
-            )
-        if isinstance(mt, Arrow):
-            return Arrow(self.zonk_mt(mt.dom, where), self.zonk_mt(mt.cod, where))
+        mt = go(scheme.body)
+        self.at[mt] = pos  # a key of its own: it holds `v`
         return mt
+
+    def apply(self, fmt, amt, where, pos):
+        """The meta-type of applying a function of meta-type `fmt` to an
+        argument of meta-type `amt`; a mismatch is reported at `pos`."""
+        fmt = _chase(fmt)
+        if isinstance(fmt, Arrow):  # as below, without a fresh variable
+            _unify(fmt.dom, amt, where, pos)
+            return fmt.cod
+        res = self.fresh()
+        _unify(fmt, Arrow(amt, res), where, pos)
+        return res
 
 
 def _zonk(t, inf):
-    """Ground every meta-type annotation of a term."""
-    if isinstance(t, Const):
-        return Const(t.name, inf.zonk_mt(t.mt, f"constant '{t.name}'"), t.birth)
-    if isinstance(t, Lam):
-        mt = inf.zonk_mt(t.mt, f"binder '{t.hint or '_'}'")
-        return Lam(mt, _zonk(t.body, inf), t.hint)
+    """Ground every meta-type annotation of a term, keeping the nodes that
+    are ground already."""
     if isinstance(t, App):
         # the argument first: an unresolved binder is named before the
         # constant applied to its lambda, `pi` or `elam`
         arg = _zonk(t.arg, inf)
-        return App(_zonk(t.fn, inf), arg)
-    return t
+        fn = _zonk(t.fn, inf)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if not isinstance(t, (Const, Lam)):
+        return t
+    mt = _resolve(t.mt)
+    if mt is None:
+        what = f"constant '{t.name}'" if isinstance(t, Const) else f"binder '{t.hint or '_'}'"
+        raise MetaTypeError(f"cannot infer a ground meta-type for {what}", *inf.at.get(t.mt, ()))
+    if isinstance(t, Lam):
+        return Lam(mt, _zonk(t.body, inf), t.hint)
+    return t if mt is t.mt else Const(t.name, mt, t.birth)
 
 
-def elaborate_term(t: Term, sig, expect: MetaType = None, pos=None):
-    """Annotate a term, returning (term, ground meta-type)."""
-    return _elaborate(t, sig, expect, pos)
-
-
-def elaborate_goal(g, sig, pos=None):
-    """Annotate a goal, a term of meta-type o."""
-    return _elaborate(g, sig, O, pos)[0]
-
-
-def _elaborate(t, sig, expect, pos):
-    inf = _Inference(sig, pos)
-    t2, mt = inf.term(t, ())
+def elaborate_term(t: Term, mt, inf: Inference, expect: MetaType = None, pos=None):
+    """Ground a term the parser typed as `mt` with `inf`, after unifying
+    `mt` with `expect`, if given; a mismatch is reported at `pos`."""
     if expect is not None:
-        _unify(mt, expect, "declared meta-type", pos)
-    t3 = _zonk(t2, inf)
-    return t3, inf.zonk_mt(mt, "the whole term")
+        _unify(mt, expect, lambda: "declared meta-type", pos)
+    return _zonk(t, inf)
 
 
-def infer_meta_type(t: Term, sig) -> MetaType:
-    """The unique ground meta-type of a closed term over `sig`."""
-    return elaborate_term(t, sig)[1]
+def elaborate_goal(g: Term, inf: Inference):
+    """Ground a goal, which the parser typed with `inf` and checked."""
+    return _zonk(g, inf)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import MetaTypeError, SourceError
-from .infer import elaborate_goal, elaborate_term
+from .infer import Inference, elaborate_goal, elaborate_term
 from .signature import GOAL_FORMERS, Signature
 from .terms import (
     App,
@@ -33,7 +33,6 @@ from .terms import (
     O,
     Term,
     BASE_NAMES,
-    app,
     arg_types,
     deref,
     goal_spine,
@@ -152,16 +151,22 @@ class SourceFile:
 
 
 class Parser:
-    """Reads statements, building their terms as it goes.  Expression methods
-    take the binder scope (names, innermost first) and return `(term, pos)`;
-    `pos` names the expression in a diagnostic: an infix's operator, an
-    application's last argument, or an identifier's or binder's token.  With
-    `head` set, a predicate's application ending at `)` is left unchecked."""
+    """Reads statements, building and typing their terms as it goes, with an
+    `Inference`, `self.inf`, per statement and per `def_*` argument.
+    Expression methods take the binder scope ((name, meta-type) pairs,
+    innermost first) and return `(term, meta-type, pos)`; `pos` names the
+    expression in a diagnostic: an infix's operator, an application's last
+    argument, or an identifier's or binder's token.  An application is
+    unified where it is built, and a mismatch reported at its `pos`; but a
+    predicate's application is checked where it ends, its meta-type being
+    till then the list of its `(App, argument meta-type, pos)`.  With
+    `head` set, one ending at `)` is left unchecked."""
 
     def __init__(self, tokens, sig: Signature):
         self.toks = tokens
         self.i = 0
         self.sig = sig  # working copy, extended by declarations
+        self.inf = Inference()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -209,10 +214,11 @@ class Parser:
         if t.kind == "ident" and t.value == "kind":
             self.fail("kind declarations are not supported; the base meta-types are fixed")
         pos = (t.line, t.col)
-        g, gpos = self.parse_expr(0, [])
+        self.inf = Inference()
+        g, _, gpos = self.parse_expr(0, [])
         self.expect_sym(".")
         self.check_goal(g, gpos)
-        return Solve(elaborate_goal(g, self.sig, pos=pos), pos)
+        return Solve(elaborate_goal(g, self.inf), pos)
 
     def parse_type_decl(self):
         t0 = self.next()  # 'type'
@@ -281,18 +287,18 @@ class Parser:
             self.fail(usage, end)
         a = sch.body
         expect = [Arrow(a, O), a] if lemma else [Base("tp"), Arrow(a, O), a]
-        parts = [elaborate_term(t, self.sig, expect=e, pos=pos)[0] for t, e in zip(args, expect)]
+        parts = [elaborate_term(t, mt, inf, e, apos) for (t, mt, inf, apos), e in zip(args, expect)]
         return (DefLemma if lemma else DefDefinition)(name.value, a, *parts, pos)
 
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self, min_prec, scope, head=False):
-        left, pos = self.parse_app(scope, head)
+        left, mt, pos = self.parse_app(scope, head)
         while True:
             t = self.peek()
             fix = self.sig.fixity(t.value)
             if fix is None or fix[1] < min_prec:
-                return left, pos
+                return left, mt, pos
             assoc, prec = fix
             op = self.next().value
             if self.sig.is_predicate(op):
@@ -301,13 +307,18 @@ class Parser:
             former = op in (",", "==>>", "=>", "<<==", ":-")
             if former:
                 self.check_goal(left, pos)
-            right, rpos = self.parse_expr(prec + 1 if assoc == "left" else prec, scope)
+            right, rmt, rpos = self.parse_expr(prec + 1 if assoc == "left" else prec, scope)
             if former:  # a goal; `=>` takes the clause first
                 self.check_goal(right, rpos)
                 if op in ("<<==", ":-"):
-                    left, right = right, left
+                    left, mt, right, rmt = right, rmt, left, mt
                 op = "," if op == "," else "=>"
-            left, pos = app(Const(op, None), left, right), (t.line, t.col)
+            pos = (t.line, t.col)
+            fmt = self.inf.instantiate(GOAL_FORMERS.get(op) or self.sig.lookup(op), pos)
+            fn = App(Const(op, fmt), left)
+            fmt = self.apply(fn, fmt, mt, pos, scope)
+            left = App(fn, right)
+            mt = self.apply(left, fmt, rmt, pos, scope)
 
     def at_binder(self):
         t = self.peek()
@@ -319,44 +330,57 @@ class Parser:
 
     def parse_binder(self, scope):
         t = self.next()
-        name = self.next().value if t.value == "pi" else t.value
+        pos, pi = (t.line, t.col), t.value == "pi"
+        if pi:  # its instance is made before its binder's variable
+            fmt = self.inf.instantiate(GOAL_FORMERS["pi"], pos)
+            t = self.next()
         self.next()  # the backslash
-        body, bpos = self.parse_expr(0, [name] + scope)
-        lam = Lam(None, body, hint=name)
-        if t.value != "pi":
-            return lam, (t.line, t.col)
+        dom = self.inf.fresh((t.line, t.col))
+        body, bmt, bpos = self.parse_expr(0, [(t.value, dom)] + scope)
+        lam, lmt = Lam(dom, body, hint=t.value), Arrow(dom, bmt)
+        if not pi:
+            return lam, lmt, pos
         self.check_goal(body, bpos)
-        return App(Const("pi", None), lam), (t.line, t.col)
+        g = App(Const("pi", fmt), lam)
+        return g, self.apply(g, fmt, lmt, pos, scope), pos
 
     def parse_app(self, scope, head=False):
         if self.at_binder():
             return self.parse_binder(scope)
         start = self.i
-        fn, pos = self.parse_primary(scope, True)
+        fn, mt, pos = self.parse_primary(scope, True)
         while True:
             t = self.peek()
             if self.at_binder():
                 # a trailing lambda swallows the rest of the expression
-                arg, pos = self.parse_binder(scope)
+                arg, amt, pos = self.parse_binder(scope)
             elif t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
-                arg, _ = self.parse_primary(scope)
+                arg, amt, _ = self.parse_primary(scope)
                 pos = (t.line, t.col)
             else:
                 break
             fn = App(fn, arg)
+            if isinstance(mt, list):  # a predicate's arguments wait for its arity
+                mt.append((fn, amt, pos))
+            else:
+                mt = self.apply(fn, mt, amt, pos, scope)
         if head and _is_sym(t, ")"):
-            return fn, pos
-        return self.check_atom(fn, start), pos
+            return fn, mt, pos
+        return *self.check_atom(fn, mt, start, scope), pos
 
     def parse_arg(self):
-        """A statement keyword's argument, or None.  (`parse_app` reads its own
-        inline: a call per argument would cost a frame per level of nesting.)"""
+        """A statement keyword's argument as `(term, meta-type, its own
+        Inference, pos of its first token)`, or None.  (`parse_app` reads its
+        own inline: a call per argument would cost a frame per level.)"""
         t = self.peek()
+        self.inf = Inference()
         if self.at_binder():
-            return self.parse_binder([])[0]
-        if t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
-            return self.parse_primary([])[0]
-        return None
+            e = self.parse_binder([])
+        elif t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
+            e = self.parse_primary([])
+        else:
+            return None
+        return e[0], e[1], self.inf, (t.line, t.col)
 
     def parse_primary(self, scope, head=False):
         t = self.next()
@@ -367,29 +391,42 @@ class Parser:
         if t.kind != "ident":
             self.fail(f"unexpected '{t.value or 'end of input'}'", t)
         name, pos = t.value, (t.line, t.col)
-        if name in scope:
-            return Bound(scope.index(name)), pos
+        for i, (n, mt) in enumerate(scope):
+            if n == name:
+                return Bound(i), mt, pos
+        sch = self.sig.lookup(name)
+        if sch is None:
+            what = "unbound capitalized identifier" if name[0].isupper() else "undeclared constant"
+            self.fail(f"{what} '{name}'", t)
         if self.sig.is_predicate(name):
-            c = Const(name, None)
-            return (c if head else self.check_atom(c, self.i - 1)), pos
-        if self.sig.lookup(name) is not None:
-            return Const(name, None), pos
-        if name[0].isupper():
-            self.fail(f"unbound capitalized identifier '{name}'", t)
-        self.fail(f"undeclared constant '{name}'", t)
+            c = Const(name, sch.body)
+            return (c, [], pos) if head else (*self.check_atom(c, [], self.i - 1, scope), pos)
+        mt = self.inf.instantiate(sch, pos)
+        return Const(name, mt), mt, pos
+
+    # -- typing --------------------------------------------------------------
+
+    def apply(self, t, fmt, amt, pos, scope):
+        """The meta-type of `t`, an application of a function of meta-type
+        `fmt` to an argument of meta-type `amt`; a mismatch is reported at
+        `pos`, naming `t` by its source text."""
+        where = lambda: f"application {format_term(t, self.sig, [n for n, _ in scope])}"
+        return self.inf.apply(fmt, amt, where, pos)
 
     # -- checks where a construct ends ---------------------------------------
 
-    def check_atom(self, t, i):
-        """Check `t` where its application ends, if it applies a predicate;
-        `i` indexes the first token of its head."""
+    def check_atom(self, t, mt, i, scope):
+        """Check `t` where its application ends, if it applies a predicate
+        (`mt` lists its applications): its arity and atomic-goal arguments,
+        then each application's meta-type.  `i` indexes the first token of
+        its head.  Returns `(t, meta-type)`."""
+        if not isinstance(mt, list):
+            return t, mt
         h, args = plain_spine(t)
-        if not (isinstance(h, Const) and self.sig.is_predicate(h.name)):
-            return t
         while _is_sym(self.toks[i], "("):  # the head was parenthesized
             i += 1
         tok = self.toks[i]
-        want = arg_types(self.sig.lookup(h.name).body)
+        want = arg_types(h.mt)
         if len(args) != len(want):
             self.fail(f"predicate '{h.name}' expects {len(want)} argument(s), got {len(args)}", tok)
         for a, w in zip(args, want):
@@ -397,7 +434,10 @@ class Parser:
                 raise MetaTypeError(
                     f"argument of '{h.name}' must be an atomic goal", tok.line, tok.col
                 )
-        return t
+        fmt = h.mt
+        for node, amt, pos in mt:
+            fmt = self.apply(node, fmt, amt, pos, scope)
+        return t, fmt
 
     def check_goal(self, t, pos):
         name = goal_spine(t)[0]
@@ -429,20 +469,19 @@ def parse_source(text, sig: Signature, path=None) -> SourceFile:
 def parse_term(text, sig: Signature, expect: MetaType = None) -> Term:
     """Parse and annotate a single term expression (testing convenience)."""
     p = Parser(tokenize(text), sig.copy())
-    t, pos = p.parse_expr(0, [])
+    t, mt, pos = p.parse_expr(0, [])
     if p.peek().kind != "eof":
         p.fail("trailing input after term")
-    t, _ = elaborate_term(t, sig, expect=expect, pos=pos)
-    return t
+    return elaborate_term(t, mt, p.inf, expect, pos)
 
 
 def parse_goal(text, sig: Signature) -> Term:
     p = Parser(tokenize(text), sig.copy())
-    g, pos = p.parse_expr(0, [])
+    g, _, pos = p.parse_expr(0, [])
     if p.peek().kind != "eof":
         p.fail("trailing input after goal")
     p.check_goal(g, pos)
-    return elaborate_goal(g, sig, pos=pos)
+    return elaborate_goal(g, p.inf)
 
 
 def apply_declarations(stmts, sig: Signature):

@@ -499,24 +499,18 @@ def alpha_beta_eq(a, b, env=()) -> bool:
 
 
 def has_unbound_meta(t) -> bool:
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            stack.append(t.fn)
-            stack.append(t.arg)
-        elif isinstance(t, Meta):
-            if t.cell.value is None:
-                return True
-            stack.append(t.cell.value)
-        elif isinstance(t, Lam):
-            stack.append(t.body)
-    return False
+    return _scan(t) < 0
 
 
 def max_eigen_birth(t) -> int:
     """The latest birth of an eigenvariable in `t`, 0 if none; -1 if `t`
     holds an unbound matching variable."""
+    return _scan(t)
+
+
+def _scan(t) -> int:
+    # one walk for both public scans; they do not call each other, so
+    # that each call is counted once where they are wrapped
     best = 0
     stack = [t]
     while stack:

@@ -280,9 +280,9 @@ def test_inference_variables_are_numbered_per_elaboration(tmp_path, capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == errors[2]
     assert errors[0].endswith(": tm vs (_3 -> _3) -> _3 -> _3\n")
-    # the site is named by its source text
+    # the site is named by its source text, at the token of its argument
     assert errors[0] == (
-        f"holcheck: {f}:1:1: meta-type mismatch in application "
+        f"holcheck: {f}:1:9: meta-type mismatch in application "
         "hastype (f\\ x\\ f (f x)): tm vs (_3 -> _3) -> _3 -> _3\n"
     )
 

@@ -6,6 +6,7 @@ import string
 import pytest
 
 from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES
+from negatives import META_TYPE_ERROR
 
 from holcheck.errors import SourceError
 from holcheck.signature import builtin_signature
@@ -257,6 +258,20 @@ SINGLE_ERROR_DIAGNOSTICS = {
         "1:66: expected a goal here",
     "proves refl (eq intty mystery false).": "1:23: undeclared constant 'mystery'",
     "proves refl (eq intty X false).": "1:23: unbound capitalized identifier 'X'",
+    # a meta-type error is reported at its own token: an application's at
+    # its argument, however far below the statement's keyword it sits
+    META_TYPE_ERROR: "2:23: meta-type mismatch in application eq intty refl: tm vs pf",
+    "type s pf.\ndef_lemma s\n  (S\\ pi A\\\n    proves S (eq intty A A))\n"
+    "  % the proof, four lines below the keyword\n    (congr intty refl refl).\n":
+        "6:18: meta-type mismatch in application congr intty refl: tm vs pf",
+    # an unsolved meta-type at the binder or constant that made it
+    "proves (elam Q\\ refl) false.": "1:14: cannot infer a ground meta-type for binder 'Q'",
+    "proves (elam elam) false.": "1:14: cannot infer a ground meta-type for constant 'elam'",
+    # a definition's argument of the wrong meta-type at its first token
+    "type s pf.\ndef_lemma s (S\\ proves (S refl) false) (refl).":
+        "2:13: meta-type mismatch in declared meta-type: pf -> pf vs pf",
+    "type s pf.\ndef_lemma s (S\\ proves S false) (false).":
+        "2:33: meta-type mismatch in declared meta-type: tm vs pf",
 }
 
 
@@ -293,6 +308,10 @@ def test_deep_nesting_parses_without_recursion_error(open_, close):
         # an infix name reads as an operator unless parenthesized
         ("def_lemma imp (I\\ hastype (I false false) form) (a\\ b\\ a).",
          "1:11: def_lemma expects: name, statement template, proof"),
+        # a mismatch inside a subterm comes before the checks where an
+        # enclosing construct ends: here the infix application and the goal
+        ("refl imp (eq intty refl false).",
+         "1:20: meta-type mismatch in application eq intty refl: tm vs pf"),
     ],
 )
 def test_first_error_in_reading_order_is_reported(text, message):

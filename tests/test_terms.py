@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import props
 from conftest import CORPUS
 from holcheck.errors import MetaTypeError, StructuralError
-from holcheck.infer import infer_meta_type
 from holcheck.kernel import Session, _goal_app
 from holcheck.signature import builtin_signature
 from holcheck.syntax import (
@@ -184,7 +183,7 @@ def test_eta_equates_partial_application():
 
 def test_infer_simple_formula():
     sig = tm_sig("i", "j")
-    assert infer_meta_type(parse_term("eq intty i j", sig), sig) == TM
+    assert meta_type_of(parse_term("eq intty i j", sig)) == TM
 
 
 def test_infer_records_polymorphic_instance_on_node():
@@ -214,7 +213,7 @@ def test_infer_assoc_body_meta_type():
         r"F\T\ (forall T X\ forall T Y\ forall T Z\ (eq T (F X (F Y Z)) (F (F X Y) Z)))",
         sig,
     )
-    assert infer_meta_type(body, sig) == arrow(arrow(TM, TM, TM), TP, TM)
+    assert meta_type_of(body) == arrow(arrow(TM, TM, TM), TP, TM)
 
 
 def test_infer_undeclared_constant():
@@ -240,7 +239,7 @@ def test_infer_unresolvable_instance():
 def test_infer_stable_under_normalization():
     sig = tm_sig("c")
     t = parse_term(r"(x\ eq intty x) c c", sig)
-    assert infer_meta_type(t, sig) == infer_meta_type(normalize(t), sig) == TM
+    assert meta_type_of(t) == meta_type_of(normalize(t)) == TM
 
 
 def test_normalization_preserves_sharing():
