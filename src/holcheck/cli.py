@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import sys
 
 from .errors import (
@@ -248,7 +249,20 @@ def cmd_stats(args):
     return EXIT_OK
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+        if n > 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+@functools.cache
 def build_arg_parser():
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and each call gets a namespace of its own."""
     ap = argparse.ArgumentParser(
         prog="holcheck",
         description="Proof checker for a higher-order natural-deduction object logic.",
@@ -264,7 +278,7 @@ def build_arg_parser():
             metavar="FILE",
             help="library file; repeatable, later files may use earlier ones",
         )
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N")
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, metavar="N")
         p.add_argument(
             "--trace", choices=("quiet", "summary", "trace"), default="summary"
         )

@@ -49,6 +49,8 @@ def _occurs(v, mt):
 def _unify(a, b, where, pos):
     """Unify two meta-types.  `where()` names the site for an error message,
     called only on failure, which is reported at `pos`."""
+    if a is b:  # a declared meta-type met again: nothing to chase
+        return
     a, b = _chase(a), _chase(b)
     if a is b:
         return
@@ -85,8 +87,9 @@ def _resolve(mt, loose=False):
 
 
 class Inference:
-    """The unification variables of one elaboration.  `at` maps the
-    meta-type made for a binder or a polymorphic constant to its token."""
+    """The unification variables of one elaboration.  `at` maps the `id` of
+    the meta-type made for a binder or a polymorphic constant to that
+    meta-type and its token; any other constant's meta-type is ground."""
 
     def __init__(self):
         self._uids = itertools.count(1)
@@ -95,7 +98,7 @@ class Inference:
     def fresh(self, pos=None):
         v = UVar(next(self._uids))
         if pos is not None:
-            self.at[v] = pos
+            self.at[id(v)] = v, pos
         return v
 
     def instantiate(self, scheme, pos):
@@ -111,7 +114,7 @@ class Inference:
             return mt
 
         mt = go(scheme.body)
-        self.at[mt] = pos  # a key of its own: it holds `v`
+        self.at[id(mt)] = mt, pos  # a key of its own: it holds `v`
         return mt
 
     def apply(self, fmt, amt, where, pos):
@@ -137,10 +140,11 @@ def _zonk(t, inf):
         return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if not isinstance(t, (Const, Lam)):
         return t
-    mt = _resolve(t.mt)
+    made = inf.at.get(id(t.mt))
+    mt = t.mt if made is None else _resolve(t.mt)
     if mt is None:
         what = f"constant '{t.name}'" if isinstance(t, Const) else f"binder '{t.hint or '_'}'"
-        raise MetaTypeError(f"cannot infer a ground meta-type for {what}", *inf.at.get(t.mt, ()))
+        raise MetaTypeError(f"cannot infer a ground meta-type for {what}", *made[1])
     if isinstance(t, Lam):
         return Lam(mt, _zonk(t.body, inf), t.hint)
     return t if mt is t.mt else Const(t.name, mt, t.birth)

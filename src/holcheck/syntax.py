@@ -43,12 +43,19 @@ from .terms import (
 # Lexer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("==>>", "<<==", "->", "=>", ":-", "(", ")", ".", ",", "\\")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_INT = re.compile(r"[0-9]+")
+# One alternation, tried left to right after the blanks that lead each
+# match: a newline, a `%` comment, the token kinds (a symbol before its
+# prefixes), the end of the text, and any other character, which is `bad`.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>%[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<int>[0-9]+)"
+    r"|(?P<sym>==>>|<<==|->|=>|:-|[().,\\])|\Z|(?P<bad>.))",
+    re.DOTALL,
+)
+_KINDS = frozenset(("ident", "int", "sym"))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # ident | int | sym | eof
     value: str
@@ -57,45 +64,23 @@ class Token:
 
 
 def tokenize(text, path=None):
+    """The tokens of `text`, ending with one `eof`.  A token's column is one
+    plus the number of characters before it on its line; a comment ending
+    the text does not count toward `eof`'s."""
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind in _KINDS:
+            toks.append(Token(kind, m.group(kind), line, m.start(kind) - start + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT.match(text, i)
-        if m:
-            toks.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for s in _SYMBOLS:
-            if text.startswith(s, i):
-                toks.append(Token("sym", s, line, col))
-                col += len(s)
-                i += len(s)
-                break
-        else:
-            raise SourceError(f"unexpected character {c!r}", line, col, path)
-    toks.append(Token("eof", "", line, col))
+            start = m.end()
+        elif kind == "bad":
+            col = m.start(kind) - start + 1
+            raise SourceError(f"unexpected character {m.group(kind)!r}", line, col, path)
+    last = text[start:].partition("%")[0]  # the last line, up to its comment
+    toks.append(Token("eof", "", line, len(last) + 1))
     return toks
 
 
@@ -163,7 +148,7 @@ class Parser:
     `head` set, one ending at `)` is left unchecked."""
 
     def __init__(self, tokens, sig: Signature):
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:] * 2  # `peek` reads up to two past `eof`
         self.i = 0
         self.sig = sig  # working copy, extended by declarations
         self.inf = Inference()
@@ -171,7 +156,7 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self):
         t = self.toks[self.i]
@@ -321,12 +306,13 @@ class Parser:
             mt = self.apply(left, fmt, rmt, pos, scope)
 
     def at_binder(self):
-        t = self.peek()
+        toks, i = self.toks, self.i
+        t = toks[i]
         if t.kind != "ident":
             return False
         if t.value == "pi":
-            return self.peek(1).kind == "ident" and _is_sym(self.peek(2), "\\")
-        return _is_sym(self.peek(1), "\\")
+            return toks[i + 1].kind == "ident" and toks[i + 2].value == "\\"
+        return toks[i + 1].value == "\\"
 
     def parse_binder(self, scope):
         t = self.next()
@@ -446,7 +432,7 @@ class Parser:
 
 
 def _is_sym(tok, s):
-    return tok.kind == "sym" and tok.value == s
+    return tok.value == s  # no other kind of token has a symbol's text
 
 
 # ---------------------------------------------------------------------------

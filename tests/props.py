@@ -5,10 +5,12 @@ property at >= 1000 cases.
 """
 
 import random
+import re
 
+from holcheck.errors import SourceError
 from holcheck.kernel import Session, def_to_eqclause
 from holcheck.signature import builtin_signature
-from holcheck.syntax import format_term, parse_term
+from holcheck.syntax import Token, format_term, parse_term
 from holcheck.terms import (
     AND,
     HASTYPE,
@@ -45,6 +47,56 @@ for _n, _sch in SIG.consts.items():
     if _sch.poly or _n in ("proves", "hastype", "assump", "extractGoal"):
         continue
     _HEAD_POOL.setdefault(result_base(_sch.body), []).append((_n, _sch.body))
+
+
+_REF_SYMBOLS = ("==>>", "<<==", "->", "=>", ":-", "(", ")", ".", ",", "\\")
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_REF_INT = re.compile(r"[0-9]+")
+
+
+def ref_tokenize(text, path=None):
+    """Reference lexer: reads `text` one character at a time, trying an
+    identifier, a number, then each symbol in turn."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        m = _REF_IDENT.match(text, i)
+        if m:
+            toks.append(Token("ident", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _REF_INT.match(text, i)
+        if m:
+            toks.append(Token("int", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        for s in _REF_SYMBOLS:
+            if text.startswith(s, i):
+                toks.append(Token("sym", s, line, col))
+                col += len(s)
+                i += len(s)
+                break
+        else:
+            raise SourceError(f"unexpected character {c!r}", line, col, path)
+    toks.append(Token("eof", "", line, col))
+    return toks
 
 
 def gen_term(rng, mt, env=(), fuel=3):

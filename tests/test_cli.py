@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CORPUS, THEOREM_FILES
 
-from holcheck.cli import _combine, main
+from holcheck.cli import _combine, build_arg_parser, main
 from negatives import CASES
 
 
@@ -82,6 +82,59 @@ def test_budget_flag_gives_resource_exit(capsys):
     assert run("check", "--budget", "40", str(CORPUS / "symm_trans.hol")) == 3
     out = capsys.readouterr().out
     assert "budget" in out
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "-40", "abc", ""])
+def test_budget_must_be_a_positive_integer(budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("check", "--budget", budget, str(CORPUS / "symm_basic.hol"))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --budget: expected a positive integer, got {budget!r}" in captured.err
+
+
+def test_budget_of_one_step_is_accepted(capsys):
+    assert run("check", "--budget", "1", str(CORPUS / "symm_basic.hol")) == 3
+    assert "step budget exhausted" in capsys.readouterr().out
+
+
+def test_the_argument_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert build_arg_parser() is build_arg_parser()
+    via_lib, lib = str(CORPUS / "symm_via_lib.hol"), str(CORPUS / "lib_full.hol")
+    parse = build_arg_parser().parse_args
+    first = parse(["check", "--lib", lib, "--lib", lib, "--budget", "7", "--trace", "quiet", via_lib])
+    assert first.lib == [lib, lib]
+    again = parse(["check", via_lib])
+    assert (again.lib, again.budget, again.trace) == ([], 1_000_000, "summary")
+    assert first.lib == [lib, lib]  # a later call does not reach an earlier namespace
+
+    # through `main`: a library, budget, trace level or output of one call
+    # is absent from the next
+    assert run("check", "--lib", lib, "--budget", "1000", "--trace", "quiet", via_lib) == 0
+    assert capsys.readouterr().out == ""
+    assert run("check", via_lib) == 2  # no library now: its lemma is undeclared
+    assert "undeclared constant 'symm'" in capsys.readouterr().err
+    assert run("check", "--budget", "40", str(CORPUS / "symm_trans.hol")) == 3
+    assert run("check", str(CORPUS / "symm_trans.hol")) == 0  # the default budget again
+    assert "success" in capsys.readouterr().out
+    out = tmp_path / "out.hol"
+    assert run("fmt", str(CORPUS / "symm_basic.hol"), "-o", str(out)) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("fmt", str(CORPUS / "symm_basic.hol"))  # `-o` is required each time
+    assert exc.value.code == 2
+    assert "the following arguments are required: -o/--output" in capsys.readouterr().err
+
+
+def test_help_prints_the_same_usage_each_time(capsys):
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: holcheck ")
 
 
 def test_expand_then_check_pipeline(tmp_path, capsys):

@@ -4,7 +4,9 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import props
 from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES
 from negatives import META_TYPE_ERROR
 
@@ -21,6 +23,7 @@ from holcheck.syntax import (
     parse_goal,
     parse_source,
     parse_term,
+    tokenize,
 )
 from holcheck.terms import PF, TM, alpha_beta_eq, arrow, normalize_goal
 
@@ -191,6 +194,63 @@ def test_round_trip_library_file():
         elif isinstance(a, DefDefinition):
             assert alpha_beta_eq(a.typeinf, b.typeinf)
             assert alpha_beta_eq(a.body, b.body)
+
+
+def _lexed(lex, text):
+    """What a lexer makes of `text`: its tokens as tuples, or its error."""
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in lex(text, "f.hol")]
+    except SourceError as e:
+        return f"error {e}"
+
+
+# the lexer's alphabet in pieces: tokens, prefixes of symbols, blanks,
+# comments, and characters outside it
+_LEX_PIECES = [
+    "pi", "x", "X'", "_a1", "forall", "12", "0",
+    "==>>", "<<==", "->", "=>", ":-", "(", ")", ".", ",", "\\",
+    "=", "==", "==>", "<", "<<", "<<=", "-", ":", ">",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "%", "% note", "%%\n",
+    "@", "é", "\f", " ", "٣",
+]
+_LEX_TEXTS = st.lists(
+    st.sampled_from(_LEX_PIECES) | st.characters(codec="utf-8"), max_size=40
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_LEX_TEXTS)
+@example("proves refl x. % a comment at the end, no newline")
+@example("a\r\n\tb %c\r\n  ==>> @")
+@example("x.\n   % only a comment\n\t")
+@example("  é")
+def test_one_pattern_lexer_agrees_with_the_reference(text):
+    assert _lexed(tokenize, text) == _lexed(props.ref_tokenize, text)
+
+
+CORPUS_TOKEN_COUNTS = {
+    "and_def.hol": 81,
+    "assoc_def.hol": 987,
+    "assoc_def_atomic.hol": 1580,
+    "assoc_def_speclemma.hol": 1096,
+    "assoc_via_lib.hol": 207,
+    "lib_basic.hol": 190,
+    "lib_full.hol": 853,
+    "poly_lemmas.hol": 406,
+    "symm_basic.hol": 52,
+    "symm_implicit.hol": 129,
+    "symm_lemma.hol": 123,
+    "symm_trans.hol": 263,
+    "symm_via_lib.hol": 43,
+}
+
+
+def test_corpus_token_counts_are_pinned():
+    assert sorted(p.name for p in CORPUS.glob("*.hol")) == sorted(CORPUS_TOKEN_COUNTS)
+    for name, count in CORPUS_TOKEN_COUNTS.items():
+        text = (CORPUS / name).read_text()
+        assert len(tokenize(text)) == count, name
+        assert _lexed(tokenize, text) == _lexed(props.ref_tokenize, text), name
 
 
 def test_parse_totality_on_fuzzed_input():
