@@ -322,9 +322,13 @@ class _Escape(Exception):
     """A local variable of a matching target would escape its binding."""
 
 
-def _abstract(t, d, keys):
-    """Rewrite `keys` occurrences in `t`, under `d` binders, to the binders
-    of the value being built; raise _Escape on any other free variable."""
+def _abstract(t, d, x):
+    """Rewrite occurrences of the keys `x[0]` in `t`, under `d` binders, to
+    the binders of the value being built; raise _Escape on any other free
+    variable.  `x[1]` is true if a key is an eigenvariable's."""
+    keys, eigen = x
+    if t.free <= d and not eigen:
+        return t
     t = deref(t)
     if isinstance(t, Meta):
         raise _Escape
@@ -333,7 +337,7 @@ def _abstract(t, d, keys):
     elif isinstance(t, Const) and t.birth > 0:
         k = ("c", t.birth)
     else:
-        return map_children(t, _abstract, d, keys)
+        return map_children(t, _abstract, d, x)
     if k in keys:
         return Bound(d + (len(keys) - 1 - keys.index(k)))
     if isinstance(t, Bound):
@@ -366,9 +370,9 @@ class Session:
     # -- resource accounting -------------------------------------------------
 
     def tick(self):
-        self.steps += 1
-        if self.steps > self.budget:
+        if self.steps >= self.budget:
             raise BudgetError(self.steps)
+        self.steps += 1
 
     # -- fresh names and binding ----------------------------------------------
 
@@ -482,7 +486,7 @@ class Session:
                 raise PatternError("matching variable applied to a repeated argument")
             keys.append(k)
         try:
-            body = _abstract(target, 0, keys)
+            body = _abstract(target, 0, (keys, any(k[0] == "c" for k in keys)))
         except _Escape:
             return False
         doms = arg_types(cell.mt)[: len(keys)]

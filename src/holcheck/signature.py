@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SourceError
 from .terms import Arrow, MetaType, O, PF, SVar, TM, TP, arg_types, arrow, result_base
@@ -16,6 +16,10 @@ class Scheme:
 
     body: MetaType
     poly: bool = False
+    predicate: bool = field(init=False, repr=False, compare=False)  # mono, result o
+
+    def __post_init__(self):
+        object.__setattr__(self, "predicate", not self.poly and result_base(self.body) == O)
 
 
 # The trusted constant set.  User declarations may extend it but never
@@ -97,7 +101,7 @@ class Signature:
 
     def is_predicate(self, name) -> bool:
         sch = self.consts.get(name)
-        return sch is not None and not sch.poly and result_base(sch.body) == O
+        return sch is not None and sch.predicate
 
     def fixity(self, name):
         return self.infixes.get(name)

@@ -11,6 +11,12 @@ Kernel-generated eigenvariables are constants carrying a positive birth
 timestamp; matching variables are Meta nodes around a mutable cell.
 Everything else is immutable and freely shareable.
 
+Each node has `free`, set when it is built: `META_FREE` if the term holds
+a Meta, else one more than its greatest loose index, 0 if none.  A term
+with `free <= d` has no index loose outside `d` binders and no Meta, and
+`_subst`, `_hsubst`, `shift` and the kernel's `_abstract` return it
+unwalked; `has_unbound_meta` scans only a term that holds a Meta.
+
 Normal forms are beta-normal and eta-long.  Object-level substitution is
 a meta-level beta step.  `normalize` takes these steps in one walk with an
 environment of the contracted redexes' arguments, each normalized when its
@@ -23,8 +29,8 @@ term give a normal term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import is_
+from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter, is_
 from typing import Optional, Union
 
 from .errors import StructuralError
@@ -121,53 +127,104 @@ class MetaCell:
         return f"?{self.birth}" + ("*" if self.value is not None else "")
 
 
+# `free` of a term holding a Meta: above any depth, and one CPython digit
+META_FREE = (1 << 30) - 1
+
+
 class Term:
-    __slots__ = ()
+    """A node, immutable: assigning or deleting a field raises.  Nodes are
+    equal when of one class and equal `_key` (fields but a `Lam`'s hint)."""
+
+    __slots__ = ("free",)  # a class attribute in `Const` and `Meta`
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
-    mt: MetaType
-    birth: int = 0
+    __slots__ = ("name", "mt", "birth")
+    _key = attrgetter(*__slots__)
+    free = 0
+
+    def __init__(self, name: str, mt: MetaType, birth: int = 0):
+        _set_name(self, name)
+        _set_const_mt(self, mt)
+        _set_birth(self, birth)
 
     def __repr__(self):
         return self.name if self.birth == 0 else f"{self.name}#{self.birth}"
 
 
-@dataclass(frozen=True)
 class Bound(Term):
-    index: int
+    __slots__ = ("index",)
+    _key = attrgetter("index")
+
+    def __init__(self, index: int):
+        _set_index(self, index)
+        _set_free(self, index + 1)
 
     def __repr__(self):
         return f"'{self.index}"
 
 
-@dataclass(frozen=True)
 class Meta(Term):
-    cell: MetaCell
+    __slots__ = ("cell",)
+    _key = attrgetter("cell")
+    free = META_FREE
+
+    def __init__(self, cell: MetaCell):
+        _set_cell(self, cell)
 
     def __repr__(self):
         return repr(self.cell)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, fn: Term, arg: Term):
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+        a, b = fn.free, arg.free
+        _set_free(self, a if a > b else b)
 
     def __repr__(self):
         return f"({self.fn!r} {self.arg!r})"
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    mt: Optional[MetaType]
-    body: Term
-    hint: Optional[str] = field(default=None, compare=False, repr=False)
+    __slots__ = ("mt", "body", "hint")
+    _key = attrgetter("mt", "body")
+
+    def __init__(self, mt: Optional[MetaType], body: Term, hint: Optional[str] = None):
+        _set_lam_mt(self, mt)
+        _set_body(self, body)
+        _set_hint(self, hint)
+        f = body.free
+        _set_free(self, f - 1 if 0 < f < META_FREE else f)  # a Meta's stays
 
     def __repr__(self):
         return f"(\\ {self.body!r})"
+
+
+# the slot setters, which bypass `Term.__setattr__`
+_set_name, _set_const_mt, _set_birth = Const.name.__set__, Const.mt.__set__, Const.birth.__set__
+_set_index, _set_cell, _set_free = Bound.index.__set__, Meta.cell.__set__, Term.free.__set__
+_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
+_set_lam_mt, _set_body, _set_hint = Lam.mt.__set__, Lam.body.__set__, Lam.hint.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +307,10 @@ def shift(t, by: int, cutoff: int = 0):
 
 
 def _shift(t, c, by):
+    if t.free <= c:
+        return t
     if isinstance(t, Bound):
-        return Bound(t.index + by) if t.index >= c else t
+        return Bound(t.index + by)
     return map_children(t, _shift, c, by)
 
 
@@ -266,20 +325,17 @@ def subst(body, arg):
 
 def _subst(t, d, vs):
     # vs[-1] replaces the innermost of the len(vs) binders being removed;
-    # applications and leaves, the hot cases, are handled here: through
-    # map_children they cost twice as much
+    # applications and indices, the hot cases, skip map_children's cost
+    if t.free <= d:
+        return t
     if isinstance(t, App):
         fn, arg = _subst(t.fn, d, vs), _subst(t.arg, d, vs)
         return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Bound):
         i = t.index - d
-        if i < 0:
-            return t
         if i < len(vs):
             return shift(vs[-1 - i], d)
         return Bound(t.index - len(vs))
-    if isinstance(t, (Const, Meta)):
-        return t
     return map_children(t, _subst, d, vs)
 
 
@@ -458,10 +514,12 @@ def _hsubst(t, d, vs, seen=None):
     # reduces a replaced head with its arguments at once, and appends to
     # `seen`, if given, each unbound matching variable it meets: a superset
     # of those left in the result, which holds none if `seen` stays empty
+    if t.free <= d:
+        return t
     if isinstance(t, App):
         h, args = plain_spine(t)
-        new = [a if isinstance(a, Const) else _hsubst(a, d, vs, seen) for a in args]
-        fn = h if isinstance(h, Const) else _hsubst(h, d, vs, seen)
+        new = [a if a.free <= d else _hsubst(a, d, vs, seen) for a in args]
+        fn = h if h.free <= d else _hsubst(h, d, vs, seen)
         if fn is h and all(map(is_, new, args)):
             return t
         return _reduce(fn, new, seen)
@@ -477,15 +535,13 @@ def _hsubst(t, d, vs, seen=None):
         if seen is not None:
             seen.append(t)
         return t
-    if isinstance(t, Lam):
-        # an unnamed eta-expansion of a variable whose value is a lambda is
-        # that value, binder names kept, as in `_norm`
-        i = _eta_index(t) - d if vs else -1
-        if 0 <= i < len(vs) and isinstance(vs[-1 - i], Lam):
-            return shift(vs[-1 - i], d)
-        body = _hsubst(t.body, d + 1, vs, seen)
-        return t if body is t.body else Lam(t.mt, body, t.hint)
-    return t
+    # a Lam (a Const is closed): an unnamed eta-expansion of a variable
+    # whose value is a lambda is that value, binder names kept, as in `_norm`
+    i = _eta_index(t) - d if vs else -1
+    if 0 <= i < len(vs) and isinstance(vs[-1 - i], Lam):
+        return shift(vs[-1 - i], d)
+    body = _hsubst(t.body, d + 1, vs, seen)
+    return t if body is t.body else Lam(t.mt, body, t.hint)
 
 
 def alpha_beta_eq(a, b, env=()) -> bool:
@@ -499,7 +555,7 @@ def alpha_beta_eq(a, b, env=()) -> bool:
 
 
 def has_unbound_meta(t) -> bool:
-    return _scan(t) < 0
+    return t.free == META_FREE and _scan(t) < 0
 
 
 def max_eigen_birth(t) -> int:

@@ -8,13 +8,14 @@ import random
 import re
 
 from holcheck.errors import SourceError
-from holcheck.kernel import Session, def_to_eqclause
+from holcheck.kernel import Session, _Escape, def_to_eqclause
 from holcheck.signature import builtin_signature
 from holcheck.syntax import Token, format_term, parse_term
 from holcheck.terms import (
     AND,
     HASTYPE,
     IMP,
+    META_FREE,
     PROVES,
     App,
     Arrow,
@@ -26,6 +27,7 @@ from holcheck.terms import (
     PF,
     TM,
     TP,
+    _eta_index,
     alpha_beta_eq,
     arg_types,
     deref,
@@ -33,7 +35,9 @@ from holcheck.terms import (
     normalize,
     app,
     goal_spine,
+    map_children,
     pi,
+    plain_spine,
     result_base,
     shift,
     subst,
@@ -97,6 +101,100 @@ def ref_tokenize(text, path=None):
             raise SourceError(f"unexpected character {c!r}", line, col, path)
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+# Reference walks: the term walks without `Term.free`, visiting every node.
+# Like the walks they stand for, each returns an unchanged subtree as the
+# same object.
+
+
+def ref_free(t, d=0):
+    """`Term.free` from its definition: META_FREE if `t` holds a matching
+    variable, else one more than its greatest index loose outside `d`
+    binders, 0 if it has none."""
+    if isinstance(t, Meta):
+        return META_FREE
+    if isinstance(t, Bound):
+        return max(t.index - d + 1, 0)
+    if isinstance(t, App):
+        return max(ref_free(t.fn, d), ref_free(t.arg, d))
+    if isinstance(t, Lam):
+        return ref_free(t.body, d + 1)
+    return 0
+
+
+def ref_shift(t, by, cutoff=0):
+    """`terms.shift`."""
+    if by == 0:
+        return t
+    if isinstance(t, Bound):
+        return Bound(t.index + by) if t.index >= cutoff else t
+    return map_children(t, lambda u, c, _: ref_shift(u, by, c), cutoff, None)
+
+
+def ref_subst(t, d, vs):
+    """`terms._subst`."""
+    if isinstance(t, Bound):
+        i = t.index - d
+        if i < 0:
+            return t
+        if i < len(vs):
+            return ref_shift(vs[-1 - i], d)
+        return Bound(t.index - len(vs))
+    return map_children(t, ref_subst, d, vs)
+
+
+def ref_hsubst(t, d, vs, seen=None):
+    """`terms._hsubst`, reductions included."""
+    if isinstance(t, App):
+        h, args = plain_spine(t)
+        new = [ref_hsubst(a, d, vs, seen) for a in args]
+        fn = ref_hsubst(h, d, vs, seen)
+        if fn is h and all(a is b for a, b in zip(new, args)):
+            return t
+        while new and isinstance(fn, Lam):
+            n = 0
+            while n < len(new) and isinstance(fn, Lam):
+                fn, n = fn.body, n + 1
+            fn, new = ref_hsubst(fn, 0, tuple(new[:n]), seen), new[n:]
+        return app(fn, *new)
+    if isinstance(t, Bound):
+        if not vs:
+            return t
+        t = ref_subst(t, d, vs)
+        if not isinstance(t, Meta):
+            return t
+    if isinstance(t, Meta):
+        if t.cell.value is not None:
+            return t.cell.value
+        if seen is not None:
+            seen.append(t)
+        return t
+    if isinstance(t, Lam):
+        i = _eta_index(t) - d if vs else -1
+        if 0 <= i < len(vs) and isinstance(vs[-1 - i], Lam):
+            return ref_shift(vs[-1 - i], d)
+        body = ref_hsubst(t.body, d + 1, vs, seen)
+        return t if body is t.body else Lam(t.mt, body, t.hint)
+    return t
+
+
+def ref_abstract(t, d, keys):
+    """`kernel._abstract`, with the keys alone."""
+    t = deref(t)
+    if isinstance(t, Meta):
+        raise _Escape
+    if isinstance(t, Bound) and t.index >= d:
+        k = ("b", t.index - d)
+    elif isinstance(t, Const) and t.birth > 0:
+        k = ("c", t.birth)
+    else:
+        return map_children(t, ref_abstract, d, keys)
+    if k in keys:
+        return Bound(d + (len(keys) - 1 - keys.index(k)))
+    if isinstance(t, Bound):
+        raise _Escape
+    return t
 
 
 def gen_term(rng, mt, env=(), fuel=3):

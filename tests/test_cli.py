@@ -1,5 +1,7 @@
 """CLI commands, exit codes, and the rewrite pipelines."""
 
+import re
+
 import pytest
 
 from conftest import CORPUS, THEOREM_FILES
@@ -96,7 +98,25 @@ def test_budget_must_be_a_positive_integer(budget, capsys):
 
 def test_budget_of_one_step_is_accepted(capsys):
     assert run("check", "--budget", "1", str(CORPUS / "symm_basic.hol")) == 3
-    assert "step budget exhausted" in capsys.readouterr().out
+    assert "step budget exhausted after 1 steps (steps=1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["symm_basic.hol", "symm_trans.hol", "assoc_def.hol"])
+def test_a_budget_of_n_steps_runs_n_steps(name, capsys):
+    path = str(CORPUS / name)
+    assert run("check", path) == 0
+    steps = max(int(n) for n in re.findall(r"steps=(\d+)", capsys.readouterr().out))
+    assert run("check", "--budget", str(steps), path) == 0
+    capsys.readouterr()
+    assert run("check", "--budget", str(steps - 1), path) == 3
+    out = capsys.readouterr().out
+    assert f"step budget exhausted after {steps - 1} steps (steps={steps - 1})" in out
+
+
+def test_a_budget_that_runs_out_in_a_library_reports_the_budget(capsys):
+    lib, via_lib = str(CORPUS / "lib_full.hol"), str(CORPUS / "symm_via_lib.hol")
+    assert run("check", "--budget", "40", "--lib", lib, via_lib) == 3
+    assert capsys.readouterr().err == "holcheck: step budget exhausted after 40 steps\n"
 
 
 def test_the_argument_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Substitution, normalization, equality and meta-type inference."""
 
+import copy
+import pickle
 import random
 import signal
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import props
 from conftest import CORPUS
 from holcheck.errors import MetaTypeError, StructuralError
-from holcheck.kernel import Session, _goal_app
+from holcheck.kernel import Session, _abstract, _Escape, _goal_app
 from holcheck.signature import builtin_signature
 from holcheck.syntax import (
     DefDefinition,
@@ -27,6 +29,7 @@ from holcheck.terms import (
     Bound,
     Const,
     Lam,
+    META_FREE,
     Meta,
     MetaCell,
     O,
@@ -36,14 +39,17 @@ from holcheck.terms import (
     TP,
     PROVES,
     _hsubst,
+    _subst,
     alpha_beta_eq,
     app,
     arrow,
     has_unbound_meta,
     instantiate_metas,
+    max_eigen_birth,
     meta_type_of,
     normalize,
     normalize_goal,
+    shift,
     subst,
     subst_goal,
 )
@@ -264,6 +270,16 @@ def test_meta_type_of_annotated_terms():
     assert meta_type_of(t) == Arrow(TM, TM)
 
 
+def test_predicates_are_the_monomorphic_constants_of_result_o():
+    sig = builtin_signature()
+    sig.declare("even", Arrow(TM, O))
+    sig.declare("zero", TM)
+    names = list(sig.consts) + ["pi", ",", "=>", "undeclared"]
+    got = {n for n in names if sig.is_predicate(n)}
+    assert got == {"proves", "hastype", "assump", "even"}
+    assert sig.copy().is_predicate("even")
+
+
 def test_signature_rejects_builtin_redeclaration():
     sig = builtin_signature()
     with pytest.raises(Exception):
@@ -457,3 +473,125 @@ def test_template_application_is_normalization_binder_names_included(seed):
     expected = normalize_goal(App(template, arg))
     assert built == expected
     assert format_goal(built, props.SIG) == format_goal(expected, props.SIG)
+
+
+# ---------------------------------------------------------------------------
+# Term nodes and their closedness annotation
+# ---------------------------------------------------------------------------
+
+_CELL = MetaCell(TM, 0)
+_NODES = (
+    Const("c", TM, birth=3),
+    Bound(2),
+    Meta(_CELL),
+    App(Const("s", Arrow(TM, TM)), Bound(0)),
+    Lam(TM, Bound(0), "x"),
+)
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda t: type(t).__name__)
+def test_term_nodes_are_immutable(node):
+    for name in type(node).__slots__ + ("free", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, Bound(0))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert not hasattr(node, "__dict__")
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda t: type(t).__name__)
+def test_term_nodes_copy_and_pickle_to_equal_nodes(node):
+    for twin in (copy.copy(node), copy.deepcopy(node)):
+        assert twin == node or isinstance(node, Meta)  # a deep copy has a new cell
+        assert twin.free == node.free
+    if not isinstance(node, Meta):
+        assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_lambdas_differing_in_hint_only_are_equal_and_hash_alike():
+    body = App(Const("s", Arrow(TM, TM)), Bound(0))
+    a, b, c = Lam(TM, body, "x"), Lam(TM, body, "y"), Lam(TM, body)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert Lam(TP, body) != a
+    # nodes of different kinds with equal fields differ
+    assert Const("x", TM) != Lam(None, Const("x", TM)) and Bound(0) != Meta(_CELL)
+
+
+def _nodes(t):
+    yield t
+    if isinstance(t, App):
+        yield from _nodes(t.fn)
+        yield from _nodes(t.arg)
+    elif isinstance(t, Lam):
+        yield from _nodes(t.body)
+
+
+def _plant(rng, t, env):
+    """`t` with some of its closed, unapplied subterms replaced by
+    eigenvariables and by matching variables, bound or unbound."""
+    spots = props.subterm_positions(t, env)
+    table = {}
+    for i, (nid, mt) in enumerate(rng.sample(spots, k=min(len(spots), rng.randrange(4)))):
+        table[nid] = _binder_value(rng, mt, 10 + i)
+    return props.replace_nodes(t, table)
+
+
+def _value(rng, mt, i):
+    """A closed value of a binder: as `_binder_value` makes them, or a
+    closed normal term, which may be a lambda to reduce at a head."""
+    if rng.randrange(3):
+        return _binder_value(rng, mt, i)
+    return normalize(props.gen_term(rng, mt, (), 2))
+
+
+def _agree(out, ref, t):
+    """`out` of a walk that skips equals `ref` of one that does not, and is
+    `t` itself wherever `ref` is."""
+    assert out == ref
+    assert out is t or ref is not t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SEEDS)
+def test_walks_that_skip_closed_subterms_agree_with_walks_that_do_not(seed):
+    rng = random.Random(seed)
+    env = tuple(rng.choice(_META_TYPES + (TP, PF)) for _ in range(rng.randrange(5)))
+    mt = rng.choice((TM, PF, Arrow(TM, TM), Arrow(TM, PF)))
+    t = _plant(rng, normalize(props.gen_term(rng, mt, env, 3), env), env)
+    for u in _nodes(t):
+        assert u.free == props.ref_free(u)
+        assert has_unbound_meta(u) == (max_eigen_birth(u) < 0)
+
+    # substitution of the binders d .. d + k - 1 (innermost first in env)
+    d = rng.randrange(len(env) + 1)
+    k = rng.randrange(len(env) - d + 1)
+    vs = tuple(_value(rng, m, i) for i, m in enumerate(reversed(env[d : d + k])))
+    _agree(_subst(t, d, vs), props.ref_subst(t, d, vs), t)
+    by, cutoff = rng.randrange(3), rng.randrange(4)
+    _agree(shift(t, by, cutoff), props.ref_shift(t, by, cutoff), t)
+    seen, ref_seen = [], []
+    _agree(_hsubst(t, d, vs, seen), props.ref_hsubst(t, d, vs, ref_seen), t)
+    assert list(map(id, seen)) == list(map(id, ref_seen))
+    _agree(instantiate_metas(t), props.ref_hsubst(t, 0, ()), t)
+
+    # abstraction over some loose indices and eigenvariables, as matching
+    # a pattern variable's arguments makes them
+    keys = [("b", i) for i in range(len(env) + 1)]
+    keys += [("c", u.birth) for u in _nodes(t) if isinstance(u, Const) and u.birth]
+    keys = rng.sample(sorted(set(keys)), k=rng.randrange(len(set(keys)) + 1))
+    eigen = any(key[0] == "c" for key in keys)
+    d = rng.randrange(3)
+    try:
+        ref = props.ref_abstract(t, d, keys)
+    except _Escape:
+        with pytest.raises(_Escape):
+            _abstract(t, d, (keys, eigen))
+    else:
+        _agree(_abstract(t, d, (keys, eigen)), ref, t)
+
+
+def test_a_matching_variable_under_binders_keeps_the_sentinel():
+    t = Lam(TM, Lam(TM, App(App(Const("f", arrow(TM, TM, TM)), Bound(1)), Meta(MetaCell(TM, 0)))))
+    assert t.free == t.body.free == META_FREE
+    assert has_unbound_meta(t)
+    assert Lam(TM, Lam(TM, Bound(3))).free == 2 and Lam(TM, Bound(0)).free == 0
