@@ -32,16 +32,17 @@ outside (`push_clause`), a definition's equality clause and the built-in
 rules.  Inside, a goal or clause body is a closure: a normal term open over
 `vs`, the values of the `pi` binders entered (eigenvariables in `solve`,
 fresh matching variables in `backchain`), innermost last; entering a binder
-substitutes nothing.  A term is built where it is used (the atom of
-`solve_atom`, a head to match, the clause of an implication goal, a
-template at its argument) in one walk, `terms._hsubst`, that substitutes
-`vs` and the bound matching variables and reduces each redex as it forms,
-and collects the unbound matching variables it meets, so that an atom that
-holds none is not scanned for them.  Object substitution is a meta-level
-beta step, and in an eta-long term a bound variable is fully applied, so a
-name or a fresh matching variable put into a normal term with `subst` keeps
-it normal: the handlers do so for `elam` and the rest of a lemma node,
-whose parts they read as sub-terms of a normal atom.
+substitutes nothing.  A clause head is matched as a closure, not built.
+Other terms are built where they are used (the atom of `solve_atom`, the
+clause of an implication goal, a template at its argument) in one walk,
+`terms._hsubst`, that substitutes `vs` and the bound matching variables and
+reduces each redex as it forms; an atom whose `free` is not `META_FREE`
+holds no unbound matching variable and is not scanned for one.  Object
+substitution is a meta-level beta step, and in an eta-long term a bound
+variable is fully applied, so a name or a fresh matching variable put into
+a normal term with `subst` keeps it normal: the handlers do so for `elam`
+and the rest of a lemma node, whose parts they read as sub-terms of a
+normal atom.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .terms import (
     Bound,
     Const,
     Lam,
+    META_FREE,
     Meta,
     MetaCell,
     O,
@@ -75,7 +77,6 @@ from .terms import (
     deref,
     goal_spine,
     has_unbound_meta,
-    instantiate_metas,
     map_children,
     map_proves,
     max_eigen_birth,
@@ -218,6 +219,17 @@ def head_key(atom: Term):
     return None
 
 
+def _former(g):
+    """`goal_spine(g)[0]` read off the node if it is a goal former: `pi` over
+    a lambda, or `,` or `=>` of two goals; None for an atom."""
+    f = g.fn if isinstance(g, App) else None
+    if isinstance(f, Const):
+        return "pi" if f.name == "pi" and isinstance(g.arg, Lam) else None
+    if isinstance(f, App) and isinstance(f.fn, Const) and f.fn.name in (",", "=>"):
+        return f.fn.name
+    return None
+
+
 def _index_clause(g, keys):
     """Walk the heads of a normal clause as `backchain` does when none of
     them matches: reject a variable subject head, append each head's key to
@@ -228,11 +240,9 @@ def _index_clause(g, keys):
     conjunction and the head side of an implication.
     """
     binders = 0
+    while _former(g) == "pi":
+        g, binders = g.arg.body, binders + 1
     name, args = goal_spine(g)
-    while name == "pi":
-        g = args[0].body
-        binders += 1
-        name, args = goal_spine(g)
     ticks, metas = 1 + binders, binders
     if name in (",", "=>"):
         for part in args if name == "," else args[1:]:
@@ -244,9 +254,7 @@ def _index_clause(g, keys):
     elif name in ("proves", "hastype"):
         h, _ = plain_spine(args[0])
         if isinstance(h, (Bound, Meta)):
-            raise ValidityError(
-                "a stored clause may not have a variable at its head"
-            )
+            raise ValidityError("a stored clause may not have a variable at its head")
     keys.append(head_key(g))
     return ticks, metas
 
@@ -420,43 +428,46 @@ class Session:
 
     # -- matching ----------------------------------------------------------------
 
-    def match(self, pattern, target) -> bool:
-        """Match a pattern against a ground target, committing bindings.
-
-        Both sides are beta-normal and eta-long; binding a head mid-walk
-        may expose a redex in the pattern, which is reduced on demand by
-        instantiating the pattern's bound matching variables.
+    def match(self, pattern, target, vs=(), d=0) -> bool:
+        """Match a normal closure against a ground normal target, committing
+        bindings: under `d` local binders, a pattern index `i >= d` reads
+        `vs[-1 - (i - d)]`, or past `vs` stands for index `i - len(vs)`.  A
+        rigid pattern is walked beside the target and builds nothing; one
+        headed by a matching variable is built by `terms._hsubst` with the
+        values bound so far, then bound, or matched as rigid if its head reduced.
         """
-        ph, pargs = plain_spine(pattern)
-        if isinstance(ph, Meta) and ph.cell.value is not None:
-            pattern = instantiate_metas(pattern)
-            ph, pargs = plain_spine(pattern)
+        h = pattern
+        while isinstance(h, App):
+            h = h.fn
+        if isinstance(h, Meta) or isinstance(h, Bound) and 0 <= h.index - d < len(vs):
+            pattern, vs = _hsubst(pattern, d, vs), ()
+            h, args = plain_spine(pattern)
         t = deref(target)
         if isinstance(t, Meta):
             return False  # target must be ground
-        if isinstance(pattern, Lam):
-            if not isinstance(t, Lam):
-                return False
-            if pattern.mt != t.mt:
-                return False  # the binder type of a `pi` counts
-            return self.match(pattern.body, t.body)
-        if isinstance(ph, Meta):
-            return self._bind_pattern(ph.cell, pargs, t)
-        th, targs = plain_spine(t)
-        if isinstance(ph, Const):
-            if not (isinstance(th, Const) and th.name == ph.name and th.birth == ph.birth):
-                return False
-        elif isinstance(ph, Bound):
-            if not (isinstance(th, Bound) and th.index == ph.index):
-                return False
-        else:
+        if isinstance(pattern, Lam):  # the binder type of a `pi` counts
+            return isinstance(t, Lam) and pattern.mt == t.mt and (
+                self.match(pattern.body, t.body, vs, d + 1)
+            )
+        if isinstance(h, Meta):
+            return self._bind_pattern(h.cell, args, t)
+        return self._match_spine(pattern, t, vs, d)
+
+    def _match_spine(self, p, t, vs, d):
+        """Match rigid spines pairwise: heads and lengths on the way down,
+        before any argument, then the arguments left to right."""
+        if isinstance(p, App):
+            return isinstance(t, App) and self._match_spine(p.fn, t.fn, vs, d) and (
+                self.match(p.arg, t.arg, vs, d)
+            )
+        if isinstance(t, App):
             return False
-        if len(pargs) != len(targs):
-            return False
-        for pa, ta in zip(pargs, targs):
-            if not self.match(pa, ta):
-                return False
-        return True
+        if isinstance(p, Const):
+            return isinstance(t, Const) and t.name == p.name and t.birth == p.birth
+        if isinstance(p, Bound):
+            i = p.index if p.index < d else p.index - len(vs)
+            return isinstance(t, Bound) and t.index == i
+        return False
 
     def _eta_var(self, t):
         """Contract an eta-expansion down to its head variable, or None.
@@ -495,9 +506,9 @@ class Session:
             value = Lam(mt, value)
         return self.bind(cell, value)
 
-    def match_goal(self, head, atom) -> bool:
-        """Match a clause head against an atom: one attempt of `backchain`."""
-        return self.match(head, atom)
+    def match_goal(self, head, atom, vs) -> bool:
+        """One attempt of `backchain`: a clause head, open over `vs`, on an atom."""
+        return self.match(head, atom, vs)
 
     # -- the interpreter ----------------------------------------------------------
 
@@ -505,30 +516,29 @@ class Session:
         """Generator yielding once per solution, chronological order, for
         `g` open over `vs`, as the module docstring describes."""
         self.tick()
-        name, args = goal_spine(g)
-        if name == ",":
-            for _ in self.solve(args[0], vs):
-                yield from self.solve(args[1], vs)
-        elif name == "pi":
-            x = self.fresh_eigen(args[0].mt, args[0].hint)
-            yield from self.solve(args[0].body, vs + (x,))
-        elif name == "=>":
+        former = _former(g)
+        if former == ",":
+            for _ in self.solve(g.fn.arg, vs):
+                yield from self.solve(g.arg, vs)
+        elif former == "pi":
+            x = self.fresh_eigen(g.arg.mt, g.arg.hint)
+            yield from self.solve(g.arg.body, vs + (x,))
+        elif former == "=>":
             depth = len(self.store)
-            self._push(_hsubst(args[0], 0, vs))
+            self._push(_hsubst(g.fn.arg, 0, vs))
             try:
-                yield from self.solve(args[1], vs)
+                yield from self.solve(g.arg, vs)
             finally:
                 del self.store[depth:]
         else:
             yield from self.solve_atom(g, vs)
 
     def solve_atom(self, atom: Term, vs):
-        seen = []
-        atom = _hsubst(atom, 0, vs, seen)
+        atom = _hsubst(atom, 0, vs)
         self.goal_stack.append(atom)
         try:
             produced = False
-            for _ in self._dispatch(atom, bool(seen)):
+            for _ in self._dispatch(atom, atom.free == META_FREE):
                 produced = True
                 yield
             if not produced and len(self.goal_stack) >= len(self.failure_snapshot):
@@ -577,12 +587,7 @@ class Session:
         """
         key = head_key(atom)
         for clause, keys, ticks, metas in tuple(reversed(self.store)):
-            if (
-                key is None
-                or keys is None
-                or key in keys
-                or self.steps + ticks > self.budget
-            ):
+            if key is None or keys is None or key in keys or self.steps + ticks > self.budget:
                 yield from self.backchain(atom, clause)
             else:
                 self.steps += ticks
@@ -590,28 +595,29 @@ class Session:
 
     def backchain(self, atom: Term, clause: Term, vs=()):
         """Try `clause`, open over `vs`, on `atom`: one step and one fresh
-        matching variable per `pi` binder; only heads are built."""
+        matching variable per `pi` binder; a head is matched as a closure,
+        not built."""
         self.tick()
-        name, args = goal_spine(clause)
-        while name == "pi":
-            vs += (self.fresh_meta(args[0].mt),)
-            clause = args[0].body
+        former = _former(clause)
+        while former == "pi":
+            vs += (self.fresh_meta(clause.arg.mt),)
+            clause = clause.arg.body
             self.tick()
-            name, args = goal_spine(clause)
-        if name == ",":
-            for part in args:
+            former = _former(clause)
+        if former == ",":
+            for part in (clause.fn.arg, clause.arg):
                 m = self.mark()
                 try:
                     yield from self.backchain(atom, part, vs)
                 finally:
                     self.undo(m)
-        elif name == "=>":
-            for _ in self.backchain(atom, args[1], vs):
-                yield from self.solve(args[0], vs)
+        elif former == "=>":
+            for _ in self.backchain(atom, clause.arg, vs):
+                yield from self.solve(clause.fn.arg, vs)
         else:
             m = self.mark()
             try:
-                if self.match_goal(_hsubst(clause, 0, vs) if vs else clause, atom):
+                if self.match_goal(clause, atom, vs):
                     yield
             finally:
                 self.undo(m)

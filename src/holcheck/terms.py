@@ -498,31 +498,37 @@ def instantiate_metas(t):
     return _hsubst(t, 0, ())
 
 
-def _reduce(fn, args, seen):
+def _reduce(fn, args):
     """The normal form of `fn` applied to `args`, all normal and eta-long."""
     while args and isinstance(fn, Lam):
         n = 0
         while n < len(args) and isinstance(fn, Lam):
             fn = fn.body
             n += 1
-        fn, args = _hsubst(fn, 0, tuple(args[:n]), seen), args[n:]
+        fn, args = _hsubst(fn, 0, tuple(args[:n])), args[n:]
     return app(fn, *args)
 
 
-def _hsubst(t, d, vs, seen=None):
-    # `_subst` that also replaces bound matching variables by their values,
-    # reduces a replaced head with its arguments at once, and appends to
-    # `seen`, if given, each unbound matching variable it meets: a superset
-    # of those left in the result, which holds none if `seen` stays empty
+def _hsubst(t, d, vs):
+    # `_subst` that also replaces bound matching variables by their values
+    # and reduces a replaced head with its arguments at once.  A value is
+    # meta-free, so if each of `vs` is a matching variable or meta-free,
+    # the result has `free == META_FREE` exactly when it holds an unbound one
     if t.free <= d:
         return t
     if isinstance(t, App):
+        h = t.fn
+        while isinstance(h, App):
+            h = h.fn
+        if isinstance(h, Const) or isinstance(h, Bound) and not 0 <= h.index - d < len(vs):
+            # a rigid head reduces nothing: rebuild pairwise, no spine list
+            fn = _hsubst(t.fn, d, vs)
+            arg = t.arg if t.arg.free <= d else _hsubst(t.arg, d, vs)
+            return t if fn is t.fn and arg is t.arg else App(fn, arg)
         h, args = plain_spine(t)
-        new = [a if a.free <= d else _hsubst(a, d, vs, seen) for a in args]
-        fn = h if h.free <= d else _hsubst(h, d, vs, seen)
-        if fn is h and all(map(is_, new, args)):
-            return t
-        return _reduce(fn, new, seen)
+        new = [a if a.free <= d else _hsubst(a, d, vs) for a in args]
+        fn = h if h.free <= d else _hsubst(h, d, vs)
+        return t if fn is h and all(map(is_, new, args)) else _reduce(fn, new)
     if isinstance(t, Bound):
         if not vs:
             return t
@@ -530,17 +536,13 @@ def _hsubst(t, d, vs, seen=None):
         if not isinstance(t, Meta):
             return t  # an index, or a value of `vs`: built already
     if isinstance(t, Meta):
-        if t.cell.value is not None:
-            return t.cell.value
-        if seen is not None:
-            seen.append(t)
-        return t
+        return t if t.cell.value is None else t.cell.value
     # a Lam (a Const is closed): an unnamed eta-expansion of a variable
     # whose value is a lambda is that value, binder names kept, as in `_norm`
     i = _eta_index(t) - d if vs else -1
     if 0 <= i < len(vs) and isinstance(vs[-1 - i], Lam):
         return shift(vs[-1 - i], d)
-    body = _hsubst(t.body, d + 1, vs, seen)
+    body = _hsubst(t.body, d + 1, vs)
     return t if body is t.body else Lam(t.mt, body, t.hint)
 
 

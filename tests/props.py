@@ -144,19 +144,19 @@ def ref_subst(t, d, vs):
     return map_children(t, ref_subst, d, vs)
 
 
-def ref_hsubst(t, d, vs, seen=None):
+def ref_hsubst(t, d, vs):
     """`terms._hsubst`, reductions included."""
     if isinstance(t, App):
         h, args = plain_spine(t)
-        new = [ref_hsubst(a, d, vs, seen) for a in args]
-        fn = ref_hsubst(h, d, vs, seen)
+        new = [ref_hsubst(a, d, vs) for a in args]
+        fn = ref_hsubst(h, d, vs)
         if fn is h and all(a is b for a, b in zip(new, args)):
             return t
         while new and isinstance(fn, Lam):
             n = 0
             while n < len(new) and isinstance(fn, Lam):
                 fn, n = fn.body, n + 1
-            fn, new = ref_hsubst(fn, 0, tuple(new[:n]), seen), new[n:]
+            fn, new = ref_hsubst(fn, 0, tuple(new[:n])), new[n:]
         return app(fn, *new)
     if isinstance(t, Bound):
         if not vs:
@@ -165,16 +165,12 @@ def ref_hsubst(t, d, vs, seen=None):
         if not isinstance(t, Meta):
             return t
     if isinstance(t, Meta):
-        if t.cell.value is not None:
-            return t.cell.value
-        if seen is not None:
-            seen.append(t)
-        return t
+        return t if t.cell.value is None else t.cell.value
     if isinstance(t, Lam):
         i = _eta_index(t) - d if vs else -1
         if 0 <= i < len(vs) and isinstance(vs[-1 - i], Lam):
             return ref_shift(vs[-1 - i], d)
-        body = ref_hsubst(t.body, d + 1, vs, seen)
+        body = ref_hsubst(t.body, d + 1, vs)
         return t if body is t.body else Lam(t.mt, body, t.hint)
     return t
 

@@ -1,5 +1,6 @@
 """The trusted core: rules, matching, backchaining, lemma/definition nodes."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from holcheck.terms import (
     AND,
     ASSUMP,
     HASTYPE,
+    IMP,
     PROVES,
     App,
     Arrow,
@@ -800,3 +802,204 @@ def test_pi_binder_types_count_in_matching(sig):
 
     assert _backchained(sig, [assumption(TM)], assumption(TP)) == (False, [0])
     assert _backchained(sig, [assumption(TM)], assumption(TM)) == (True, [0])
+
+
+# ---------------------------------------------------------------------------
+# A clause head matched as a closure, against the head built first
+# ---------------------------------------------------------------------------
+
+
+def _heads(ses, clause, vs=()):
+    """The heads of a clause, each with its `vs`, fresh matching variables
+    made as `backchain` makes them."""
+    name, args = goal_spine(clause)
+    while name == "pi":
+        vs += (ses.fresh_meta(args[0].mt),)
+        clause = args[0].body
+        name, args = goal_spine(clause)
+    if name == ",":
+        return _heads(ses, args[0], vs) + _heads(ses, args[1], vs)
+    if name == "=>":
+        return _heads(ses, args[1], vs)
+    return [(clause, vs)]
+
+
+def _attempt(ses, match):
+    """What one match gives, a verdict or an exception's type, and the
+    bindings it leaves on the trail, which are then undone."""
+    m = ses.mark()
+    try:
+        result = match()
+    except Exception as e:
+        result = type(e)
+    bound = [(cell, cell.value) for cell in ses.trail[m:]]
+    ses.undo(m)
+    return result, bound
+
+
+def _agree_on(ses, head, atom, vs):
+    """Assert that the head as a closure over `vs` and the head built give
+    one outcome; return it."""
+    closure = _attempt(ses, lambda: ses.match(head, atom, vs))
+    built = _attempt(ses, lambda: ses.match(kernel._hsubst(head, 0, vs), atom))
+    assert closure == built, (head, atom)
+    return closure[0]
+
+
+class CheckLog(Session):
+    """Records the atoms it dispatches and the clauses it stores, each
+    once, in every session made."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.atoms, self.clauses = {}, {}
+        CheckLog.made.append(self)
+
+    def _dispatch(self, atom, unbound):
+        self.atoms.setdefault(atom, atom)
+        return super()._dispatch(atom, unbound)
+
+    def _push(self, g):
+        self.clauses.setdefault(g, g)
+        super()._push(g)
+
+
+THEOREM_RUNS = [run for run in CORPUS_RUNS if not run[0].startswith("lib_")]
+
+
+@pytest.mark.parametrize("name,libs", THEOREM_RUNS, ids=[n for n, _ in THEOREM_RUNS])
+def test_a_head_matched_as_a_closure_agrees_with_the_built_head(name, libs, monkeypatch, capsys):
+    # every built-in rule and stored clause against every atom of a check
+    CheckLog.made = []
+    assert _check_files(monkeypatch, CheckLog, *libs, CORPUS / name) == 0
+    capsys.readouterr()
+    rules = [*kernel.PROVES_RULES.values(), *kernel.HASTYPE_RULES.values()]
+    verdicts = set()
+    for ses in CheckLog.made:
+        for clause in rules + list(ses.clauses):
+            for head, vs in _heads(ses, clause):
+                for atom in ses.atoms:
+                    verdicts.add(_agree_on(ses, head, atom, vs))
+    assert {True, False} <= verdicts
+
+
+class ShadowSession(Session):
+    """Matches every head also built first, as the reference, and asserts
+    the same outcome, at each state the check reaches."""
+
+    def match_goal(self, head, atom, vs):
+        _agree_on(self, head, atom, vs)
+        return super().match_goal(head, atom, vs)
+
+
+@pytest.mark.parametrize("name,libs", CORPUS_RUNS, ids=[n for n, _ in CORPUS_RUNS])
+def test_each_head_attempt_of_a_check_agrees_with_the_built_head(name, libs, monkeypatch, capsys):
+    plain = _check_files(monkeypatch, Session, "--trace", "trace", *libs, CORPUS / name)
+    plain_out = capsys.readouterr()
+    assert _check_files(monkeypatch, ShadowSession, "--trace", "trace", *libs, CORPUS / name) == plain
+    assert capsys.readouterr() == plain_out
+
+
+@pytest.mark.parametrize("name,text,libs,expected", CASES, ids=[c[0] for c in CASES])
+def test_each_head_attempt_on_a_negative_agrees_with_the_built_head(
+    name, text, libs, expected, monkeypatch, tmp_path, capsys
+):
+    f = tmp_path / "case.hol"
+    f.write_text(text)
+    lib_args = [a for lib in libs for a in ("--lib", CORPUS / lib)]
+    assert _check_files(monkeypatch, ShadowSession, *lib_args, f) == expected
+
+
+def test_an_earlier_mismatch_wins_over_a_later_pattern_error(sig):
+    # `F c` is outside the pattern fragment, but the subject `w d` does not
+    # match `w e`, and the subject is matched first
+    sig.declare("w", Arrow(TM, PF))
+    for n in ("c", "d", "e"):
+        sig.declare(n, TM)
+    ses = Session(sig)
+    ses.push_clause(parse_goal(r"pi F\ proves (w d) (F c)", sig))
+    ((head, vs),) = _heads(ses, ses.store[0][0])
+    assert not ses.match(head, normalize_goal(parse_goal("proves (w e) c", sig)), vs)
+    assert ses.trail == []
+    with pytest.raises(PatternError):
+        ses.match(head, normalize_goal(parse_goal("proves (w d) c", sig)), vs)
+    ses.undo(0)
+    r = ses.check_goal(parse_goal("proves (w e) c", sig), augment=False)
+    assert (r.ok, r.error) == (False, None)
+
+
+def test_a_head_of_another_spine_length_binds_nothing(session):
+    f, a = Const("f", arrow(TM, TM, TM)), Const("a", TM)
+    x, y = session.fresh_meta(TM), session.fresh_meta(TM)
+    longer, shorter = app(f, Bound(1), Bound(0)), App(f, Bound(1))
+    for pattern, target in ((longer, App(f, a)), (shorter, app(f, a, a))):
+        # as a closure over (x, y), and built
+        assert not session.match(pattern, target, (x, y))
+        assert not session.match(subst_goal(pattern, x, y), target)
+        assert session.trail == []
+        assert x.cell.value is y.cell.value is None
+
+
+# heads and arguments of the shapes `solve` and `backchain` may meet, goals
+# and not: the formers at each arity, over a lambda or not, predicates, an
+# eigenvariable named like a former, variables and a lambda
+_FORMER_HEADS = (
+    Const("pi", Arrow(Arrow(TM, O), O)),
+    AND,
+    IMP,
+    PROVES,
+    HASTYPE,
+    ASSUMP,
+    Const("p", O),
+    Const("pi", O, birth=3),
+    Bound(0),
+    Meta(MetaCell(O, 0)),
+    Lam(TM, Bound(0)),
+)
+_FORMER_ARGS = (
+    Lam(TM, app(HASTYPE, Bound(0), Const("form", TP))),
+    app(PROVES, Const("refl", PF), Const("false", TM)),
+    Bound(0),
+)
+
+
+def test_goal_formers_read_off_the_node_as_goal_spine_reads_them():
+    seen = set()
+    for head in _FORMER_HEADS:
+        for n in range(4):
+            for args in itertools.product(_FORMER_ARGS, repeat=n):
+                g = app(head, *args)
+                name = goal_spine(g)[0]
+                expected = name if name in ("pi", ",", "=>") else None
+                assert kernel._former(g) == expected, g
+                seen.add(expected)
+    assert seen == {"pi", ",", "=>", None}
+
+
+def test_an_index_past_vs_is_the_targets_index_lowered_by_len_vs(session):
+    # under one local binder of the pattern, index 0 is local, 1 reads the
+    # one matching variable of `vs` and 2 stands for the target's index 1
+    g = Const("g", arrow(TM, TM, TM))
+    (x,) = vs = (session.fresh_meta(TM),)
+    pattern = Lam(TM, app(g, Bound(0), Bound(2)))
+    for i, matches in ((1, True), (0, False), (2, False)):
+        target = Lam(TM, app(g, Bound(0), Bound(i)))
+        assert _agree_on(session, pattern, target, vs) is matches
+    # the matching variable binds beside the outer index
+    target = Lam(TM, app(g, Const("c", TM), Bound(1)))
+    assert _agree_on(session, Lam(TM, app(g, Bound(1), Bound(2))), target, vs)
+    assert x.cell.value is None
+
+
+def test_a_flexible_argument_is_read_with_the_values_bound_before_it(session):
+    # `p (x\ F x) (G (x\ F x))`: the first argument binds F to the
+    # eigenvariable e, so the argument of G is `x\ e x`, the variable e
+    e = session.fresh_eigen(Arrow(TM, TM), "e")
+    vs = (session.fresh_meta(Arrow(TM, TM)), session.fresh_meta(Arrow(Arrow(TM, TM), TM)))
+    p = Const("p", arrow(Arrow(TM, TM), TM, O))
+    fx = Lam(TM, App(Bound(2), Bound(0)), "x")
+    atom = app(p, Lam(TM, App(e, Bound(0)), "y"), App(e, Const("c", TM)))
+    assert session.match(app(p, fx, App(Bound(0), fx)), atom, vs)
+    assert vs[1].cell.value == Lam(Arrow(TM, TM), App(Bound(0), Const("c", TM)))

@@ -437,15 +437,14 @@ def test_one_walk_builds_an_atom_as_substitution_then_instantiation(seed):
     body = app(PROVES, props.gen_term(rng, PF, env, 3), props.gen_term(rng, TM, env, 3))
     body = normalize_goal(body, env)
     vs = tuple(_binder_value(rng, mt, i) for i, mt in enumerate(reversed(env)))
-    seen = []
-    built = _hsubst(body, 0, vs, seen)
+    built = _hsubst(body, 0, vs)
     substituted = subst_goal(body, *vs)
     assert built == instantiate_metas(substituted)
-    # the flag reports the unbound matching variables the walk met; a
-    # bound one whose value discards its argument may drop one of them
-    # from the result, so it is exact before reduction and safe after it
-    assert bool(seen) == has_unbound_meta(substituted)
-    assert has_unbound_meta(built) <= bool(seen)
+    # a value is meta-free, so `free` says whether the atom holds an
+    # unbound matching variable; a bound one whose value discards its
+    # argument may drop one that the substituted atom holds
+    assert has_unbound_meta(built) == (built.free == META_FREE)
+    assert has_unbound_meta(built) <= has_unbound_meta(substituted)
 
 
 def _named(t, depth=0):
@@ -569,9 +568,9 @@ def test_walks_that_skip_closed_subterms_agree_with_walks_that_do_not(seed):
     _agree(_subst(t, d, vs), props.ref_subst(t, d, vs), t)
     by, cutoff = rng.randrange(3), rng.randrange(4)
     _agree(shift(t, by, cutoff), props.ref_shift(t, by, cutoff), t)
-    seen, ref_seen = [], []
-    _agree(_hsubst(t, d, vs, seen), props.ref_hsubst(t, d, vs, ref_seen), t)
-    assert list(map(id, seen)) == list(map(id, ref_seen))
+    built = _hsubst(t, d, vs)
+    _agree(built, props.ref_hsubst(t, d, vs), t)
+    assert has_unbound_meta(built) == (built.free == META_FREE)
     _agree(instantiate_metas(t), props.ref_hsubst(t, 0, ()), t)
 
     # abstraction over some loose indices and eigenvariables, as matching
