@@ -18,9 +18,16 @@ with `free <= d` has no index loose outside `d` binders and no Meta, and
 unwalked; `has_unbound_meta` scans only a term that holds a Meta.
 
 Normal forms are beta-normal and eta-long.  Object-level substitution is
-a meta-level beta step.  `normalize` takes these steps in one walk with an
-environment of the contracted redexes' arguments, each normalized when its
-binder is first used and shared by every use.  On normal terms they are
+a meta-level beta step.  `normalize` checks a normal term in place: a
+lambda at an arrow type, or at a base type a head (a constant, in-scope
+variable or unbound matching variable; at o a predicate or former) with
+its arguments, collected along the spine by a loop and checked at the
+head's argument types; it returns `t` itself if none changed.  Only a
+subterm that is not normal as it stands (a redex, a bound matching
+variable at its head, an eta-short or over-applied term, a non-goal at o)
+goes to `_norm`, which takes the steps in one walk with an environment of
+the contracted redexes' arguments, each normalized when its binder is
+first used and shared by every use.  On normal terms they are
 taken by hereditary substitution (`_hsubst`, as in the canonical forms of
 Watkins, Cervesato, Pfenning & Walker, 2002): a lambda substituted at an
 applied head is reduced at once, so normal terms substituted into a normal
@@ -394,12 +401,42 @@ def normalize(t: Term, env=()) -> Term:
 
     Unchanged subtrees, and `t` itself if it is normal, are returned as the
     same objects."""
-    return _norm(t, (), len(env), [], meta_type_of(t, env), tuple(env))
+    return _nf(t, meta_type_of(t, env), tuple(env))
 
 
 def normalize_goal(g: Term, env=()) -> Term:
     """`normalize` of a term of meta-type o."""
-    return _norm(g, (), len(env), [], O, tuple(env))
+    return _nf(g, O, tuple(env))
+
+
+def _nf(t, mt, env):
+    # `_norm(t, (), len(env), [], mt, env)`, a normal term checked in place
+    # and any other subterm handed to `_norm` (see the module docstring)
+    if isinstance(mt, Arrow):
+        if not isinstance(t, Lam):
+            return _norm(t, (), len(env), [], mt, env)
+        body = _nf(t.body, mt.cod, (mt.dom,) + env)
+        return t if body is t.body and t.mt == mt.dom else Lam(mt.dom, body, t.hint)
+    h, args = t, []
+    while isinstance(h, App):
+        args.append(h.arg)
+        h = h.fn
+    if isinstance(h, Const) and (h.birth == 0 or mt != O):
+        hmt = h.mt
+    elif isinstance(h, Bound) and h.index < len(env) and mt != O:
+        hmt = env[h.index]
+    elif isinstance(h, Meta) and h.cell.value is None and mt != O:
+        hmt = h.cell.mt
+    else:
+        return _norm(t, (), len(env), [], mt, env)
+    args.reverse()
+    new = []
+    for a in args:
+        if not isinstance(hmt, Arrow):
+            return _norm(t, (), len(env), [], mt, env)
+        new.append(_nf(a, hmt.dom, env))
+        hmt = hmt.cod
+    return t if all(map(is_, new, args)) else app(h, *new)
 
 
 class _Arg:

@@ -4,12 +4,15 @@ import copy
 import pickle
 import random
 import signal
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import negatives
 import props
 from conftest import CORPUS
+from holcheck import cli, terms
 from holcheck.errors import MetaTypeError, StructuralError
 from holcheck.kernel import Session, _abstract, _Escape, _goal_app
 from holcheck.signature import builtin_signature
@@ -39,6 +42,8 @@ from holcheck.terms import (
     TP,
     PROVES,
     _hsubst,
+    _nf,
+    _norm,
     _subst,
     alpha_beta_eq,
     app,
@@ -49,6 +54,7 @@ from holcheck.terms import (
     meta_type_of,
     normalize,
     normalize_goal,
+    plain_spine,
     shift,
     subst,
     subst_goal,
@@ -594,3 +600,167 @@ def test_a_matching_variable_under_binders_keeps_the_sentinel():
     assert t.free == t.body.free == META_FREE
     assert has_unbound_meta(t)
     assert Lam(TM, Lam(TM, Bound(3))).free == 2 and Lam(TM, Bound(0)).free == 0
+
+
+
+# ---------------------------------------------------------------------------
+# Normal terms checked in place
+# ---------------------------------------------------------------------------
+
+
+def _by_norm(t, mt, env):
+    """`_norm` from the identity substitution: the result, or the exception."""
+    try:
+        return _norm(t, (), len(env), [], mt, env)
+    except StructuralError as e:
+        return e
+
+
+def _agrees_with_norm(out, ref, t):
+    """`out` equals `ref`, a result of `_norm`, and is `t` itself wherever
+    `ref` is; or both are exceptions of one type and message."""
+    if isinstance(ref, Exception) or isinstance(out, Exception):
+        assert type(out) is type(ref) and str(out) == str(ref)
+    else:
+        assert out == ref and (out is t or ref is not t)
+
+
+def test_normalize_agrees_with_norm_on_every_call_of_a_corpus_check(monkeypatch, tmp_path):
+    # each normalization made while checking the corpus theorems and the
+    # negatives, installs of corpus/lib_full.hol included, against `_norm`
+    # on the same input at the same moment
+    calls = []
+
+    def recording(fn, mt_of):
+        def normalize_and_record(t, env=()):
+            env = tuple(env)
+            ref = _by_norm(t, mt_of(t, env), env)
+            try:
+                out = fn(t, env)
+            except StructuralError as e:
+                out = e
+            calls.append((t, out, ref))
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        return normalize_and_record
+
+    for fn, mt_of in ((terms.normalize, meta_type_of), (terms.normalize_goal, lambda t, env: O)):
+        for mod in [m for n, m in sys.modules.items() if n.startswith("holcheck")]:
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, recording(fn, mt_of))
+    lib = str(CORPUS / "lib_full.hol")
+    runs = [
+        (p.name, (["--lib", lib] if p.name.endswith("_via_lib.hol") else []) + [str(p)], 0)
+        for p in sorted(CORPUS.glob("*.hol"))
+        if not p.name.startswith("lib_")
+    ]
+    for k, (name, source, libs, code) in enumerate(negatives.CASES):
+        path = tmp_path / f"negative_{k}.hol"
+        path.write_text(source)
+        lib_args = [a for n in libs for a in ("--lib", str(CORPUS / n))]
+        runs.append((name, lib_args + [str(path)], code))
+    assert len(runs) == 25
+    for name, args, code in runs:
+        assert cli.main(["check", "--trace", "quiet", *args]) == code, name
+    assert any(out is t for t, out, _ in calls) and any(out is not t for t, out, _ in calls)
+    for t, out, ref in calls:
+        _agrees_with_norm(out, ref, t)
+
+
+def _gen(rng, mt, env, fuel):
+    """`props.gen_term`, with goals at meta-type o."""
+    if isinstance(mt, Arrow):
+        return Lam(mt.dom, _gen(rng, mt.cod, (mt.dom,) + env, fuel))
+    return props.gen_goal(rng, env, fuel - 1) if mt == O else props.gen_term(rng, mt, env, fuel)
+
+
+def _planted(rng, t, mt, env):
+    """A term to put where `t`, normal at meta-type `mt` under `env`, was:
+    one that `_norm` must rebuild, or must refuse."""
+    dom = rng.choice((TM, PF, Arrow(TM, TM)))
+    kind = rng.randrange(11)
+    if kind < 2:  # a redex
+        return App(Lam(dom, _gen(rng, mt, (dom,) + env, 2), "r"), _gen(rng, dom, env, 1))
+    if kind < 4:  # a bound matching variable at a head
+        cell = MetaCell(Arrow(dom, mt), 0)
+        cell.value = normalize(_gen(rng, Arrow(dom, mt), (), 2))
+        return App(Meta(cell), _gen(rng, dom, env, 1))
+    if kind < 6:  # an unbound matching variable, bare or at a variable
+        if not env or rng.randrange(2):
+            return Meta(MetaCell(mt, 0))
+        i = rng.randrange(len(env))
+        return App(Meta(MetaCell(Arrow(env[i], mt), 0)), Bound(i))
+    if kind < 8:  # a variable: eta-short at an arrow type, a non-goal at o, out of scope
+        same = [Bound(i) for i, m in enumerate(env) if m == mt]
+        return rng.choice(same + [Const("e9", mt, 9), Bound(len(env))])
+    if kind < 10:  # a bound matching variable
+        cell = MetaCell(mt, 0)
+        cell.value = normalize(_gen(rng, mt, (), 2))
+        return Meta(cell)
+    if isinstance(mt, Arrow):
+        return Lam(None, t.body, t.hint)  # a lambda without its meta-type
+    return App(t, Const("z", TM))  # an over-applied head
+
+
+def _plant_spines(rng, t, mt, env, p, sites):
+    """`t`, normal at meta-type `mt`, with each subterm that is no head
+    replaced by `_planted` with probability `p`; each subterm of the result
+    that is no head is appended to `sites` with its meta-type and `env`."""
+    if rng.random() < p:
+        t = _planted(rng, t, mt, env)
+    elif isinstance(t, Lam):
+        body = _plant_spines(rng, t.body, mt.cod, (mt.dom,) + env, p, sites)
+        t = t if body is t.body else Lam(t.mt, body, t.hint)
+    elif isinstance(t, App):
+        h, args = plain_spine(t)
+        hmt, new = meta_type_of(h, env), []
+        for a in args:
+            new.append(_plant_spines(rng, a, hmt.dom, env, p, sites))
+            hmt = hmt.cod
+        t = t if all(a is b for a, b in zip(new, args)) else app(h, *new)
+    sites.append((t, mt, env))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEEDS)
+def test_normalize_checks_a_normal_term_in_place_and_hands_the_rest_to_norm(seed):
+    # normal terms under binders, with redexes, bound and unbound matching
+    # variables, eta-short variables, non-goals at o and over-applied heads
+    # planted in them
+    rng = random.Random(seed)
+    binder_types = (TM, PF, O, Arrow(TM, TM), Arrow(TM, PF))
+    env = tuple(rng.choice(binder_types) for _ in range(rng.randrange(4)))
+    mt = rng.choice((TM, PF, O, Arrow(TM, TM), arrow(Arrow(TM, TM), TM, TM)))
+    start = _norm(_gen(rng, mt, env, 3), (), len(env), [], mt, env)
+    sites = []
+    t = _plant_spines(rng, start, mt, env, rng.choice((0.0, 0.05, 0.2)), sites)
+    assert sites[-1][0] is t
+    for u, umt, uenv in sites:
+        ref = _by_norm(u, umt, uenv)
+        try:
+            out = _nf(u, umt, uenv)
+        except StructuralError as e:
+            out = e
+        _agrees_with_norm(out, ref, u)
+        if not isinstance(ref, Exception):
+            assert out == props.ref_normalize(u, umt, uenv)
+
+
+def test_normalize_takes_one_frame_per_level_of_900_nested_applications():
+    # a normal term is walked with a loop along each spine, so nesting,
+    # not spine length, costs Python frames: both nestings stay below the
+    # default recursion limit
+    s, f, z = Const("s", Arrow(TM, TM)), Const("f", arrow(TM, TM, TM)), Const("z", TM)
+    right, left = z, z
+    for _ in range(900):
+        right, left = App(s, right), app(f, left, z)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert normalize(right) is right and normalize(left) is left
+        assert normalize(App(Lam(TM, Bound(0)), right)) is right
+    finally:
+        sys.setrecursionlimit(limit)
