@@ -5,6 +5,11 @@ meta-type, validity or pattern error; 3 the step budget or the Python
 recursion depth was exhausted.
 Structural problems (2) take precedence over resource errors (3), which
 take precedence over plain failures (1).
+
+`main` pauses Python's cyclic garbage collector while a command runs and
+re-enables it after, only if it was enabled before.  Terms, clause
+stores, trails and goal stacks are acyclic, so reference counting frees
+all that a command makes, and a collector pass would only walk live terms.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import gc
 import sys
 
 from .errors import (
@@ -309,7 +315,16 @@ def build_arg_parser():
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    enabled = gc.isenabled()  # see the module docstring
+    gc.disable()
+    try:
+        return _run(build_arg_parser().parse_args(argv))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args):
     if args.command in ("expand", "package", "fmt") and len(args.inputs) != 1:
         print("holcheck: exactly one input file is required here", file=sys.stderr)
         return EXIT_INVALID

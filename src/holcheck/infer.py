@@ -86,6 +86,15 @@ def _resolve(mt, loose=False):
     return None if isinstance(mt, UVar) and not loose else mt
 
 
+def _instance(mt, v):
+    """`mt` with every type parameter replaced by `v`."""
+    if isinstance(mt, SVar):
+        return v
+    if isinstance(mt, Arrow):
+        return Arrow(_instance(mt.dom, v), _instance(mt.cod, v))
+    return mt
+
+
 class Inference:
     """The unification variables of one elaboration.  `at` maps the `id` of
     the meta-type made for a binder or a polymorphic constant to that
@@ -104,17 +113,8 @@ class Inference:
     def instantiate(self, scheme, pos):
         if not scheme.poly:
             return scheme.body
-        v = self.fresh()
-
-        def go(mt):
-            if isinstance(mt, SVar):
-                return v
-            if isinstance(mt, Arrow):
-                return Arrow(go(mt.dom), go(mt.cod))
-            return mt
-
-        mt = go(scheme.body)
-        self.at[id(mt)] = mt, pos  # a key of its own: it holds `v`
+        mt = _instance(scheme.body, self.fresh())
+        self.at[id(mt)] = mt, pos  # a key of its own: it holds the fresh variable
         return mt
 
     def apply(self, fmt, amt, where, pos):

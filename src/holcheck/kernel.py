@@ -435,11 +435,16 @@ class Session:
         rigid pattern is walked beside the target and builds nothing; one
         headed by a matching variable is built by `terms._hsubst` with the
         values bound so far, then bound, or matched as rigid if its head reduced.
+        A bare index that reads an unbound variable of `vs` is bound to a closed
+        target at once.
         """
         h = pattern
         while isinstance(h, App):
             h = h.fn
         if isinstance(h, Meta) or isinstance(h, Bound) and 0 <= h.index - d < len(vs):
+            v = vs[d - 1 - h.index] if h is pattern and isinstance(h, Bound) else None
+            if isinstance(v, Meta) and v.cell.value is None and target.free == 0:
+                return self.bind(v.cell, target)  # what building it would bind
             pattern, vs = _hsubst(pattern, d, vs), ()
             h, args = plain_spine(pattern)
         t = deref(target)

@@ -241,23 +241,20 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
     defs = [e for e in needed if isinstance(e, DefinitionEntry)]
     lemmas = [e for e in needed if isinstance(e, LemmaEntry)]
     order = defs + lemmas  # outermost first
-
-    def emit(k):
-        if k == len(order):
-            # the core may reference binders of the enclosing goal; its free
-            # variables cross every wrapper binder
-            mapping = {e.name: len(order) - 1 - j for j, e in enumerate(order)}
-            return replace_const(shift(proof, len(order)), 0, mapping)
+    # built innermost first: the core may reference binders of the enclosing
+    # goal; its free variables cross every wrapper binder
+    mapping = {e.name: len(order) - 1 - j for j, e in enumerate(order)}
+    t = replace_const(shift(proof, len(order)), 0, mapping)
+    for k in reversed(range(len(order))):
         entry = order[k]
         mapping = {e.name: k - 1 - j for j, e in enumerate(order[:k])}
         a = entry.meta_type
-        rest = Lam(a, emit(k + 1), hint=entry.name)
+        rest = Lam(a, t, hint=entry.name)
         if isinstance(entry, LemmaEntry):
             head = Const("lemma_pf", arrow(Arrow(a, O), a, Arrow(a, PF), PF))
         else:
             head = Const("def_pf", arrow(TP, Arrow(a, O), a, Arrow(a, PF), PF))
         # `lemma_pf I L R` or `def_pf T I B R`, the entry's parts before R
         parts = [replace_const(p, 0, mapping) for p in _entry_parts(entry)]
-        return app(head, *parts, rest)
-
-    return emit(0)
+        t = app(head, *parts, rest)
+    return t

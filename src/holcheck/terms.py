@@ -9,7 +9,9 @@ lambda of its binder, `,` and `=>` (clause first) to two goals.
 
 Kernel-generated eigenvariables are constants carrying a positive birth
 timestamp; matching variables are Meta nodes around a mutable cell.
-Everything else is immutable and freely shareable.
+Everything else is immutable and freely shareable.  Terms are acyclic: a
+node refers only to nodes built before it, and the value bound to a cell
+holds no Meta, so reference counting frees them without the cyclic GC.
 
 Each node has `free`, set when it is built: `META_FREE` if the term holds
 a Meta, else one more than its greatest loose index, 0 if none.  A term

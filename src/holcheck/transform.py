@@ -10,6 +10,7 @@ from .terms import (
     App,
     Const,
     Lam,
+    _hsubst,
     app,
     map_children,
     map_proves,
@@ -47,7 +48,10 @@ def _expand(t, env, _):
         t = map_children(t, _expand, env, None)
     head, args = plain_spine(t)
     if isinstance(head, Const) and head.name == "lemma_pf" and len(args) == 3:
-        return normalize(App(args[2], args[1]), env)
+        # the beta step of `R L` on normal parts, by hereditary substitution,
+        # so the expansions already made inside them are not walked again
+        rest, witness = normalize(args[2], env), normalize(args[1], env)
+        return _hsubst(rest.body, 0, (witness,))
     return t
 
 
@@ -78,6 +82,24 @@ def _skeleton_children(t):
     return children(t)
 
 
+def _visit(t, memo):
+    """(tree nodes, depth, lemma heads, def heads) of `t`, kept in `memo`
+    by the `id` of each node visited."""
+    k = id(t)
+    if k not in memo:
+        tree, depth, lemmas, defs = 1, 0, 0, 0
+        if isinstance(t, Const):
+            lemmas, defs = int(t.name == "lemma_pf"), int(t.name == "def_pf")
+        for c in _skeleton_children(t):
+            ct, cd, cl, cf = _visit(c, memo)
+            tree += ct
+            depth = max(depth, cd)
+            lemmas += cl
+            defs += cf
+        memo[k] = (tree, depth + 1, lemmas, defs)
+    return memo[k]
+
+
 def proof_stats(proof) -> ProofStats:
     """Size metrics of a proof term.
 
@@ -86,24 +108,8 @@ def proof_stats(proof) -> ProofStats:
     the transmitted-size metric.  Embedded clause templates count as one
     node each.
     """
-    memo = {}  # id -> (tree nodes, depth, lemma heads, def heads)
-
-    def visit(t):
-        k = id(t)
-        if k not in memo:
-            tree, depth, lemmas, defs = 1, 0, 0, 0
-            if isinstance(t, Const):
-                lemmas, defs = int(t.name == "lemma_pf"), int(t.name == "def_pf")
-            for c in _skeleton_children(t):
-                ct, cd, cl, cf = visit(c)
-                tree += ct
-                depth = max(depth, cd)
-                lemmas += cl
-                defs += cf
-            memo[k] = (tree, depth + 1, lemmas, defs)
-        return memo[k]
-
-    tree, depth, lemmas, defs = visit(proof)
+    memo = {}
+    tree, depth, lemmas, defs = _visit(proof, memo)
     return ProofStats(
         shared_nodes=len(memo),
         tree_nodes=tree,

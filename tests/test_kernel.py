@@ -912,6 +912,48 @@ def test_each_head_attempt_on_a_negative_agrees_with_the_built_head(
     assert _check_files(monkeypatch, ShadowSession, *lib_args, f) == expected
 
 
+class BareVariableShadow(Session):
+    """Replays each match of a bare index that reads an unbound matching
+    variable against a closed target, which `match` binds at once, through
+    the general path (the pattern built first), and records whether both
+    give the same verdict and bind the same value object."""
+
+    replays = []
+
+    def match(self, pattern, target, vs=(), d=0):
+        i = pattern.index - d if isinstance(pattern, Bound) else -1
+        v = vs[-1 - i] if 0 <= i < len(vs) else None
+        if not (isinstance(v, Meta) and v.cell.value is None and target.free == 0):
+            return super().match(pattern, target, vs, d)
+        built = kernel._hsubst(pattern, d, vs)
+        general = _attempt(self, lambda: Session.match(self, built, target, (), d))
+        m = self.mark()
+        verdict = super().match(pattern, target, vs, d)
+        bound = [(cell, cell.value) for cell in self.trail[m:]]
+        same = (verdict, bound) == general and all(
+            a is b for (_, a), (_, b) in zip(bound, general[1])
+        )
+        BareVariableShadow.replays.append(same)
+        return verdict
+
+
+def test_a_bare_matching_variable_binds_what_the_general_path_binds(
+    monkeypatch, tmp_path, capsys
+):
+    BareVariableShadow.replays = []
+    for name, libs in CORPUS_RUNS:
+        plain = _check_files(monkeypatch, Session, *libs, CORPUS / name)
+        assert _check_files(monkeypatch, BareVariableShadow, *libs, CORPUS / name) == plain
+    for k, (name, text, libs, expected) in enumerate(CASES):
+        f = tmp_path / f"case_{k}.hol"
+        f.write_text(text)
+        lib_args = [a for lib in libs for a in ("--lib", CORPUS / lib)]
+        assert _check_files(monkeypatch, BareVariableShadow, *lib_args, f) == expected, name
+    capsys.readouterr()
+    replays = BareVariableShadow.replays
+    assert len(replays) > 100 and all(replays), replays.count(False)
+
+
 def test_an_earlier_mismatch_wins_over_a_later_pattern_error(sig):
     # `F c` is outside the pattern fragment, but the subject `w d` does not
     # match `w e`, and the subject is matched first

@@ -4,12 +4,24 @@ import pytest
 
 from conftest import CORPUS, atom_args, goal_atom, load_corpus_goal
 
-from holcheck.cli import main
+from holcheck.cli import _library_signature, main
 from holcheck.kernel import Session
 from holcheck.library import walk
 from holcheck.signature import builtin_signature
-from holcheck.syntax import parse_term
-from holcheck.terms import App, Const, alpha_beta_eq, goal_spine, normalize
+from holcheck.syntax import Solve, apply_declarations, format_goal, parse_source, parse_term
+from holcheck.terms import (
+    PROVES,
+    App,
+    Const,
+    Lam,
+    alpha_beta_eq,
+    app,
+    goal_spine,
+    map_children,
+    map_proves,
+    normalize,
+    plain_spine,
+)
 from holcheck.transform import (
     ProofStats,
     expand_lemmas,
@@ -169,5 +181,44 @@ def test_stats_of_shared_subterms_are_pinned():
     )
     expanded = expand_lemmas(atom_args(load_corpus_goal("symm_trans.hol"))[0])
     assert proof_stats(expanded) == ProofStats(
-        shared_nodes=106, tree_nodes=130, lemma_count=0, def_count=0, max_depth=34
+        shared_nodes=101, tree_nodes=130, lemma_count=0, def_count=0, max_depth=34
     )
+
+
+def _expand_by_normalizing(t, env, _=None):
+    """The reference expansion: each `lemma_pf I L R`, its parts expanded
+    first, becomes `R L` normalized whole."""
+    if isinstance(t, Lam):
+        body = _expand_by_normalizing(t.body, (t.mt,) + env)
+        t = t if body is t.body else Lam(t.mt, body, t.hint)
+    else:
+        t = map_children(t, _expand_by_normalizing, env, None)
+    head, args = plain_spine(t)
+    if isinstance(head, Const) and head.name == "lemma_pf" and len(args) == 3:
+        return normalize(App(args[2], args[1]), env)
+    return t
+
+
+def _expand_atom_by_normalizing(atom, env):
+    proof, formula = plain_spine(atom)[1]
+    return app(PROVES, _expand_by_normalizing(proof, tuple(env)), formula)
+
+
+THEOREMS = sorted(f.name for f in CORPUS.glob("*.hol") if not f.name.startswith("lib_"))
+
+
+@pytest.mark.parametrize("name", THEOREMS)
+def test_expansion_equals_normalizing_each_lemma_node_whole(name):
+    libs = [CORPUS / "lib_full.hol"] if name.endswith("_via_lib.hol") else []
+    sig = _library_signature(libs)
+    goals = 0
+    for st in parse_source((CORPUS / name).read_text(), sig, name).statements:
+        if not isinstance(st, Solve):
+            apply_declarations([st], sig)
+            continue
+        got = expand_statement_goal(st.goal)
+        want = map_proves(st.goal, _expand_atom_by_normalizing)
+        assert got == want
+        assert format_goal(got, sig) == format_goal(want, sig)
+        goals += 1
+    assert goals
