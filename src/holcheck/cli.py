@@ -330,10 +330,7 @@ def _run(args):
         return EXIT_INVALID
     try:
         return args.func(args)
-    except SourceError as e:
-        print(f"holcheck: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValidityError, PatternError, StructuralError, LibraryError) as e:
+    except (SourceError, ValidityError, PatternError, StructuralError, LibraryError, OSError) as e:
         print(f"holcheck: {e}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetError as e:
@@ -345,9 +342,6 @@ def _run(args):
             file=sys.stderr,
         )
         return EXIT_RESOURCE
-    except OSError as e:
-        print(f"holcheck: {e}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

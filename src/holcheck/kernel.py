@@ -36,13 +36,14 @@ substitutes nothing.  A clause head is matched as a closure, not built.
 Other terms are built where they are used (the atom of `solve_atom`, the
 clause of an implication goal, a template at its argument) in one walk,
 `terms._hsubst`, that substitutes `vs` and the bound matching variables and
-reduces each redex as it forms; an atom whose `free` is not `META_FREE`
-holds no unbound matching variable and is not scanned for one.  Object
+reduces each redex as it forms.  So a built atom holds no bound matching
+variable, and a subterm of it holds an unbound one exactly when its `free`
+is `META_FREE`: dispatch reads that off the node and scans nothing.  Object
 substitution is a meta-level beta step, and in an eta-long term a bound
 variable is fully applied, so a name or a fresh matching variable put into
-a normal term with `subst` keeps it normal: the handlers do so for `elam`
-and the rest of a lemma node, whose parts they read as sub-terms of a
-normal atom.
+a normal term with `subst` (a call of `_hsubst`) keeps it normal and
+reduces nothing: the handlers do so for `elam` and the rest of a lemma
+node, whose parts they read as sub-terms of a built atom.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from .terms import (
     arrow,
     deref,
     goal_spine,
-    has_unbound_meta,
     map_children,
     map_proves,
     max_eigen_birth,
@@ -315,8 +315,7 @@ def _load_rules():
 PROVES_RULES, HASTYPE_RULES = _load_rules()
 
 # the proof constructors with handlers of their own, by name and arity; a
-# handler gets `_dispatch`'s `unbound`, the constructor's arguments and the
-# formula
+# handler gets the constructor's arguments and the formula
 _CONSTRUCTORS = {
     ("lemma_pf", 3): "check_template_pf",
     ("def_pf", 4): "check_template_pf",
@@ -543,7 +542,7 @@ class Session:
         self.goal_stack.append(atom)
         try:
             produced = False
-            for _ in self._dispatch(atom, atom.free == META_FREE):
+            for _ in self._dispatch(atom):
                 produced = True
                 yield
             if not produced and len(self.goal_stack) >= len(self.failure_snapshot):
@@ -551,30 +550,30 @@ class Session:
         finally:
             self.goal_stack.pop()
 
-    def _dispatch(self, atom: Term, unbound: bool):
-        # only if `unbound` may `atom` hold an unbound matching variable
+    def _dispatch(self, atom: Term):
+        # in a built atom, `free == META_FREE` means an unbound matching variable
         pred, args = goal_spine(atom)
         if pred == "proves":
             p, a = args
-            if unbound and has_unbound_meta(a):
+            if a.free == META_FREE:
                 return  # the formula side must be ground
             h, args = plain_spine(p)
             if isinstance(h, Const):
                 check = _CONSTRUCTORS.get((h.name, len(args)))
                 if check is not None:
-                    yield from getattr(self, check)(unbound, *args, a)
+                    yield from getattr(self, check)(*args, a)
                     return
                 rule = PROVES_RULES.get(h.name)
                 if rule is not None:
                     # exactly one built-in rule per proof constructor
                     yield from self.backchain(atom, rule)
                     return
-            if unbound and has_unbound_meta(p):
+            if p.free == META_FREE:
                 return  # unresolved matching variable at dispatch
             yield from self.solve_store(App(ASSUMP, atom))
             yield from self.solve_store(atom)
         elif pred in ("hastype", "assump"):
-            if unbound and has_unbound_meta(atom):
+            if atom.free == META_FREE:
                 return
             h, _ = plain_spine(args[0])
             rule = pred == "hastype" and isinstance(h, Const) and HASTYPE_RULES.get(h.name)
@@ -629,13 +628,13 @@ class Session:
 
     # -- lemma and definition constructors -------------------------------------
 
-    def check_template_pf(self, unbound, *args):
+    def check_template_pf(self, *args):
         """`lemma_pf I L R` and `def_pf T I B R`, then the formula: check the
         template I at the witness L (or B), then check R at a fresh name
         with the instance (and the definition's equality) as clauses in
         scope."""
         *args, formula = args
-        if unbound and any(has_unbound_meta(x) for x in args):
+        if any(x.free == META_FREE for x in args):
             return
         result_tp = args[0] if len(args) == 4 else None
         template, witness, rest = args[-3:]
@@ -653,7 +652,7 @@ class Session:
             finally:
                 del self.store[depth:]
 
-    def check_elam(self, unbound, q, formula):
+    def check_elam(self, q, formula):
         if not isinstance(q, Lam):
             raise StructuralError("elam node is not eta-long")
         if q.mt not in (TP, TM):
@@ -661,7 +660,7 @@ class Session:
         b = self.fresh_meta(q.mt)
         yield from self.solve(app(PROVES, subst(q.body, b), formula))
 
-    def check_extract(self, unbound, pat, sub, formula):
+    def check_extract(self, pat, sub, formula):
         m = self.mark()
         try:
             if self.match(pat, formula):
@@ -669,7 +668,7 @@ class Session:
         finally:
             self.undo(m)
 
-    def check_extract_goal(self, unbound, g, sub, formula):
+    def check_extract_goal(self, g, sub, formula):
         if not valid_clause(g):
             raise ValidityError(
                 f"extractGoal argument outside the allowed grammar: {format_goal(g, self.sig)}"

@@ -60,9 +60,6 @@ class Registry:
         self.by_name[entry.name] = entry
         self.entries.append(entry)
 
-    def names(self):
-        return set(self.by_name)
-
 
 def entry_of(st):
     """The registry entry of a parsed `def_lemma` or `def_definition`."""
@@ -230,7 +227,7 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
     for e in registry.entries:
         if not e.checked:
             raise LibraryError(f"registry entry '{e.name}' is not checked")
-    stray = const_names(goal_formula) & registry.names()
+    stray = const_names(goal_formula) & registry.by_name.keys()
     if stray:
         raise LibraryError(
             "goal formula references registry name(s): " + ", ".join(sorted(stray))

@@ -16,8 +16,9 @@ holds no Meta, so reference counting frees them without the cyclic GC.
 Each node has `free`, set when it is built: `META_FREE` if the term holds
 a Meta, else one more than its greatest loose index, 0 if none.  A term
 with `free <= d` has no index loose outside `d` binders and no Meta, and
-`_subst`, `_hsubst`, `shift` and the kernel's `_abstract` return it
-unwalked; `has_unbound_meta` scans only a term that holds a Meta.
+`_hsubst`, `shift` and the kernel's `_abstract` return it unwalked.  In a
+term that `_hsubst` has just built every Meta is unbound, so there `free`
+answers `has_unbound_meta`, which scans only a term that holds a Meta.
 
 Normal forms are beta-normal and eta-long.  Object-level substitution is
 a meta-level beta step.  `normalize` checks a normal term in place: a
@@ -33,7 +34,8 @@ first used and shared by every use.  On normal terms they are
 taken by hereditary substitution (`_hsubst`, as in the canonical forms of
 Watkins, Cervesato, Pfenning & Walker, 2002): a lambda substituted at an
 applied head is reduced at once, so normal terms substituted into a normal
-term give a normal term.
+term give a normal term.  `_hsubst` is the only substitution walk:
+`subst` and `subst_goal` are calls of it.
 """
 
 from __future__ import annotations
@@ -324,35 +326,21 @@ def _shift(t, c, by):
 
 
 def subst(body, arg):
-    """Replace the outermost open binder of `body` by `arg`, capture-avoiding.
+    """Replace the outermost open binder of `body` by `arg`, capture-avoiding,
+    by hereditary substitution (`_hsubst`): bound matching variables are
+    replaced by their values too, and a lambda put at a head is reduced.
 
     Unchanged subtrees are returned as the same objects, so sharing in the
     input survives substitution.
     """
-    return _subst(body, 0, (arg,))
-
-
-def _subst(t, d, vs):
-    # vs[-1] replaces the innermost of the len(vs) binders being removed;
-    # applications and indices, the hot cases, skip map_children's cost
-    if t.free <= d:
-        return t
-    if isinstance(t, App):
-        fn, arg = _subst(t.fn, d, vs), _subst(t.arg, d, vs)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
-    if isinstance(t, Bound):
-        i = t.index - d
-        if i < len(vs):
-            return shift(vs[-1 - i], d)
-        return Bound(t.index - len(vs))
-    return map_children(t, _subst, d, vs)
+    return _hsubst(body, 0, (arg,))
 
 
 def subst_goal(body: Term, *args: Term) -> Term:
     """Replace the len(args) innermost open binders of `body` in one pass,
     `args[-1]` for the innermost (index 0); with closed arguments,
     `subst_goal(b, x, y)` is `subst(subst(b, y), x)`."""
-    return _subst(body, 0, args)
+    return _hsubst(body, 0, args)
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +513,6 @@ def _norm(t, sub, base, args, mt, env):
     return orig if orig is not None and all(map(is_, new, raw)) else app(h, *new)
 
 
-def instantiate_metas(t):
-    """Replace each bound matching variable of a normal term by its value,
-    reducing the redexes this makes by hereditary substitution.
-
-    A value is closed, meta-free and normal (the kernel binds nothing
-    else), so the result is normal again.  Unchanged subtrees are
-    returned as the same objects, and so is `t` itself when no variable
-    is bound.
-    """
-    return _hsubst(t, 0, ())
-
-
 def _reduce(fn, args):
     """The normal form of `fn` applied to `args`, all normal and eta-long."""
     while args and isinstance(fn, Lam):
@@ -549,10 +525,11 @@ def _reduce(fn, args):
 
 
 def _hsubst(t, d, vs):
-    # `_subst` that also replaces bound matching variables by their values
-    # and reduces a replaced head with its arguments at once.  A value is
-    # meta-free, so if each of `vs` is a matching variable or meta-free,
-    # the result has `free == META_FREE` exactly when it holds an unbound one
+    # replace the len(vs) binders outside `d` by `vs` (vs[-1] the innermost)
+    # and each bound matching variable by its value, and reduce a replaced
+    # head with its arguments at once.  A value is meta-free, so if each of
+    # `vs` is a matching variable or meta-free, a subterm of the result has
+    # `free == META_FREE` exactly when it holds an unbound one
     if t.free <= d:
         return t
     if isinstance(t, App):
@@ -569,11 +546,12 @@ def _hsubst(t, d, vs):
         fn = h if h.free <= d else _hsubst(h, d, vs)
         return t if fn is h and all(map(is_, new, args)) else _reduce(fn, new)
     if isinstance(t, Bound):
-        if not vs:
-            return t
-        t = _subst(t, d, vs)
+        i = t.index - d  # not negative: t.free > d
+        if i >= len(vs):
+            return Bound(t.index - len(vs)) if vs else t
+        t = shift(vs[-1 - i], d)
         if not isinstance(t, Meta):
-            return t  # an index, or a value of `vs`: built already
+            return t  # a value of `vs`: built already
     if isinstance(t, Meta):
         return t if t.cell.value is None else t.cell.value
     # a Lam (a Const is closed): an unnamed eta-expansion of a variable

@@ -133,7 +133,8 @@ def ref_shift(t, by, cutoff=0):
 
 
 def ref_subst(t, d, vs):
-    """`terms._subst`."""
+    """Plain substitution, `terms._hsubst`'s index case: replace the
+    len(vs) binders outside `d` by `vs`, vs[-1] the innermost."""
     if isinstance(t, Bound):
         i = t.index - d
         if i < 0:
@@ -265,7 +266,7 @@ def ref_normalize(t, mt, env=()):
             args.append(t.arg)
             t = t.fn
         elif isinstance(t, Lam) and args:
-            t = subst(t.body, args.pop())
+            t = ref_subst(t.body, 0, (args.pop(),))
         else:
             break
     args.reverse()

@@ -27,6 +27,7 @@ from holcheck.terms import (
     Const,
     Lam,
     Meta,
+    META_FREE,
     MetaCell,
     O,
     PF,
@@ -40,6 +41,7 @@ from holcheck.terms import (
     normalize,
     normalize_goal,
     pi,
+    plain_spine,
     subst_goal,
 )
 from negatives import CASES
@@ -555,9 +557,9 @@ class NormalFormSession(Session):
     that the argument of every `assump` atom of a stored clause is an
     atom."""
 
-    def _dispatch(self, atom, unbound):
+    def _dispatch(self, atom):
         assert normalize_goal(atom) == atom, f"atom not normal: {atom!r}"
-        return super()._dispatch(atom, unbound)
+        return super()._dispatch(atom)
 
     def _push(self, g):
         assert normalize_goal(g) == g, f"stored clause not normal: {g!r}"
@@ -857,9 +859,9 @@ class CheckLog(Session):
         self.atoms, self.clauses = {}, {}
         CheckLog.made.append(self)
 
-    def _dispatch(self, atom, unbound):
+    def _dispatch(self, atom):
         self.atoms.setdefault(atom, atom)
-        return super()._dispatch(atom, unbound)
+        return super()._dispatch(atom)
 
     def _push(self, g):
         self.clauses.setdefault(g, g)
@@ -952,6 +954,77 @@ def test_a_bare_matching_variable_binds_what_the_general_path_binds(
     capsys.readouterr()
     replays = BareVariableShadow.replays
     assert len(replays) > 100 and all(replays), replays.count(False)
+
+
+class FreeReadingShadow(Session):
+    """At each site where dispatch asks whether a term holds an unbound
+    matching variable, records `free`'s answer beside the scan's, as a
+    pair per site, over every session made."""
+
+    seen = {}
+
+    def _record(self, site, x):
+        FreeReadingShadow.seen.setdefault(site, set()).add(
+            (x.free == META_FREE, has_unbound_meta(x))
+        )
+
+    def _dispatch(self, atom):
+        pred, args = goal_spine(atom)
+        if pred == "proves":
+            p, a = args
+            self._record("formula", a)
+            h, hargs = plain_spine(p)
+            own = isinstance(h, Const) and (
+                (h.name, len(hargs)) in kernel._CONSTRUCTORS or h.name in kernel.PROVES_RULES
+            )
+            if a.free != META_FREE and not own:
+                self._record("proof", p)  # before the store is searched
+        elif pred in ("hastype", "assump"):
+            self._record("atom", atom)
+        return super()._dispatch(atom)
+
+    def check_template_pf(self, *args):
+        for x in args[:-1]:
+            self._record("template argument", x)
+        return super().check_template_pf(*args)
+
+
+# goals that put an unbound matching variable at each site
+_UNBOUND_AT_SITES = (
+    # a stored clause whose body has a variable that is not in its head:
+    # at the formula, and in a typing atom
+    r"(pi A\ pi B\ (proves (mylem A) A <<== proves myax B)) ==>> proves (mylem false) false",
+    r"(pi A\ pi T\ (proves (mylem A) A <<== hastype A T)) ==>> proves (mylem false) false",
+    # an `elam` variable in a proof left to the store, and in a lemma's witness
+    r"proves (elam x\ myax2 x) false",
+    r"proves (elam x\ lemma_pf (N\ proves N false) (myax2 x) (N\ N)) false",
+)
+
+
+def test_free_tells_an_unbound_matching_variable_where_dispatch_asks(
+    monkeypatch, tmp_path, capsys
+):
+    FreeReadingShadow.seen = {}
+    for name, libs in CORPUS_RUNS:
+        plain = _check_files(monkeypatch, Session, *libs, CORPUS / name)
+        assert _check_files(monkeypatch, FreeReadingShadow, *libs, CORPUS / name) == plain
+    for k, (name, text, libs, expected) in enumerate(CASES):
+        f = tmp_path / f"case_{k}.hol"
+        f.write_text(text)
+        lib_args = [a for lib in libs for a in ("--lib", CORPUS / lib)]
+        assert _check_files(monkeypatch, FreeReadingShadow, *lib_args, f) == expected, name
+    capsys.readouterr()
+    # the corpus and the negatives reach every site, never with a variable
+    assert all(pairs == {(False, False)} for pairs in FreeReadingShadow.seen.values())
+    assert len(FreeReadingShadow.seen) == 4
+    sig = builtin_signature()
+    for name, mt in (("mylem", Arrow(TM, PF)), ("myax", PF), ("myax2", Arrow(TM, PF))):
+        sig.declare(name, mt)
+    for text in _UNBOUND_AT_SITES:
+        r = FreeReadingShadow(sig).check_goal(parse_goal(text, sig))
+        assert (r.ok, r.error) == (False, None), text
+    for site in ("formula", "proof", "atom", "template argument"):
+        assert FreeReadingShadow.seen[site] == {(False, False), (True, True)}, site
 
 
 def test_an_earlier_mismatch_wins_over_a_later_pattern_error(sig):

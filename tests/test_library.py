@@ -134,6 +134,29 @@ def test_forward_reference_in_definition_body():
     assert "assoc" in str(exc.value)
 
 
+def test_forward_reference_in_lemma_template():
+    # the template of `symm2` names `symm`, defined after it
+    symm2 = (
+        "type symm2 pf -> pf.\n"
+        "def_lemma symm2\n"
+        "  (Symm2\\ pi T\\ pi A\\ pi B\\ pi P\\\n"
+        "    proves (Symm2 P) (eq T A B) <<== proves (symm P) (eq T A B))\n"
+        "  (P\\ symm P).\n"
+    )
+    parse_lib(SYMM_DECL + SYMM_DEF + symm2)
+    with pytest.raises(LibraryError) as exc:
+        parse_lib(SYMM_DECL + symm2 + SYMM_DEF)
+    assert str(exc.value) == "entry 'symm2' references not-yet-defined name(s): symm"
+
+
+def test_forward_reference_in_lemma_proof_is_loaded():
+    # proofs are checked by running them, so `trans`, whose proof names
+    # `symm`, loads before it; checking it is what fails
+    reg, _ = parse_lib(SYMM_DECL + TRANS_DECL + TRANS_DEF + SYMM_DEF)
+    assert [e.name for e in reg.entries] == ["trans", "symm"]
+    assert "symm" in const_names(reg.by_name["trans"].proof)
+
+
 def test_library_file_may_not_contain_goals():
     sig = builtin_signature()
     src = parse_source("proves refl (forall intty X\\ eq intty X X).", sig)
@@ -167,7 +190,7 @@ def test_packaged_output_is_registry_closed():
     goal = load_corpus_goal("assoc_via_lib.hol", sig)
     proof, formula = atom_args(goal_atom(goal))
     packaged = package(formula, proof, reg)
-    assert not (const_names(packaged) & reg.names())
+    assert not (const_names(packaged) & reg.by_name.keys())
     assert [e.name for e in dependencies(proof, reg)] == [
         "symm",
         "trans",

@@ -44,12 +44,10 @@ from holcheck.terms import (
     _hsubst,
     _nf,
     _norm,
-    _subst,
     alpha_beta_eq,
     app,
     arrow,
     has_unbound_meta,
-    instantiate_metas,
     max_eigen_birth,
     meta_type_of,
     normalize,
@@ -82,6 +80,29 @@ def test_subst_duplicates_argument():
     body = App(App(App(EQ, INTTY), Bound(0)), Bound(0))
     out = subst(body, j)
     assert out == App(App(App(EQ, INTTY), j), j)
+
+
+def test_subst_reduces_a_lambda_put_at_an_applied_head():
+    # hereditary substitution: the redex `(x\ x) c` is contracted as it forms
+    c = Const("c", TM)
+    assert subst(App(Bound(0), c), Lam(TM, Bound(0), "x")) == c
+    # and so is each redex that the contraction makes
+    s = Const("s", Arrow(TM, TM))
+    twice = Lam(Arrow(TM, TM), Lam(TM, App(Bound(1), App(Bound(1), Bound(0)))))
+    assert subst(app(Bound(0), Lam(TM, App(s, Bound(0))), c), twice) == App(s, App(s, c))
+
+
+def test_subst_replaces_bound_matching_variables_and_keeps_unbound_ones():
+    j, s = Const("j", TM), Const("s", Arrow(TM, TM))
+    bound, unbound = MetaCell(TM, 0), MetaCell(TM, 0)
+    bound.value = Const("c", TM)
+    out = subst(app(EQ, INTTY, Meta(bound), Meta(unbound)), j)
+    assert out == app(EQ, INTTY, bound.value, Meta(unbound))
+    assert subst(app(EQ, INTTY, Meta(bound), Bound(0)), j) == app(EQ, INTTY, bound.value, j)
+    # a bound matching variable at a head is reduced with its arguments
+    f = MetaCell(Arrow(TM, TM), 0)
+    f.value = Lam(TM, App(s, Bound(0)))
+    assert subst(App(Meta(f), Bound(0)), j) == App(s, j)
 
 
 def test_subst_symm_template_by_hand_reduction():
@@ -389,6 +410,19 @@ def test_subst_goal_of_a_prefix_is_iterated_subst(seed):
     assert subst_goal(body, a, b, c) == subst(subst(subst(body, c), b), a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS)
+def test_subst_of_normal_terms_is_the_normal_form_of_the_redex(seed):
+    rng = random.Random(seed)
+    dom = rng.choice((TM, PF, Arrow(TM, TM), Arrow(TM, Arrow(TM, PF))))
+    cod = rng.choice((TM, PF, Arrow(TM, TM)))
+    lam = normalize(props.gen_term(rng, Arrow(dom, cod), (), fuel=3))
+    arg = normalize(props.gen_term(rng, dom, (), fuel=2))
+    out = subst(lam.body, arg)
+    assert out == props.ref_hsubst(lam.body, 0, (arg,))
+    assert normalize(out) is out and out == normalize(App(lam, arg))
+
+
 # matching-variable types; the first two take a function argument, which
 # the value applies, so instantiating them reduces hereditarily
 _META_TYPES = (
@@ -399,15 +433,15 @@ _META_TYPES = (
 )
 
 
-def test_instantiate_metas_returns_an_open_term_without_bound_variables_itself():
+def test_hsubst_of_no_values_returns_an_open_term_without_bound_variables_itself():
     # a pattern under binders, as `Session.match` re-instantiates it
     t = App(Const("s", Arrow(TM, TM)), Bound(0))
-    assert instantiate_metas(t) is t
+    assert _hsubst(t, 0, ()) is t
 
 
 @settings(max_examples=300, deadline=None)
 @given(_SEEDS)
-def test_instantiate_metas_is_normalization_of_a_normal_atom(seed):
+def test_hsubst_of_no_values_is_normalization_of_a_normal_atom(seed):
     rng = random.Random(seed)
     env = (rng.choice(_META_TYPES), rng.choice(_META_TYPES))
     # a normal atom over two variables, which become matching variables
@@ -415,10 +449,10 @@ def test_instantiate_metas_is_normalization_of_a_normal_atom(seed):
     body = app(PROVES, props.gen_term(rng, PF, env, 3), props.gen_term(rng, TM, env, 3))
     cells = [MetaCell(mt, 0) for mt in reversed(env)]
     atom = normalize_goal(subst_goal(body, *(Meta(c) for c in cells)))
-    assert instantiate_metas(atom) is atom
+    assert _hsubst(atom, 0, ()) is atom
     for c in cells:
         c.value = normalize(props.gen_term(rng, c.mt, (), 2))
-    assert instantiate_metas(atom) == props.ref_normalize(atom, O)
+    assert _hsubst(atom, 0, ()) == props.ref_normalize(atom, O)
 
 
 def _binder_value(rng, mt, i):
@@ -444,8 +478,8 @@ def test_one_walk_builds_an_atom_as_substitution_then_instantiation(seed):
     body = normalize_goal(body, env)
     vs = tuple(_binder_value(rng, mt, i) for i, mt in enumerate(reversed(env)))
     built = _hsubst(body, 0, vs)
-    substituted = subst_goal(body, *vs)
-    assert built == instantiate_metas(substituted)
+    substituted = props.ref_subst(body, 0, vs)
+    assert built == _hsubst(substituted, 0, ())
     # a value is meta-free, so `free` says whether the atom holds an
     # unbound matching variable; a bound one whose value discards its
     # argument may drop one that the substituted atom holds
@@ -571,13 +605,12 @@ def test_walks_that_skip_closed_subterms_agree_with_walks_that_do_not(seed):
     d = rng.randrange(len(env) + 1)
     k = rng.randrange(len(env) - d + 1)
     vs = tuple(_value(rng, m, i) for i, m in enumerate(reversed(env[d : d + k])))
-    _agree(_subst(t, d, vs), props.ref_subst(t, d, vs), t)
     by, cutoff = rng.randrange(3), rng.randrange(4)
     _agree(shift(t, by, cutoff), props.ref_shift(t, by, cutoff), t)
     built = _hsubst(t, d, vs)
     _agree(built, props.ref_hsubst(t, d, vs), t)
     assert has_unbound_meta(built) == (built.free == META_FREE)
-    _agree(instantiate_metas(t), props.ref_hsubst(t, 0, ()), t)
+    _agree(_hsubst(t, 0, ()), props.ref_hsubst(t, 0, ()), t)
 
     # abstraction over some loose indices and eigenvariables, as matching
     # a pattern variable's arguments makes them
