@@ -121,7 +121,7 @@ class Environment:
         env.session.store = list(self.session.store)
         env.session.counter = self.session.counter
         env.session.clauses_added = self.session.clauses_added
-        env.registry = Registry(list(self.registry.entries), dict(self.registry.by_name))
+        env.registry = Registry(self.registry.entries, self.registry.by_name)
         env.codes = []
         return env
 

@@ -57,3 +57,7 @@ class BudgetError(HolError):
     def __init__(self, steps):
         super().__init__(f"step budget exhausted after {steps} steps")
         self.steps = steps
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of an immutable term or meta-type was assigned or deleted."""

@@ -48,7 +48,7 @@ node, whose parts they read as sub-terms of a built atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BudgetError, PatternError, StructuralError, ValidityError
 from .signature import builtin_signature
@@ -59,7 +59,6 @@ from .terms import (
     HASTYPE,
     PROVES,
     App,
-    Arrow,
     Bound,
     Const,
     Lam,
@@ -104,24 +103,16 @@ _ERROR_KINDS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Stats:
-    steps: int = 0
-    clauses_added: int = 0
-    max_store_depth: int = 0
+Stats = namedtuple("Stats", "steps clauses_added max_store_depth", defaults=(0, 0, 0))
 
 
-@dataclass
-class CheckReport:
-    ok: bool
-    error: str = None  # None | validity | pattern | budget | structural
-    message: str = ""
-    stats: Stats = field(default_factory=Stats)
-    failure_stack: tuple = ()
+class CheckReport(
+    namedtuple("CheckReport", "ok error message stats failure_stack", defaults=(None, "", Stats(), ()))
+):
+    """`error` is None or what ended the check: validity, pattern, budget or structural."""
 
-    @property
-    def failed(self):
-        return not self.ok and self.error is None
+    __slots__ = ()
+    failed = property(lambda report: not report.ok and report.error is None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ a registry bug can make checking fail but never admit a bad proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import LibraryError
 from .kernel import CheckReport, Session, instantiate
 from .syntax import DefDefinition, DefLemma, InfixDecl, Solve, TypeDecl
@@ -30,29 +28,31 @@ from .terms import (
 from .transform import children
 
 
-@dataclass
 class LemmaEntry:
-    name: str
-    meta_type: object
-    template: Term  # abstraction over the name; body of meta-type o
-    proof: Term
-    checked: bool = False
+    def __init__(self, name, meta_type, template, proof):
+        self.name = name
+        self.meta_type = meta_type
+        self.template = template  # abstraction over the name; body of meta-type o
+        self.proof = proof
+        self.checked = False
 
 
-@dataclass
 class DefinitionEntry:
-    name: str
-    meta_type: object
-    result_tp: Term
-    typeinf: Term  # abstraction over the name; body of meta-type o
-    body: Term
-    checked: bool = False
+    def __init__(self, name, meta_type, result_tp, typeinf, body):
+        self.name = name
+        self.meta_type = meta_type
+        self.result_tp = result_tp
+        self.typeinf = typeinf  # abstraction over the name; body of meta-type o
+        self.body = body
+        self.checked = False
 
 
-@dataclass
 class Registry:
-    entries: list = field(default_factory=list)
-    by_name: dict = field(default_factory=dict)
+    """The entries, in order and by name; the ones given are copied."""
+
+    def __init__(self, entries=(), by_name=()):
+        self.entries = list(entries)
+        self.by_name = dict(by_name)
 
     def add(self, entry):
         if entry.name in self.by_name:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import SourceError
 from .terms import Arrow, MetaType, O, PF, SVar, TM, TP, arg_types, arrow, result_base
@@ -10,16 +10,11 @@ from .terms import Arrow, MetaType, O, PF, SVar, TM, TP, arg_types, arrow, resul
 A = SVar("A")
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(namedtuple("Scheme", "body poly", defaults=(False,))):
     """Meta-type of a constant; `poly` schemes quantify over the parameter A."""
 
-    body: MetaType
-    poly: bool = False
-    predicate: bool = field(init=False, repr=False, compare=False)  # mono, result o
-
-    def __post_init__(self):
-        object.__setattr__(self, "predicate", not self.poly and result_base(self.body) == O)
+    __slots__ = ()
+    predicate = property(lambda sch: not sch.poly and result_base(sch.body) == O)  # mono, result o
 
 
 # The trusted constant set.  User declarations may extend it but never

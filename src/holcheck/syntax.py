@@ -15,8 +15,8 @@ statement reports its first error in reading order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from operator import attrgetter
 
 from .errors import MetaTypeError, SourceError
 from .infer import Inference, elaborate_goal, elaborate_term
@@ -55,12 +55,21 @@ _TOKEN = re.compile(
 _KINDS = frozenset(("ident", "int", "sym"))
 
 
-@dataclass(slots=True)
 class Token:
-    kind: str  # ident | int | sym | eof
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, kind, value, line, col):
+        self.kind = kind  # ident | int | sym | eof
+        self.value = value
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other):
+        return other.__class__ is Token and self._key(self) == other._key(other)
+
+    def __repr__(self):
+        return f"Token(kind={self.kind!r}, value={self.value!r}, line={self.line}, col={self.col})"
 
 
 def tokenize(text, path=None):
@@ -89,50 +98,13 @@ def tokenize(text, path=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TypeDecl:
-    name: str
-    mt: MetaType
-    pos: tuple
-
-
-@dataclass
-class InfixDecl:
-    name: str
-    assoc: str
-    prec: int
-    pos: tuple
-
-
-@dataclass
-class DefLemma:
-    name: str
-    meta_type: MetaType
-    template: Term  # abstraction over the lemma name, body of meta-type o
-    proof: Term
-    pos: tuple
-
-
-@dataclass
-class DefDefinition:
-    name: str
-    meta_type: MetaType
-    result_tp: Term
-    typeinf: Term  # abstraction over the definition name, body of meta-type o
-    body: Term
-    pos: tuple
-
-
-@dataclass
-class Solve:
-    goal: Term
-    pos: tuple
-
-
-@dataclass
-class SourceFile:
-    statements: list
-    path: Optional[str] = None
+TypeDecl = namedtuple("TypeDecl", "name mt pos")
+InfixDecl = namedtuple("InfixDecl", "name assoc prec pos")
+# `template` and `typeinf` abstract over the entry's name; their bodies are of meta-type o
+DefLemma = namedtuple("DefLemma", "name meta_type template proof pos")
+DefDefinition = namedtuple("DefDefinition", "name meta_type result_tp typeinf body pos")
+Solve = namedtuple("Solve", "goal pos")
+SourceFile = namedtuple("SourceFile", "statements path", defaults=(None,))
 
 
 class Parser:
@@ -538,7 +510,8 @@ def _fmt(t, sig, names, req):
         l = _fmt(args[0], sig, names, p + 1 if assoc == "right" else p)
         r = _fmt(args[1], sig, names, p if assoc == "right" else p + 1)
         s = f"{l}, {r}" if name == "," else f"{l} {name} {r}"
-        return f"({s})" if req > p else s
+        # application binds tighter than every infix, whatever its precedence
+        return f"({s})" if req > min(p, _APP_PREC) else s
     parts = [_fmt(head, sig, names, _APP_PREC + 1)]
     parts += [_fmt(a, sig, names, _APP_PREC + 1) for a in args]
     s = " ".join(parts)

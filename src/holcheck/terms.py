@@ -40,11 +40,37 @@ term give a normal term.  `_hsubst` is the only substitution walk:
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter, is_
-from typing import Optional, Union
 
-from .errors import StructuralError
+from .errors import FrozenInstanceError, StructuralError
+
+
+class _Frozen:
+    """Immutable; equal when of one class and equal `_key`; pickled by slots."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):  # `Base`'s and `SVar`'s; the hot classes set slots directly
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):  # and `__delattr__`
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):  # a meta-type's, as written; each kind of term node has its own
+        return str(self)
+
 
 # ---------------------------------------------------------------------------
 # Meta-types
@@ -53,35 +79,38 @@ from .errors import StructuralError
 BASE_NAMES = ("tp", "tm", "pf", "o")
 
 
-@dataclass(frozen=True)
-class Base:
-    name: str
+class Base(_Frozen):
+    __slots__ = ("name",)
+    _key = attrgetter("name")
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "MetaType"
-    cod: "MetaType"
+class Arrow(_Frozen):
+    __slots__ = ("dom", "cod")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, dom: MetaType, cod: MetaType):
+        _set_dom(self, dom)
+        _set_cod(self, cod)
 
     def __str__(self):
         d = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
         return f"{d} -> {self.cod}"
 
 
-@dataclass(frozen=True)
-class SVar:
+class SVar(_Frozen):
     """Type parameter of a polymorphic constant scheme (never ground)."""
 
-    name: str
+    __slots__ = ("name",)
+    _key = attrgetter("name")
 
     def __str__(self):
         return self.name
 
 
-MetaType = Union[Base, Arrow, SVar]
+MetaType = Base | Arrow | SVar
 
 TP = Base("tp")
 TM = Base("tm")
@@ -142,26 +171,10 @@ class MetaCell:
 META_FREE = (1 << 30) - 1
 
 
-class Term:
-    """A node, immutable: assigning or deleting a field raises.  Nodes are
-    equal when of one class and equal `_key` (fields but a `Lam`'s hint)."""
+class Term(_Frozen):
+    """A node.  Its `_key` is its fields but a `Lam`'s hint."""
 
     __slots__ = ("free",)  # a class attribute in `Const` and `Meta`
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._key(self) == other._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 class Const(Term):
@@ -220,7 +233,7 @@ class Lam(Term):
     __slots__ = ("mt", "body", "hint")
     _key = attrgetter("mt", "body")
 
-    def __init__(self, mt: Optional[MetaType], body: Term, hint: Optional[str] = None):
+    def __init__(self, mt: MetaType | None, body: Term, hint: str | None = None):
         _set_lam_mt(self, mt)
         _set_body(self, body)
         _set_hint(self, hint)
@@ -231,7 +244,8 @@ class Lam(Term):
         return f"(\\ {self.body!r})"
 
 
-# the slot setters, which bypass `Term.__setattr__`
+# the slot setters, which bypass `_Frozen.__setattr__`
+_set_dom, _set_cod = Arrow.dom.__set__, Arrow.cod.__set__
 _set_name, _set_const_mt, _set_birth = Const.name.__set__, Const.mt.__set__, Const.birth.__set__
 _set_index, _set_cell, _set_free = Bound.index.__set__, Meta.cell.__set__, Term.free.__set__
 _set_fn, _set_arg = App.fn.__set__, App.arg.__set__

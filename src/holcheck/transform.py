@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .terms import (
     O,
@@ -20,13 +20,7 @@ from .terms import (
 )
 
 
-@dataclass
-class ProofStats:
-    shared_nodes: int
-    tree_nodes: int
-    lemma_count: int
-    def_count: int
-    max_depth: int
+ProofStats = namedtuple("ProofStats", "shared_nodes tree_nodes lemma_count def_count max_depth")
 
 
 def expand_lemmas(proof, env=()):

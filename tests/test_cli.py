@@ -1,10 +1,12 @@
 """CLI commands, exit codes, and the rewrite pipelines."""
 
 import re
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CORPUS, THEOREM_FILES
+from conftest import CORPUS, ROOT, THEOREM_FILES
 
 from holcheck.cli import _combine, build_arg_parser, main
 from negatives import CASES
@@ -566,3 +568,27 @@ def test_thirty_link_chain_checks(tmp_path, capsys):
     f.write_text(chain_statement(n, backwards, order))
     assert run("check", str(f)) == 0
     assert "success" in capsys.readouterr().out
+
+
+# `-S`: a site `.pth` file may import `typing` before holcheck does
+_START_UP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import holcheck.cli
+from holcheck.kernel import Session
+from holcheck.signature import builtin_signature
+Session(builtin_signature())
+print(" ".join(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules))
+"""
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_typing():
+    """Importing the CLI and making a session loads none of these modules,
+    which cost more to import than holcheck's own."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _START_UP, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == []

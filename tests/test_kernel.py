@@ -11,7 +11,14 @@ from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goa
 from holcheck import cli, kernel
 
 from holcheck.errors import PatternError, StructuralError, ValidityError
-from holcheck.kernel import Session, augment_goal, def_to_eqclause, valid_clause
+from holcheck.kernel import (
+    CheckReport,
+    Session,
+    Stats,
+    augment_goal,
+    def_to_eqclause,
+    valid_clause,
+)
 from holcheck.library import walk
 from holcheck.signature import builtin_signature
 from holcheck.syntax import parse_goal, parse_term
@@ -1118,3 +1125,11 @@ def test_a_flexible_argument_is_read_with_the_values_bound_before_it(session):
     atom = app(p, Lam(TM, App(e, Bound(0)), "y"), App(e, Const("c", TM)))
     assert session.match(app(p, fx, App(Bound(0), fx)), atom, vs)
     assert vs[1].cell.value == Lam(Arrow(TM, TM), App(Bound(0), Const("c", TM)))
+
+
+def test_a_report_failed_only_when_no_error_ended_the_check():
+    assert CheckReport(False).failed and not CheckReport(True).failed
+    assert not CheckReport(False, "budget").failed
+    report = CheckReport(False)
+    assert (report.error, report.message, report.failure_stack) == (None, "", ())
+    assert report.stats == Stats() == Stats(0, 0, 0)

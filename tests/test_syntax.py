@@ -11,12 +11,13 @@ from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES
 from negatives import META_TYPE_ERROR
 
 from holcheck.errors import SourceError
-from holcheck.signature import builtin_signature
+from holcheck.signature import BUILTIN_INFIX, builtin_signature
 from holcheck.syntax import (
     DefDefinition,
     DefLemma,
     Solve,
     TypeDecl,
+    apply_declarations,
     format_goal,
     format_statement,
     format_term,
@@ -131,6 +132,37 @@ def test_user_infix_declaration_round_trip():
         sig,
     )
     assert reparsed.statements[-1].goal == st.goal
+
+
+_HIGH_PREC_GOALS = (
+    "g (false f false)",
+    "(g false) f false",
+    "g (g false f false)",
+    "(false f false) f false",
+    "false f (false f false)",
+    "g false f g false f false",
+)
+
+
+@pytest.mark.parametrize("assoc", ["infixl", "infixr"])
+@pytest.mark.parametrize("prec", range(13))
+def test_infix_of_any_precedence_prints_to_what_parses_back(assoc, prec):
+    # application binds tighter than every infix, so an infix argument of an
+    # application is printed in parentheses even at precedence 10 and above
+    side = "left" if assoc == "infixl" else "right"
+    decls = f"type f tm -> tm -> tm.\ntype g tm -> tm.\n{assoc} f {prec}.\n"
+    body = "".join(f"proves refl (eq intty ({t}) ({t})).\n" for t in _HIGH_PREC_GOALS)
+    if any(p == prec and a != side for a, p in BUILTIN_INFIX.values()):
+        with pytest.raises(SourceError, match="associative"):
+            parse_source(decls, builtin_signature())
+        return
+    src = parse_source(decls + body, builtin_signature())
+    work = builtin_signature()
+    apply_declarations(src.statements, work)
+    printed = "\n".join(format_statement(st, work) for st in src.statements)
+    again = parse_source(printed, builtin_signature())
+    assert [st.goal for st in again.statements[3:]] == [st.goal for st in src.statements[3:]]
+    assert "\n".join(format_statement(st, work) for st in again.statements) == printed
 
 
 def test_conflicting_precedence_assoc_rejected():

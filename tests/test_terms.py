@@ -15,7 +15,7 @@ from conftest import CORPUS
 from holcheck import cli, terms
 from holcheck.errors import MetaTypeError, StructuralError
 from holcheck.kernel import Session, _abstract, _Escape, _goal_app
-from holcheck.signature import builtin_signature
+from holcheck.signature import BUILTIN_CONSTS, GOAL_FORMERS, Scheme, builtin_signature
 from holcheck.syntax import (
     DefDefinition,
     DefLemma,
@@ -545,6 +545,51 @@ def test_term_nodes_copy_and_pickle_to_equal_nodes(node):
         assert twin.free == node.free
     if not isinstance(node, Meta):
         assert pickle.loads(pickle.dumps(node)) == node
+
+
+_META_TYPE_SAMPLES = (TM, SVar("A"), Arrow(TM, O), arrow(Arrow(SVar("A"), O), SVar("A"), PF))
+
+
+@pytest.mark.parametrize("mt", _META_TYPE_SAMPLES, ids=str)
+def test_meta_types_are_immutable(mt):
+    for name in ("name", "dom", "cod", "other"):
+        with pytest.raises(AttributeError):
+            setattr(mt, name, TM)
+        with pytest.raises(AttributeError):
+            delattr(mt, name)
+
+
+@pytest.mark.parametrize("mt", _META_TYPE_SAMPLES, ids=str)
+def test_meta_types_copy_and_pickle_to_equal_meta_types(mt):
+    for twin in (copy.copy(mt), copy.deepcopy(mt), pickle.loads(pickle.dumps(mt))):
+        assert twin == mt and hash(twin) == hash(mt) and str(twin) == str(mt)
+
+
+def test_meta_types_are_equal_only_of_one_kind_with_equal_fields():
+    assert Base("A") != SVar("A") and SVar("A") != Base("A")
+    assert Arrow(TM, TM) != (TM, TM) and (TM, TM) != Arrow(TM, TM)
+    assert Base("tm") == TM and hash(Base("tm")) == hash(TM)
+    built = arrow(TM, TM, O)
+    assert built == Arrow(Base("tm"), Arrow(Base("tm"), Base("o")))
+    assert hash(built) == hash(Arrow(Base("tm"), Arrow(Base("tm"), Base("o"))))
+    assert Arrow(TM, O) != Arrow(O, TM) and Arrow(TM, O) != TM
+
+
+def test_schemes_copy_and_pickle_and_keep_their_predicate_flag():
+    schemes = {**BUILTIN_CONSTS, **GOAL_FORMERS}
+    # the names whose scheme is monomorphic with result o
+    assert sorted(n for n, s in schemes.items() if s.predicate) == [
+        ",",
+        "=>",
+        "assump",
+        "hastype",
+        "proves",
+    ]
+    assert Scheme(TM).poly is False and Scheme(TM) == Scheme(TM, False)
+    assert Scheme(Arrow(TM, O)).predicate and not Scheme(Arrow(TM, O), poly=True).predicate
+    for s in schemes.values():
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and twin.predicate == s.predicate
 
 
 def test_lambdas_differing_in_hint_only_are_equal_and_hash_alike():
