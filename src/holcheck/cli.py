@@ -48,7 +48,7 @@ from .syntax import (
     format_statement,
     parse_source,
 )
-from .terms import PROVES, app, map_proves, plain_spine
+from .terms import PROVES, App, map_proves
 from .transform import expand_statement_goal, proof_stats
 
 EXIT_OK, EXIT_FAILED, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
@@ -221,8 +221,8 @@ def cmd_package(args):
     env = Environment(args.lib, args.budget, args.trace)
 
     def package_atom(atom, _binders):
-        proof, formula = plain_spine(atom)[1]
-        return app(PROVES, package(formula, proof, env.registry), formula)
+        proof, formula = atom.args
+        return App(PROVES, (package(formula, proof, env.registry), formula))
 
     return _rewrite_command(
         args, env.sig, lambda g: map_proves(g, package_atom), keep_definitions=False
@@ -244,7 +244,7 @@ def cmd_stats(args):
                 apply_declarations([st], sig)
             elif isinstance(st, Solve):
                 proofs = []
-                map_proves(st.goal, lambda a, env: proofs.append(plain_spine(a)[1][0]) or a)
+                map_proves(st.goal, lambda a, env: proofs.append(a.args[0]) or a)
                 for proof in proofs:
                     s = proof_stats(proof)
                     print(

@@ -12,6 +12,7 @@ on the constant node itself, where the kernel reads it back.
 from __future__ import annotations
 
 import itertools
+from operator import is_
 
 from .errors import MetaTypeError
 from .terms import App, Arrow, Base, Const, Lam, MetaType, SVar, Term
@@ -133,11 +134,14 @@ def _zonk(t, inf):
     """Ground every meta-type annotation of a term, keeping the nodes that
     are ground already."""
     if isinstance(t, App):
-        # the argument first: an unresolved binder is named before the
-        # constant applied to its lambda, `pi` or `elam`
-        arg = _zonk(t.arg, inf)
-        fn = _zonk(t.fn, inf)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+        # the arguments right to left, then the head: an unresolved binder
+        # is named before the constant applied to its lambda, `pi` or `elam`
+        args = []
+        for a in reversed(t.args):
+            args.append(_zonk(a, inf))
+        args.reverse()
+        h = _zonk(t.head, inf)
+        return t if h is t.head and all(map(is_, args, t.args)) else App(h, tuple(args))
     if not isinstance(t, (Const, Lam)):
         return t
     made = inf.at.get(id(t.mt))

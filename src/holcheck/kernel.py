@@ -3,7 +3,8 @@
 A Session owns the clause store, the matching-variable trail, the
 eigenvariable timestamp counter and the step budget.  Goals, the terms of
 meta-type o, are solved by a complete chronological-backtracking
-interpreter that reads the constant at the head of each goal:
+interpreter that reads each goal's head constant and arguments off its
+spine, one `App` node (see `terms`):
 
   * `pi` goals introduce fresh eigenvariables,
   * `,` goals solve both sides, left first,
@@ -23,7 +24,8 @@ solution order are exactly those of trying it.
 
 Matching is one-directional (goal side ground) over the pattern fragment:
 a matching variable may appear bare or applied to distinct variables.
-Anything outside that fragment is a hard error, never a search.
+Anything outside that fragment is a hard error, never a search.  Rigid
+spines match when heads and lengths agree, then argument by argument.
 
 Invariant: every atom that reaches dispatch, and every stored clause, is
 beta-normal and eta-long and holds no bound matching variable.  Terms are
@@ -70,19 +72,19 @@ from .terms import (
     TM,
     TP,
     Term,
+    _former,
     _hsubst,
+    _pred,
     app,
     arg_types,
     arrow,
     deref,
-    goal_spine,
     map_children,
     map_proves,
     max_eigen_birth,
     meta_type_of,
     normalize_goal,
     pi,
-    plain_spine,
     result_base,
     shift,
     subst,
@@ -122,14 +124,13 @@ class CheckReport(
 
 def valid_clause(g: Term) -> bool:
     """The whitelist grammar for clauses embedded in proofs."""
-    name, args = goal_spine(g)
-    if name == "pi":
-        return valid_clause(args[0].body)
-    if name in (",", "=>"):
-        return valid_clause(args[0]) and valid_clause(args[1])
-    if name == "assump":
-        return goal_spine(args[0])[0] == "proves"
-    return name in ("proves", "hastype")
+    former = _former(g)
+    if former:  # `pi` over a lambda, or `,` or `=>` of two goals
+        return all(valid_clause(a.body if former == "pi" else a) for a in g.args)
+    pred = _pred(g)
+    if pred == "assump":
+        return _pred(g.args[0]) == "proves"
+    return pred is not None
 
 
 def def_to_eqclause(result_tp: Term, name: Term, body: Term) -> Term:
@@ -157,15 +158,15 @@ def augment_goal(g: Term) -> Term:
     Applied once to each top-level statement: a proper check types the
     formula before checking the proof.
     """
-    # `a.arg` is the formula, the last argument of the atom
+    # `a.args[1]` is the formula
     return map_proves(
-        g, lambda a, env: app(AND, app(HASTYPE, a.arg, Const("form", TP)), a)
+        g, lambda a, env: App(AND, (App(HASTYPE, (a.args[1], Const("form", TP))), a))
     )
 
 
 def _goal_app(fn: Term, arg: Term) -> Term:
     """A normal template applied to a normal argument."""
-    if meta_type_of(App(fn, arg)) != O:
+    if meta_type_of(App(fn, (arg,))) != O:
         raise StructuralError("template application did not produce a goal")
     return _hsubst(fn.body, 0, (arg,))
 
@@ -200,25 +201,13 @@ def head_key(atom: Term):
     A clause head and an atom with different keys do not match: `match_goal`
     compares predicates, then the subject heads, before it binds anything.
     """
-    pred, args = goal_spine(atom)
+    if not (isinstance(atom, App) and isinstance(atom.head, Const)):
+        return None
+    pred, s = atom.head.name, atom.args[0]
     if pred == "assump":
-        args = goal_spine(args[0])[1]
-    if args:
-        h, _ = plain_spine(args[0])
-        if isinstance(h, Const):
-            return pred, h.name, h.birth
-    return None
-
-
-def _former(g):
-    """`goal_spine(g)[0]` read off the node if it is a goal former: `pi` over
-    a lambda, or `,` or `=>` of two goals; None for an atom."""
-    f = g.fn if isinstance(g, App) else None
-    if isinstance(f, Const):
-        return "pi" if f.name == "pi" and isinstance(g.arg, Lam) else None
-    if isinstance(f, App) and isinstance(f.fn, Const) and f.fn.name in (",", "=>"):
-        return f.fn.name
-    return None
+        s = s.args[0] if isinstance(s, App) else None
+    h = s.head if isinstance(s, App) else s
+    return (pred, h.name, h.birth) if isinstance(h, Const) else None
 
 
 def _index_clause(g, keys):
@@ -232,19 +221,20 @@ def _index_clause(g, keys):
     """
     binders = 0
     while _former(g) == "pi":
-        g, binders = g.arg.body, binders + 1
-    name, args = goal_spine(g)
+        g, binders = g.args[0].body, binders + 1
+    former = _former(g)
     ticks, metas = 1 + binders, binders
-    if name in (",", "=>"):
-        for part in args if name == "," else args[1:]:
+    if former:
+        for part in g.args if former == "," else g.args[1:]:
             t, m = _index_clause(part, keys)
             ticks, metas = ticks + t, metas + m
         return ticks, metas
-    if name == "assump":
-        _index_clause(args[0], [])  # the head check only
-    elif name in ("proves", "hastype"):
-        h, _ = plain_spine(args[0])
-        if isinstance(h, (Bound, Meta)):
+    pred = _pred(g)
+    if pred == "assump":
+        _index_clause(g.args[0], [])  # the head check only
+    elif pred:
+        s = g.args[0]
+        if isinstance(s.head if isinstance(s, App) else s, (Bound, Meta)):
             raise ValidityError("a stored clause may not have a variable at its head")
     keys.append(head_key(g))
     return ticks, metas
@@ -426,43 +416,41 @@ class Session:
         headed by a matching variable is built by `terms._hsubst` with the
         values bound so far, then bound, or matched as rigid if its head reduced.
         A bare index that reads an unbound variable of `vs` is bound to a closed
-        target at once.
+        target at once.  Rigid spines are compared by head and length before
+        any argument, then argument by argument, left to right.
         """
-        h = pattern
-        while isinstance(h, App):
-            h = h.fn
+        h, args = (pattern.head, pattern.args) if isinstance(pattern, App) else (pattern, ())
         if isinstance(h, Meta) or isinstance(h, Bound) and 0 <= h.index - d < len(vs):
             v = vs[d - 1 - h.index] if h is pattern and isinstance(h, Bound) else None
             if isinstance(v, Meta) and v.cell.value is None and target.free == 0:
                 return self.bind(v.cell, target)  # what building it would bind
             pattern, vs = _hsubst(pattern, d, vs), ()
-            h, args = plain_spine(pattern)
-        t = deref(target)
-        if isinstance(t, Meta):
-            return False  # target must be ground
-        if isinstance(pattern, Lam):  # the binder type of a `pi` counts
+            h, args = (pattern.head, pattern.args) if isinstance(pattern, App) else (pattern, ())
+        t = target
+        while isinstance(t, Meta):
+            t = t.cell.value
+            if t is None:
+                return False  # target must be ground
+        th, targs = (t.head, t.args) if isinstance(t, App) else (t, ())
+        if isinstance(h, Const):
+            if not (isinstance(th, Const) and th.name == h.name and th.birth == h.birth):
+                return False
+        elif isinstance(pattern, Lam):  # the binder type of a `pi` counts
             return isinstance(t, Lam) and pattern.mt == t.mt and (
                 self.match(pattern.body, t.body, vs, d + 1)
             )
-        if isinstance(h, Meta):
+        elif isinstance(h, Meta):
             return self._bind_pattern(h.cell, args, t)
-        return self._match_spine(pattern, t, vs, d)
-
-    def _match_spine(self, p, t, vs, d):
-        """Match rigid spines pairwise: heads and lengths on the way down,
-        before any argument, then the arguments left to right."""
-        if isinstance(p, App):
-            return isinstance(t, App) and self._match_spine(p.fn, t.fn, vs, d) and (
-                self.match(p.arg, t.arg, vs, d)
-            )
-        if isinstance(t, App):
+        elif not (isinstance(h, Bound) and isinstance(th, Bound)):
             return False
-        if isinstance(p, Const):
-            return isinstance(t, Const) and t.name == p.name and t.birth == p.birth
-        if isinstance(p, Bound):
-            i = p.index if p.index < d else p.index - len(vs)
-            return isinstance(t, Bound) and t.index == i
-        return False
+        elif th.index != (h.index if h.index < d else h.index - len(vs)):
+            return False
+        if len(targs) != len(args):
+            return False
+        for p, a in zip(args, targs):  # a closed argument shared with the target matches
+            if not (p is a and p.free <= d or self.match(p, a, vs, d)):
+                return False
+        return True
 
     def _eta_var(self, t):
         """Contract an eta-expansion down to its head variable, or None.
@@ -473,7 +461,7 @@ class Session:
         n, body = 0, deref(t)
         while isinstance(body, Lam):
             n, body = n + 1, body.body
-        h, args = plain_spine(body)
+        h, args = (body.head, body.args) if isinstance(body, App) else (body, ())
         if len(args) != n or any(self._eta_var(a) != Bound(n - 1 - i) for i, a in enumerate(args)):
             return None
         if isinstance(h, Bound):
@@ -513,16 +501,17 @@ class Session:
         self.tick()
         former = _former(g)
         if former == ",":
-            for _ in self.solve(g.fn.arg, vs):
-                yield from self.solve(g.arg, vs)
+            for _ in self.solve(g.args[0], vs):
+                yield from self.solve(g.args[1], vs)
         elif former == "pi":
-            x = self.fresh_eigen(g.arg.mt, g.arg.hint)
-            yield from self.solve(g.arg.body, vs + (x,))
+            lam = g.args[0]
+            x = self.fresh_eigen(lam.mt, lam.hint)
+            yield from self.solve(lam.body, vs + (x,))
         elif former == "=>":
             depth = len(self.store)
-            self._push(_hsubst(g.fn.arg, 0, vs))
+            self._push(_hsubst(g.args[0], 0, vs))
             try:
-                yield from self.solve(g.arg, vs)
+                yield from self.solve(g.args[1], vs)
             finally:
                 del self.store[depth:]
         else:
@@ -543,12 +532,12 @@ class Session:
 
     def _dispatch(self, atom: Term):
         # in a built atom, `free == META_FREE` means an unbound matching variable
-        pred, args = goal_spine(atom)
+        pred = _pred(atom)
         if pred == "proves":
-            p, a = args
+            p, a = atom.args
             if a.free == META_FREE:
                 return  # the formula side must be ground
-            h, args = plain_spine(p)
+            h, args = (p.head, p.args) if isinstance(p, App) else (p, ())
             if isinstance(h, Const):
                 check = _CONSTRUCTORS.get((h.name, len(args)))
                 if check is not None:
@@ -561,12 +550,13 @@ class Session:
                     return
             if p.free == META_FREE:
                 return  # unresolved matching variable at dispatch
-            yield from self.solve_store(App(ASSUMP, atom))
+            yield from self.solve_store(App(ASSUMP, (atom,)))
             yield from self.solve_store(atom)
-        elif pred in ("hastype", "assump"):
+        elif pred:
             if atom.free == META_FREE:
                 return
-            h, _ = plain_spine(args[0])
+            s = atom.args[0]
+            h = s.head if isinstance(s, App) else s
             rule = pred == "hastype" and isinstance(h, Const) and HASTYPE_RULES.get(h.name)
             yield from self.backchain(atom, rule) if rule else self.solve_store(atom)
         # unknown predicates have no rules: fail
@@ -595,20 +585,21 @@ class Session:
         self.tick()
         former = _former(clause)
         while former == "pi":
-            vs += (self.fresh_meta(clause.arg.mt),)
-            clause = clause.arg.body
+            lam = clause.args[0]
+            vs += (self.fresh_meta(lam.mt),)
+            clause = lam.body
             self.tick()
             former = _former(clause)
         if former == ",":
-            for part in (clause.fn.arg, clause.arg):
+            for part in clause.args:
                 m = self.mark()
                 try:
                     yield from self.backchain(atom, part, vs)
                 finally:
                     self.undo(m)
         elif former == "=>":
-            for _ in self.backchain(atom, clause.arg, vs):
-                yield from self.solve(clause.fn.arg, vs)
+            for _ in self.backchain(atom, clause.args[1], vs):
+                yield from self.solve(clause.args[0], vs)
         else:
             m = self.mark()
             try:

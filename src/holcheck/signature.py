@@ -10,11 +10,16 @@ from .terms import Arrow, MetaType, O, PF, SVar, TM, TP, arg_types, arrow, resul
 A = SVar("A")
 
 
-class Scheme(namedtuple("Scheme", "body poly", defaults=(False,))):
-    """Meta-type of a constant; `poly` schemes quantify over the parameter A."""
+class Scheme(namedtuple("Scheme", "body poly predicate")):
+    """Meta-type of a constant; `poly` schemes quantify over the parameter A.
+    `predicate` is set when it is built: monomorphic with result o."""
 
     __slots__ = ()
-    predicate = property(lambda sch: not sch.poly and result_base(sch.body) == O)  # mono, result o
+
+    def __new__(cls, body, poly=False):
+        return super().__new__(cls, body, poly, not poly and result_base(body) == O)
+
+    __getnewargs__ = lambda sch: sch[:2]  # what `copy` and `pickle` build it from
 
 
 # The trusted constant set.  User declarations may extend it but never

@@ -33,10 +33,9 @@ from .terms import (
     O,
     Term,
     BASE_NAMES,
+    app,
     arg_types,
     deref,
-    goal_spine,
-    plain_spine,
 )
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ class Parser:
     argument, or an identifier's or binder's token.  An application is
     unified where it is built, and a mismatch reported at its `pos`; but a
     predicate's application is checked where it ends, its meta-type being
-    till then the list of its `(App, argument meta-type, pos)`.  With
+    till then the list of its arguments' `(meta-type, pos)`.  With
     `head` set, one ending at `)` is left unchecked."""
 
     def __init__(self, tokens, sig: Signature):
@@ -272,10 +271,10 @@ class Parser:
                 op = "," if op == "," else "=>"
             pos = (t.line, t.col)
             fmt = self.inf.instantiate(GOAL_FORMERS.get(op) or self.sig.lookup(op), pos)
-            fn = App(Const(op, fmt), left)
-            fmt = self.apply(fn, fmt, mt, pos, scope)
-            left = App(fn, right)
-            mt = self.apply(left, fmt, rmt, pos, scope)
+            c = Const(op, fmt)
+            fmt = self.apply(c, (left,), fmt, mt, pos, scope)
+            left = App(c, (left, right))
+            mt = self.apply(c, left.args, fmt, rmt, pos, scope)
 
     def at_binder(self):
         toks, i = self.toks, self.i
@@ -299,14 +298,15 @@ class Parser:
         if not pi:
             return lam, lmt, pos
         self.check_goal(body, bpos)
-        g = App(Const("pi", fmt), lam)
-        return g, self.apply(g, fmt, lmt, pos, scope), pos
+        g = App(Const("pi", fmt), (lam,))
+        return g, self.apply(g.head, g.args, fmt, lmt, pos, scope), pos
 
     def parse_app(self, scope, head=False):
         if self.at_binder():
             return self.parse_binder(scope)
         start = self.i
         fn, mt, pos = self.parse_primary(scope, True)
+        args = []
         while True:
             t = self.peek()
             if self.at_binder():
@@ -317,11 +317,13 @@ class Parser:
                 pos = (t.line, t.col)
             else:
                 break
-            fn = App(fn, arg)
+            args.append(arg)
             if isinstance(mt, list):  # a predicate's arguments wait for its arity
-                mt.append((fn, amt, pos))
+                mt.append((amt, pos))
             else:
-                mt = self.apply(fn, mt, amt, pos, scope)
+                mt = self.apply(fn, args, mt, amt, pos, scope)
+        if args:
+            fn = app(fn, *args)
         if head and _is_sym(t, ")"):
             return fn, mt, pos
         return *self.check_atom(fn, mt, start, scope), pos
@@ -364,11 +366,14 @@ class Parser:
 
     # -- typing --------------------------------------------------------------
 
-    def apply(self, t, fmt, amt, pos, scope):
-        """The meta-type of `t`, an application of a function of meta-type
-        `fmt` to an argument of meta-type `amt`; a mismatch is reported at
-        `pos`, naming `t` by its source text."""
-        where = lambda: f"application {format_term(t, self.sig, [n for n, _ in scope])}"
+    def apply(self, head, args, fmt, amt, pos, scope):
+        """The meta-type of `head` applied to `args`, whose last argument, of
+        meta-type `amt`, is applied to a function of meta-type `fmt`; a
+        mismatch is reported at `pos`, naming that application by its
+        source text, which is built only then."""
+        where = lambda: (
+            f"application {format_term(app(head, *args), self.sig, [n for n, _ in scope])}"
+        )
         return self.inf.apply(fmt, amt, where, pos)
 
     # -- checks where a construct ends ---------------------------------------
@@ -380,7 +385,7 @@ class Parser:
         its head.  Returns `(t, meta-type)`."""
         if not isinstance(mt, list):
             return t, mt
-        h, args = plain_spine(t)
+        h, args = (t.head, t.args) if isinstance(t, App) else (t, ())
         while _is_sym(self.toks[i], "("):  # the head was parenthesized
             i += 1
         tok = self.toks[i]
@@ -388,23 +393,30 @@ class Parser:
         if len(args) != len(want):
             self.fail(f"predicate '{h.name}' expects {len(want)} argument(s), got {len(args)}", tok)
         for a, w in zip(args, want):
-            if w == O and not self.sig.is_predicate(goal_spine(a)[0]):
+            if w == O and not self.sig.is_predicate(_head_name(a)):
                 raise MetaTypeError(
                     f"argument of '{h.name}' must be an atomic goal", tok.line, tok.col
                 )
         fmt = h.mt
-        for node, amt, pos in mt:
-            fmt = self.apply(node, fmt, amt, pos, scope)
+        for k, (amt, pos) in enumerate(mt):
+            fmt = self.apply(h, args[: k + 1], fmt, amt, pos, scope)
         return t, fmt
 
     def check_goal(self, t, pos):
-        name = goal_spine(t)[0]
+        name = _head_name(t)
         if not (name in GOAL_FORMERS or self.sig.is_predicate(name)):
             raise SourceError("expected a goal here", *pos)
 
 
 def _is_sym(tok, s):
     return tok.value == s  # no other kind of token has a symbol's text
+
+
+def _head_name(t):
+    # the name of the constant at the head of `t`, else None; a parsed
+    # former or predicate is applied at its arity where it is built
+    h = t.head if isinstance(t, App) else t
+    return h.name if isinstance(h, Const) else None
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +468,9 @@ def apply_declarations(stmts, sig: Signature):
 # ---------------------------------------------------------------------------
 
 _APP_PREC = 9
+# the context of an application's head or argument: every infix, lambda and
+# application there is parenthesized, whatever its precedence
+_ARG = float("inf")
 
 
 def _pick_name(hint, names, sig, depth):
@@ -497,7 +512,7 @@ def _fmt(t, sig, names, req):
         return _fmt_binder("", t, sig, names, req)
     if not isinstance(t, App):
         return repr(t)
-    head, args = plain_spine(t)
+    head, args = t.head, t.args
     name = head.name if isinstance(head, Const) else None
     if name == "pi" and len(args) == 1 and isinstance(args[0], Lam):
         return _fmt_binder("pi ", args[0], sig, names, req)
@@ -510,10 +525,9 @@ def _fmt(t, sig, names, req):
         l = _fmt(args[0], sig, names, p + 1 if assoc == "right" else p)
         r = _fmt(args[1], sig, names, p if assoc == "right" else p + 1)
         s = f"{l}, {r}" if name == "," else f"{l} {name} {r}"
-        # application binds tighter than every infix, whatever its precedence
-        return f"({s})" if req > min(p, _APP_PREC) else s
-    parts = [_fmt(head, sig, names, _APP_PREC + 1)]
-    parts += [_fmt(a, sig, names, _APP_PREC + 1) for a in args]
+        return f"({s})" if req > p else s
+    parts = [_fmt(head, sig, names, _ARG)]
+    parts += [_fmt(a, sig, names, _ARG) for a in args]
     s = " ".join(parts)
     return f"({s})" if req > _APP_PREC else s
 

@@ -2,7 +2,10 @@
 
 Terms are simply-typed lambda-terms over a signature of constants, with
 de Bruijn indices for lambda-bound variables, in five node kinds: `Const`,
-`Bound`, `Meta`, `App` and `Lam`.  Goals and clauses are the terms of
+`Bound`, `Meta`, `App` and `Lam`.  Applications are in spine form, as in
+the spine calculus of Cervesato & Pfenning (2003): an `App` holds a head,
+never an `App`, and the tuple of all its arguments, so a walk reads a
+head and its arguments off one node.  Goals and clauses are the terms of
 meta-type `o`, as in lambda-Prolog: applications of a predicate (`proves`,
 `hastype`, `assump` or a declared one) or of a goal former, `pi` to the
 lambda of its binder, `,` and `=>` (clause first) to two goals.
@@ -24,18 +27,18 @@ Normal forms are beta-normal and eta-long.  Object-level substitution is
 a meta-level beta step.  `normalize` checks a normal term in place: a
 lambda at an arrow type, or at a base type a head (a constant, in-scope
 variable or unbound matching variable; at o a predicate or former) with
-its arguments, collected along the spine by a loop and checked at the
-head's argument types; it returns `t` itself if none changed.  Only a
-subterm that is not normal as it stands (a redex, a bound matching
-variable at its head, an eta-short or over-applied term, a non-goal at o)
-goes to `_norm`, which takes the steps in one walk with an environment of
-the contracted redexes' arguments, each normalized when its binder is
-first used and shared by every use.  On normal terms they are
-taken by hereditary substitution (`_hsubst`, as in the canonical forms of
-Watkins, Cervesato, Pfenning & Walker, 2002): a lambda substituted at an
-applied head is reduced at once, so normal terms substituted into a normal
-term give a normal term.  `_hsubst` is the only substitution walk:
-`subst` and `subst_goal` are calls of it.
+its arguments, each checked at the head's argument type; it returns `t`
+itself if none changed.  Only a subterm that is not normal as it stands
+(a redex, a bound matching variable at its head, an eta-short or
+over-applied term, a non-goal at o) goes to `_norm`, which takes the
+steps in one walk with an environment of the contracted redexes'
+arguments, each normalized when its binder is first used and shared by
+every use.  On normal terms they are taken by hereditary substitution
+(`_hsubst`, as in the canonical forms of Watkins, Cervesato, Pfenning &
+Walker, 2002): a lambda substituted at an applied head is reduced at
+once, so normal terms substituted into a normal term give a normal term.
+`_hsubst` is the only substitution walk: `subst` and `subst_goal` are
+calls of it.
 """
 
 from __future__ import annotations
@@ -216,17 +219,24 @@ class Meta(Term):
 
 
 class App(Term):
-    __slots__ = ("fn", "arg")
+    """A head applied to a non-empty tuple of arguments.  The head is never
+    an `App`: `app` flattens.  In a normal term it is a `Const`, `Bound`
+    or `Meta`; a parsed term may also have a `Lam` there."""
+
+    __slots__ = ("head", "args")
     _key = attrgetter(*__slots__)
 
-    def __init__(self, fn: Term, arg: Term):
-        _set_fn(self, fn)
-        _set_arg(self, arg)
-        a, b = fn.free, arg.free
-        _set_free(self, a if a > b else b)
+    def __init__(self, head: Term, args: tuple):
+        _set_head(self, head)
+        _set_args(self, args)
+        f = head.free
+        for a in args:
+            if a.free > f:
+                f = a.free
+        _set_free(self, f)
 
-    def __repr__(self):
-        return f"({self.fn!r} {self.arg!r})"
+    def __repr__(self):  # as nested binary applications, `((f a) b)`
+        return "(" * len(self.args) + repr(self.head) + "".join(f" {a!r})" for a in self.args)
 
 
 class Lam(Term):
@@ -248,7 +258,7 @@ class Lam(Term):
 _set_dom, _set_cod = Arrow.dom.__set__, Arrow.cod.__set__
 _set_name, _set_const_mt, _set_birth = Const.name.__set__, Const.mt.__set__, Const.birth.__set__
 _set_index, _set_cell, _set_free = Bound.index.__set__, Meta.cell.__set__, Term.free.__set__
-_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
+_set_head, _set_args = App.head.__set__, App.args.__set__
 _set_lam_mt, _set_body, _set_hint = Lam.mt.__set__, Lam.body.__set__, Lam.hint.__set__
 
 
@@ -262,33 +272,40 @@ ASSUMP = Const("assump", Arrow(O, O))
 AND = Const(",", arrow(O, O, O))
 IMP = Const("=>", arrow(O, O, O))  # clause first: push it, solve the goal
 
-# arities of the goal formers and built-in predicates
-ARITY = {"pi": 1, ",": 2, "=>": 2, "proves": 2, "hastype": 2, "assump": 1}
-
 
 def app(head: Term, *args: Term) -> Term:
-    for a in args:
-        head = App(head, a)
-    return head
+    """`head` applied to `args`, one spine: the arguments of an `App` head
+    come first."""
+    if not args:
+        return head
+    return App(head.head, head.args + args) if isinstance(head, App) else App(head, args)
 
 
 def pi(mt: MetaType, body: Term, hint=None) -> Term:
     """The universal goal over a binder of meta-type `mt`."""
-    return App(Const("pi", Arrow(Arrow(mt, O), O)), Lam(mt, body, hint))
+    return App(Const("pi", Arrow(Arrow(mt, O), O)), (Lam(mt, body, hint),))
 
 
-def goal_spine(g: Term):
-    """`(name, args)`: the name of the constant at the head of goal `g`
-    and its arguments.  The name is None where the head is not a constant,
-    or is a former or built-in predicate without its arity (or, for `pi`,
-    without a lambda): a shape that is no goal."""
-    h, args = plain_spine(g)
-    name = h.name if isinstance(h, Const) else None
-    if ARITY.get(name, len(args)) != len(args) or (
-        name == "pi" and not isinstance(args[0], Lam)
-    ):
-        name = None
-    return name, args
+# the built-in predicates and their arities
+_PREDICATES = {"proves": 2, "hastype": 2, "assump": 1}
+
+
+def _pred(atom):
+    """The built-in predicate that `atom` applies at its arity, else None."""
+    h = atom.head if isinstance(atom, App) else None
+    return h.name if isinstance(h, Const) and _PREDICATES.get(h.name) == len(atom.args) else None
+
+
+def _former(g):
+    """The goal former that `g` applies, read off the node: `pi` over a
+    lambda, or `,` or `=>` of two goals; None for an atom."""
+    if isinstance(g, App) and isinstance(g.head, Const):
+        name, args = g.head.name, g.args
+        if name == "pi":
+            return name if len(args) == 1 and isinstance(args[0], Lam) else None
+        if (name == "," or name == "=>") and len(args) == 2:
+            return name
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +314,8 @@ def goal_spine(g: Term):
 
 
 def map_children(t, f, d, x):
-    """Rebuild a node with `f(child, depth, x)` on each child, left to right.
+    """Rebuild a node with `f(child, depth, x)` on each child, left to right
+    (an `App`'s head, then its arguments).
 
     `depth` is `d`, but `d + 1` for the body of a `Lam`.  If every
     child comes back as the same object, `t` itself is returned, so
@@ -305,8 +323,8 @@ def map_children(t, f, d, x):
     dereferenced) are returned as they are.
     """
     if isinstance(t, App):
-        fn, arg = f(t.fn, d, x), f(t.arg, d, x)
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+        h, args = f(t.head, d, x), [f(a, d, x) for a in t.args]
+        return t if h is t.head and all(map(is_, args, t.args)) else app(h, *args)
     if isinstance(t, Lam):
         body = f(t.body, d + 1, x)
         return t if body is t.body else Lam(t.mt, body, t.hint)
@@ -373,10 +391,13 @@ def meta_type_of(t: Term, env=()) -> MetaType:
             raise StructuralError(f"unbound index {t.index} outside environment")
         return env[t.index]
     if isinstance(t, App):
-        fmt = meta_type_of(t.fn, env)
-        if not isinstance(fmt, Arrow):
-            raise StructuralError(f"application of non-function in {t!r}")
-        return fmt.cod
+        fmt = meta_type_of(t.head, env)
+        for k in range(len(t.args)):
+            if not isinstance(fmt, Arrow):  # named by its shortest such prefix
+                part = app(t.head, *t.args[: k + 1])
+                raise StructuralError(f"application of non-function in {part!r}")
+            fmt = fmt.cod
+        return fmt
     if isinstance(t, Lam):
         if t.mt is None:
             raise StructuralError("unannotated binder")
@@ -387,17 +408,6 @@ def meta_type_of(t: Term, env=()) -> MetaType:
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
-
-
-def plain_spine(t: Term):
-    """Head and arguments of an application, without contraction or
-    dereferencing."""
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
 
 
 def normalize(t: Term, env=()) -> Term:
@@ -421,10 +431,7 @@ def _nf(t, mt, env):
             return _norm(t, (), len(env), [], mt, env)
         body = _nf(t.body, mt.cod, (mt.dom,) + env)
         return t if body is t.body and t.mt == mt.dom else Lam(mt.dom, body, t.hint)
-    h, args = t, []
-    while isinstance(h, App):
-        args.append(h.arg)
-        h = h.fn
+    h, args = (t.head, t.args) if isinstance(t, App) else (t, ())
     if isinstance(h, Const) and (h.birth == 0 or mt != O):
         hmt = h.mt
     elif isinstance(h, Bound) and h.index < len(env) and mt != O:
@@ -433,14 +440,13 @@ def _nf(t, mt, env):
         hmt = h.cell.mt
     else:
         return _norm(t, (), len(env), [], mt, env)
-    args.reverse()
     new = []
     for a in args:
         if not isinstance(hmt, Arrow):
             return _norm(t, (), len(env), [], mt, env)
         new.append(_nf(a, hmt.dom, env))
         hmt = hmt.cod
-    return t if all(map(is_, new, args)) else app(h, *new)
+    return t if all(map(is_, new, args)) else App(h, tuple(new))
 
 
 class _Arg:
@@ -465,11 +471,10 @@ def _eta_index(t):
     n, b = 0, t
     while isinstance(b, Lam) and b.hint is None:
         n, b = n + 1, b.body
-    h, args = plain_spine(b)
-    if n and isinstance(h, Bound) and h.index >= n and args == [
-        Bound(k) for k in range(n - 1, -1, -1)
-    ]:
-        return h.index - n
+    if n and isinstance(b, App) and isinstance(b.head, Bound) and b.head.index >= n and (
+        b.args == tuple(Bound(k) for k in range(n - 1, -1, -1))
+    ):
+        return b.head.index - n
     return -1
 
 
@@ -482,8 +487,9 @@ def _norm(t, sub, base, args, mt, env):
     # binder is used, once however often; the head is checked last
     d, orig = len(env), None if args else t
     while True:
-        h, more = plain_spine(t)
-        args = [(a, sub, base) for a in more] + args
+        h = t
+        if isinstance(t, App):
+            h, args = t.head, [(a, sub, base) for a in t.args] + args
         if isinstance(h, Lam) and args:
             sub, t, args = (_Arg(*args[0], h.mt, env),) + sub, h.body, args[1:]
         elif isinstance(h, Meta) and h.cell.value is not None:
@@ -527,17 +533,6 @@ def _norm(t, sub, base, args, mt, env):
     return orig if orig is not None and all(map(is_, new, raw)) else app(h, *new)
 
 
-def _reduce(fn, args):
-    """The normal form of `fn` applied to `args`, all normal and eta-long."""
-    while args and isinstance(fn, Lam):
-        n = 0
-        while n < len(args) and isinstance(fn, Lam):
-            fn = fn.body
-            n += 1
-        fn, args = _hsubst(fn, 0, tuple(args[:n])), args[n:]
-    return app(fn, *args)
-
-
 def _hsubst(t, d, vs):
     # replace the len(vs) binders outside `d` by `vs` (vs[-1] the innermost)
     # and each bound matching variable by its value, and reduce a replaced
@@ -547,23 +542,29 @@ def _hsubst(t, d, vs):
     if t.free <= d:
         return t
     if isinstance(t, App):
-        h = t.fn
-        while isinstance(h, App):
-            h = h.fn
-        if isinstance(h, Const) or isinstance(h, Bound) and not 0 <= h.index - d < len(vs):
-            # a rigid head reduces nothing: rebuild pairwise, no spine list
-            fn = _hsubst(t.fn, d, vs)
-            arg = t.arg if t.arg.free <= d else _hsubst(t.arg, d, vs)
-            return t if fn is t.fn and arg is t.arg else App(fn, arg)
-        h, args = plain_spine(t)
-        new = [a if a.free <= d else _hsubst(a, d, vs) for a in args]
+        h, args = t.head, t.args
+        new = []  # a loop, not a comprehension: no frame of its own
+        for a in args:
+            new.append(a if a.free <= d else _hsubst(a, d, vs))
         fn = h if h.free <= d else _hsubst(h, d, vs)
-        return t if fn is h and all(map(is_, new, args)) else _reduce(fn, new)
+        if fn is h:
+            if all(map(is_, new, args)):
+                return t
+            if not isinstance(h, Lam):  # a rigid or unbound head reduces nothing
+                return App(h, tuple(new))
+        while new and isinstance(fn, Lam):  # the normal form of `fn` applied to `new`
+            n = 0
+            while n < len(new) and isinstance(fn, Lam):
+                fn, n = fn.body, n + 1
+            fn, new = _hsubst(fn, 0, tuple(new[:n])), new[n:]
+        return app(fn, *new)
     if isinstance(t, Bound):
         i = t.index - d  # not negative: t.free > d
         if i >= len(vs):
             return Bound(t.index - len(vs)) if vs else t
-        t = shift(vs[-1 - i], d)
+        t = vs[-1 - i]
+        if d:
+            t = _shift(t, 0, d)
         if not isinstance(t, Meta):
             return t  # a value of `vs`: built already
     if isinstance(t, Meta):
@@ -605,9 +606,9 @@ def _scan(t) -> int:
     while stack:
         t = stack.pop()
         if isinstance(t, App):
-            stack.append(t.fn)
-            stack.append(t.arg)
-        elif isinstance(t, Const):
+            stack.extend(t.args)
+            t = t.head  # never an `App`
+        if isinstance(t, Const):
             if t.birth > best:
                 best = t.birth
         elif isinstance(t, Meta):
@@ -627,14 +628,14 @@ def map_proves(g: Term, fn, env=()) -> Term:
     entered so far, innermost first.  Clauses, which are hypotheses, and
     other atoms are kept.
     """
-    name, args = goal_spine(g)
-    if name == "pi":
-        lam = args[0]
-        args = [Lam(lam.mt, map_proves(lam.body, fn, (lam.mt,) + tuple(env)), lam.hint)]
-    elif name == ",":
-        args = [map_proves(a, fn, env) for a in args]
-    elif name == "=>":
-        args = [args[0], map_proves(args[1], fn, env)]
+    former = _former(g)
+    if former == "pi":
+        lam = g.args[0]
+        args = (Lam(lam.mt, map_proves(lam.body, fn, (lam.mt,) + tuple(env)), lam.hint),)
+    elif former == ",":
+        args = tuple(map_proves(a, fn, env) for a in g.args)
+    elif former == "=>":
+        args = (g.args[0], map_proves(g.args[1], fn, env))
     else:
-        return fn(g, env) if name == "proves" else g
-    return app(plain_spine(g)[0], *args)
+        return fn(g, env) if _pred(g) == "proves" else g
+    return App(g.head, args)

@@ -11,11 +11,9 @@ from .terms import (
     Const,
     Lam,
     _hsubst,
-    app,
     map_children,
     map_proves,
     normalize,
-    plain_spine,
     result_base,
 )
 
@@ -40,11 +38,11 @@ def _expand(t, env, _):
         t = t if body is t.body else Lam(t.mt, body, t.hint)
     else:
         t = map_children(t, _expand, env, None)
-    head, args = plain_spine(t)
-    if isinstance(head, Const) and head.name == "lemma_pf" and len(args) == 3:
+    head = t.head if isinstance(t, App) else None
+    if isinstance(head, Const) and head.name == "lemma_pf" and len(t.args) == 3:
         # the beta step of `R L` on normal parts, by hereditary substitution,
         # so the expansions already made inside them are not walked again
-        rest, witness = normalize(args[2], env), normalize(args[1], env)
+        rest, witness = normalize(t.args[2], env), normalize(t.args[1], env)
         return _hsubst(rest.body, 0, (witness,))
     return t
 
@@ -55,47 +53,50 @@ def expand_statement_goal(g, env=()):
 
 
 def _expand_atom(atom, env):
-    proof, formula = plain_spine(atom)[1]
-    return app(PROVES, expand_lemmas(proof, env), formula)
+    proof, formula = atom.args
+    return App(PROVES, (expand_lemmas(proof, env), formula))
 
 
 def children(t):
     if isinstance(t, App):
-        return (t.fn, t.arg)
+        return (t.head, *t.args)
     if isinstance(t, Lam):
         return (t.body,)
     return ()
 
 
-def _skeleton_children(t):
-    """Children for size metrics: an embedded clause template is a single
-    leaf.  Templates state; only proof structure is measured."""
-    h, _ = plain_spine(t)
-    if isinstance(h, Const) and result_base(h.mt) == O:
-        return ()  # a goal: it applies a constant of result type o
-    return children(t)
-
-
 def _visit(t, memo):
     """(tree nodes, depth, lemma heads, def heads) of `t`, kept in `memo`
-    by the `id` of each node visited."""
+    by the `id` of each node visited.  A spine `h a1 .. an` counts as the
+    n binary applications `h a1 .. ak`, each kept by the ids of `h` and
+    `a1 .. ak`; a goal, which applies a constant of result type o, is a
+    single leaf (templates state; only proof structure is measured)."""
+    if isinstance(t, App):
+        h, key = t.head, (id(t.head),)
+        if isinstance(h, Const) and result_base(h.mt) == O:
+            return memo.setdefault(key + tuple(map(id, t.args)), (1, 1, 0, 0))
+        tree, depth, lemmas, defs = _visit(h, memo)
+        for a in t.args:
+            key += (id(a),)
+            if key not in memo:
+                ct, cd, cl, cf = _visit(a, memo)
+                memo[key] = (tree + ct + 1, max(depth, cd) + 1, lemmas + cl, defs + cf)
+            tree, depth, lemmas, defs = memo[key]
+        return tree, depth, lemmas, defs
     k = id(t)
     if k not in memo:
-        tree, depth, lemmas, defs = 1, 0, 0, 0
+        tree, depth, lemmas, defs = 1, 1, 0, 0
         if isinstance(t, Const):
             lemmas, defs = int(t.name == "lemma_pf"), int(t.name == "def_pf")
-        for c in _skeleton_children(t):
-            ct, cd, cl, cf = _visit(c, memo)
-            tree += ct
-            depth = max(depth, cd)
-            lemmas += cl
-            defs += cf
-        memo[k] = (tree, depth + 1, lemmas, defs)
+        elif isinstance(t, Lam):
+            ct, cd, lemmas, defs = _visit(t.body, memo)
+            tree, depth = ct + 1, cd + 1
+        memo[k] = (tree, depth, lemmas, defs)
     return memo[k]
 
 
 def proof_stats(proof) -> ProofStats:
-    """Size metrics of a proof term.
+    """Size metrics of a proof term, read as binary applications.
 
     `shared_nodes` counts distinct nodes of the in-memory graph (shared
     subterms once); `tree_nodes` counts the full tree expansion, which is

@@ -10,7 +10,7 @@ pytest.register_assert_rewrite("props")
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
 from holcheck.syntax import apply_declarations, parse_source
-from holcheck.terms import goal_spine, plain_spine
+from props import goal_spine, plain_spine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"

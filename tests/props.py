@@ -34,10 +34,8 @@ from holcheck.terms import (
     meta_type_of,
     normalize,
     app,
-    goal_spine,
     map_children,
     pi,
-    plain_spine,
     result_base,
     shift,
     subst,
@@ -103,6 +101,33 @@ def ref_tokenize(text, path=None):
     return toks
 
 
+# Reference spine readers, independent of the ones in `src/`: a term's head
+# and its arguments (a list), and a goal's name.
+
+# arities of the goal formers and built-in predicates
+ARITY = {"pi": 1, ",": 2, "=>": 2, "proves": 2, "hastype": 2, "assump": 1}
+
+
+def plain_spine(t):
+    """Head and arguments of an application, without contraction or
+    dereferencing; a non-application is a head without arguments."""
+    return (t.head, list(t.args)) if isinstance(t, App) else (t, [])
+
+
+def goal_spine(g):
+    """`(name, args)`: the name of the constant at the head of goal `g`
+    and its arguments.  The name is None where the head is not a constant,
+    or is a former or built-in predicate without its arity (or, for `pi`,
+    without a lambda): a shape that is no goal."""
+    h, args = plain_spine(g)
+    name = h.name if isinstance(h, Const) else None
+    if ARITY.get(name, len(args)) != len(args) or (
+        name == "pi" and not isinstance(args[0], Lam)
+    ):
+        name = None
+    return name, args
+
+
 # Reference walks: the term walks without `Term.free`, visiting every node.
 # Like the walks they stand for, each returns an unchanged subtree as the
 # same object.
@@ -117,7 +142,7 @@ def ref_free(t, d=0):
     if isinstance(t, Bound):
         return max(t.index - d + 1, 0)
     if isinstance(t, App):
-        return max(ref_free(t.fn, d), ref_free(t.arg, d))
+        return max(ref_free(a, d) for a in (t.head, *t.args))
     if isinstance(t, Lam):
         return ref_free(t.body, d + 1)
     return 0
@@ -209,7 +234,7 @@ def gen_term(rng, mt, env=(), fuel=3):
     h, t = rng.choice(heads)
     out = h
     for dom in arg_types(t):
-        out = App(out, gen_term(rng, dom, env, fuel - 1))
+        out = app(out, gen_term(rng, dom, env, fuel - 1))
     return out
 
 
@@ -237,7 +262,7 @@ def subterm_positions(t, env=(), depth=0):
         if isinstance(t, Bound):
             return t.index < d
         if isinstance(t, App):
-            return free_below(t.fn, d) or free_below(t.arg, d)
+            return any(free_below(a, d) for a in (t.head, *t.args))
         if isinstance(t, Lam):
             return free_below(t.body, d + 1)
         return False
@@ -246,8 +271,9 @@ def subterm_positions(t, env=(), depth=0):
         if not applied and isinstance(t, (Const, App)) and not free_below(t, d):
             out.append((id(t), meta_type_of(t, env)))
         if isinstance(t, App):
-            walk(t.fn, env, d, True)
-            walk(t.arg, env, d, False)
+            walk(t.head, env, d, True)
+            for a in t.args:
+                walk(a, env, d, False)
         elif isinstance(t, Lam):
             walk(t.body, (t.mt,) + tuple(env), d + 1, False)
 
@@ -263,8 +289,8 @@ def ref_normalize(t, mt, env=()):
     while True:
         t = deref(t)
         if isinstance(t, App):
-            args.append(t.arg)
-            t = t.fn
+            args.extend(reversed(t.args))  # a stack: the first argument last
+            t = t.head
         elif isinstance(t, Lam) and args:
             t = ref_subst(t.body, 0, (args.pop(),))
         else:
@@ -272,11 +298,11 @@ def ref_normalize(t, mt, env=()):
     args.reverse()
     if isinstance(mt, Arrow):
         if args or not isinstance(t, Lam):
-            t = Lam(mt.dom, App(shift(app(t, *args), 1), Bound(0)))
+            t = Lam(mt.dom, app(shift(app(t, *args), 1), Bound(0)))
         return Lam(mt.dom, ref_normalize(t.body, mt.cod, (mt.dom,) + tuple(env)), t.hint)
     hmt = meta_type_of(t, env)
     for a in args:
-        t = App(t, ref_normalize(a, hmt.dom, env))
+        t = app(t, ref_normalize(a, hmt.dom, env))
         hmt = hmt.cod
     return t
 
@@ -285,7 +311,7 @@ def replace_nodes(t, table):
     if id(t) in table:
         return table[id(t)]
     if isinstance(t, App):
-        return App(replace_nodes(t.fn, table), replace_nodes(t.arg, table))
+        return app(replace_nodes(t.head, table), *(replace_nodes(a, table) for a in t.args))
     if isinstance(t, Lam):
         return Lam(t.mt, replace_nodes(t.body, table), t.hint)
     return t
@@ -313,7 +339,7 @@ def run_subst_vs_beta(n, seed=12):
         cod = rng.choice((TM, PF))
         lam = gen_term(rng, Arrow(dom, cod), (), fuel=3)
         arg = gen_term(rng, dom, (), fuel=2)
-        a = normalize(App(lam, arg))
+        a = normalize(app(lam, arg))
         b = normalize(subst(lam.body, arg))
         assert a == b, f"case {i}: beta step disagrees with substitution"
     return n

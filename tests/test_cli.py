@@ -231,6 +231,22 @@ def test_failure_stack_does_not_depend_on_earlier_files(
     assert capsys.readouterr().err == alone
 
 
+def test_of_two_equally_deep_failing_stacks_the_later_is_printed(tmp_path, capsys):
+    # the later clause is tried first and fails on `hastype d form`; the
+    # earlier one then fails as deep on `hastype c form`, and that stack wins
+    f = tmp_path / "tie.hol"
+    f.write_text(
+        "pi c\\ pi d\\ pi q\\ ((proves q false <<== hastype c form) ==>>\n"
+        "  ((proves q false <<== hastype d form) ==>> proves q false)).\n"
+    )
+    assert run("check", "--trace", "trace", str(f)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "  | hastype false form",
+        "  | proves q_3 false",
+        "  | hastype c_1 form",
+    ]
+
+
 # -- one checked library per invocation, forked for each input file ----------
 
 LIB_FULL = ["--lib", str(CORPUS / "lib_full.hol")]

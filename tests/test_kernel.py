@@ -7,6 +7,7 @@ import pytest
 
 import props
 from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goal
+from props import goal_spine, plain_spine
 
 from holcheck import cli, kernel
 
@@ -28,7 +29,6 @@ from holcheck.terms import (
     HASTYPE,
     IMP,
     PROVES,
-    App,
     Arrow,
     Bound,
     Const,
@@ -43,12 +43,10 @@ from holcheck.terms import (
     alpha_beta_eq,
     app,
     arrow,
-    goal_spine,
     has_unbound_meta,
     normalize,
     normalize_goal,
     pi,
-    plain_spine,
     subst_goal,
 )
 from negatives import CASES
@@ -147,7 +145,7 @@ def test_match_first_order_decomposition(session, sig):
     a_cell = MetaCell(TM, 0)
     b_cell = MetaCell(TM, 0)
     eq = parse_term("eq", sig)
-    pattern = App(App(App(eq, Meta(t_cell)), Meta(a_cell)), Meta(b_cell))
+    pattern = app(app(app(eq, Meta(t_cell)), Meta(a_cell)), Meta(b_cell))
     target = normalize(parse_term("eq intty i j", sig))
     assert session.match(normalize(pattern), target)
     assert t_cell.value == parse_term("intty", sig)
@@ -159,20 +157,20 @@ def test_match_pattern_applied_to_eigenvariable(session, sig):
     x = session.fresh_eigen(TM, "x")
     h = MetaCell(Arrow(TM, TM), birth=session.counter + 10)
     session.counter += 10
-    pattern = App(Meta(h), x)
+    pattern = app(Meta(h), x)
     eq = parse_term("eq", sig)
-    target = normalize(App(App(App(eq, Const("intty", TP)), x), x))
+    target = normalize(app(app(app(eq, Const("intty", TP)), x), x))
     assert session.match(normalize(pattern), target)
     expected = parse_term(r"z\ eq intty z z", sig)
     assert alpha_beta_eq(h.value, expected)
     # the matcher applied to the argument reproduces the target
-    assert alpha_beta_eq(App(Meta(h), x), target)
+    assert alpha_beta_eq(app(Meta(h), x), target)
 
 
 def test_match_flex_on_plain_constant_is_pattern_error(session, sig):
     sig.declare("c", TM)
     f = MetaCell(Arrow(TM, TM), 0)
-    pattern = App(Meta(f), parse_term("c", sig))
+    pattern = app(Meta(f), parse_term("c", sig))
     target = normalize(parse_term("c", sig))
     with pytest.raises(PatternError):
         session.match(normalize(pattern), target)
@@ -188,7 +186,7 @@ def test_match_scope_violation_fails_without_error(session, sig):
 def test_match_repeated_argument_is_pattern_error(session):
     x = session.fresh_eigen(TM, "x")
     h = MetaCell(Arrow(TM, Arrow(TM, TM)), birth=session.counter)
-    pattern = App(App(Meta(h), x), x)
+    pattern = app(app(Meta(h), x), x)
     with pytest.raises(PatternError):
         session.match(normalize(pattern), x)
 
@@ -265,20 +263,20 @@ def _assert_rejected_not_raised(sig, bad):
     ses = Session(sig)
     ses.push_clause(bad)
     assumed = app(PROVES, Const("refl", PF), Const("false", TM))
-    assert ses.check_goal(App(ASSUMP, assumed), augment=False).failed
+    assert ses.check_goal(app(ASSUMP, assumed), augment=False).failed
 
 
 def test_assumption_of_a_non_goal_is_rejected_not_raised(sig):
     # an o-typed atom argument is a goal; a hand-built one may not be
-    _assert_rejected_not_raised(sig, App(ASSUMP, Const("c", TM)))
+    _assert_rejected_not_raised(sig, app(ASSUMP, Const("c", TM)))
 
 
 WRONG_ARITY = {
     "(assump)": ASSUMP,
-    "(assump (proves))": App(ASSUMP, PROVES),
+    "(assump (proves))": app(ASSUMP, PROVES),
     "(proves)": PROVES,
-    "(proves refl)": App(PROVES, Const("refl", PF)),
-    "(hastype false)": App(HASTYPE, Const("false", TM)),
+    "(proves refl)": app(PROVES, Const("refl", PF)),
+    "(hastype false)": app(HASTYPE, Const("false", TM)),
 }
 
 
@@ -713,9 +711,9 @@ def test_assumption_and_proof_clause_with_one_subject_are_told_apart(sig):
     p = Const("p", PF, birth=1)
     fact = app(PROVES, p, Const("false", TM))
     other = app(PROVES, p, parse_term("eq intty false false", sig))
-    clauses = [App(ASSUMP, other), fact]
+    clauses = [app(ASSUMP, other), fact]
     # an assumption goal backchains only the assumption clause
-    assert _backchained(sig, clauses, App(ASSUMP, fact)) == (False, [0])
+    assert _backchained(sig, clauses, app(ASSUMP, fact)) == (False, [0])
     # a proof goal tries assumptions, then proof clauses; each pass
     # backchains only the clause of its own predicate
     assert _backchained(sig, clauses, fact) == (True, [0, 1])
@@ -788,7 +786,7 @@ def test_bind_refuses_what_the_two_scans_refused(sig):
                 continue
             cell = MetaCell(mt, birth)
             if kind == 1:
-                cell.value = eigen if mt == TM else Lam(TM, App(eigen, Bound(0)))
+                cell.value = eigen if mt == TM else Lam(TM, app(eigen, Bound(0)))
             values.append(Meta(cell))
         value = subst_goal(props.gen_term(rng, TM, env, 3), *values)
         cell = MetaCell(TM, rng.randrange(6))
@@ -807,7 +805,7 @@ def test_pi_binder_types_count_in_matching(sig):
     def assumption(mt):
         inner = pi(mt, app(HASTYPE, Const("false", TM), Const("form", TP)))
         subject = app(Const("extractGoal", arrow(O, PF, PF)), inner, Const("refl", PF))
-        return App(ASSUMP, app(PROVES, subject, Const("false", TM)))
+        return app(ASSUMP, app(PROVES, subject, Const("false", TM)))
 
     assert _backchained(sig, [assumption(TM)], assumption(TP)) == (False, [0])
     assert _backchained(sig, [assumption(TM)], assumption(TM)) == (True, [0])
@@ -1055,8 +1053,8 @@ def test_an_earlier_mismatch_wins_over_a_later_pattern_error(sig):
 def test_a_head_of_another_spine_length_binds_nothing(session):
     f, a = Const("f", arrow(TM, TM, TM)), Const("a", TM)
     x, y = session.fresh_meta(TM), session.fresh_meta(TM)
-    longer, shorter = app(f, Bound(1), Bound(0)), App(f, Bound(1))
-    for pattern, target in ((longer, App(f, a)), (shorter, app(f, a, a))):
+    longer, shorter = app(f, Bound(1), Bound(0)), app(f, Bound(1))
+    for pattern, target in ((longer, app(f, a)), (shorter, app(f, a, a))):
         # as a closure over (x, y), and built
         assert not session.match(pattern, target, (x, y))
         assert not session.match(subst_goal(pattern, x, y), target)
@@ -1121,10 +1119,10 @@ def test_a_flexible_argument_is_read_with_the_values_bound_before_it(session):
     e = session.fresh_eigen(Arrow(TM, TM), "e")
     vs = (session.fresh_meta(Arrow(TM, TM)), session.fresh_meta(Arrow(Arrow(TM, TM), TM)))
     p = Const("p", arrow(Arrow(TM, TM), TM, O))
-    fx = Lam(TM, App(Bound(2), Bound(0)), "x")
-    atom = app(p, Lam(TM, App(e, Bound(0)), "y"), App(e, Const("c", TM)))
-    assert session.match(app(p, fx, App(Bound(0), fx)), atom, vs)
-    assert vs[1].cell.value == Lam(Arrow(TM, TM), App(Bound(0), Const("c", TM)))
+    fx = Lam(TM, app(Bound(2), Bound(0)), "x")
+    atom = app(p, Lam(TM, app(e, Bound(0)), "y"), app(e, Const("c", TM)))
+    assert session.match(app(p, fx, app(Bound(0), fx)), atom, vs)
+    assert vs[1].cell.value == Lam(Arrow(TM, TM), app(Bound(0), Const("c", TM)))
 
 
 def test_a_report_failed_only_when_no_error_ended_the_check():

@@ -206,10 +206,10 @@ def test_packaged_proof_checks_in_empty_registry():
     goal = load_corpus_goal("assoc_via_lib.hol", sig)
     proof, formula = atom_args(goal_atom(goal))
     packaged = package(formula, proof, reg)
-    from holcheck.terms import IMP, PROVES, TM as _TM, app, goal_spine, pi
+    from holcheck.terms import IMP, PROVES, TM as _TM, app, pi
 
     # goal: pi f\ pi t\ (clause ==>> proves proof formula)
-    clause = goal_spine(goal.arg.body.arg.body)[1][0]
+    clause = goal.args[0].body.args[0].body.args[0]
     rebuilt = app(IMP, clause, app(PROVES, packaged, formula))
     rebuilt = pi(TP, rebuilt, hint="t")
     rebuilt = pi(arrow(_TM, _TM, _TM), rebuilt, hint="f")

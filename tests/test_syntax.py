@@ -10,6 +10,7 @@ import props
 from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES
 from negatives import META_TYPE_ERROR
 
+from holcheck.cli import main
 from holcheck.errors import SourceError
 from holcheck.signature import BUILTIN_INFIX, builtin_signature
 from holcheck.syntax import (
@@ -432,3 +433,22 @@ def test_meta_type_error_names_its_site_by_source_text():
             builtin_signature(),
         )
     assert "in application extract (eq intty x x) refl lemma_pf: pf vs" in str(exc.value)
+
+
+@pytest.mark.parametrize("assoc", ["infixl", "infixr"])
+def test_a_high_precedence_infix_is_bare_as_an_infix_operand_and_parenthesized_as_an_argument(
+    assoc, tmp_path
+):
+    # precedence 12 binds tighter than any built-in infix but looser than
+    # application: an operand of `f` needs no parentheses, an argument of
+    # `g` does
+    text = (
+        f"type f tm -> tm -> tm.\ntype g tm -> tm.\n{assoc} f 12.\n"
+        "proves refl (eq intty (false f false f false) (g (false f false))).\n"
+    )
+    src, once, twice = (tmp_path / n for n in ("in.hol", "once.hol", "twice.hol"))
+    src.write_text(text)
+    assert main(["fmt", str(src), "-o", str(once)]) == 0
+    assert main(["fmt", str(once), "-o", str(twice)]) == 0
+    assert once.read_text() == text
+    assert twice.read_text() == text

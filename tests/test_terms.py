@@ -52,7 +52,6 @@ from holcheck.terms import (
     meta_type_of,
     normalize,
     normalize_goal,
-    plain_spine,
     shift,
     subst,
     subst_goal,
@@ -77,19 +76,19 @@ def test_subst_identity_binder():
 
 def test_subst_duplicates_argument():
     j = Const("j", TM)
-    body = App(App(App(EQ, INTTY), Bound(0)), Bound(0))
+    body = app(app(app(EQ, INTTY), Bound(0)), Bound(0))
     out = subst(body, j)
-    assert out == App(App(App(EQ, INTTY), j), j)
+    assert out == app(app(app(EQ, INTTY), j), j)
 
 
 def test_subst_reduces_a_lambda_put_at_an_applied_head():
     # hereditary substitution: the redex `(x\ x) c` is contracted as it forms
     c = Const("c", TM)
-    assert subst(App(Bound(0), c), Lam(TM, Bound(0), "x")) == c
+    assert subst(app(Bound(0), c), Lam(TM, Bound(0), "x")) == c
     # and so is each redex that the contraction makes
     s = Const("s", Arrow(TM, TM))
-    twice = Lam(Arrow(TM, TM), Lam(TM, App(Bound(1), App(Bound(1), Bound(0)))))
-    assert subst(app(Bound(0), Lam(TM, App(s, Bound(0))), c), twice) == App(s, App(s, c))
+    twice = Lam(Arrow(TM, TM), Lam(TM, app(Bound(1), app(Bound(1), Bound(0)))))
+    assert subst(app(Bound(0), Lam(TM, app(s, Bound(0))), c), twice) == app(s, app(s, c))
 
 
 def test_subst_replaces_bound_matching_variables_and_keeps_unbound_ones():
@@ -101,8 +100,8 @@ def test_subst_replaces_bound_matching_variables_and_keeps_unbound_ones():
     assert subst(app(EQ, INTTY, Meta(bound), Bound(0)), j) == app(EQ, INTTY, bound.value, j)
     # a bound matching variable at a head is reduced with its arguments
     f = MetaCell(Arrow(TM, TM), 0)
-    f.value = Lam(TM, App(s, Bound(0)))
-    assert subst(App(Meta(f), Bound(0)), j) == App(s, j)
+    f.value = Lam(TM, app(s, Bound(0)))
+    assert subst(app(Meta(f), Bound(0)), j) == app(s, j)
 
 
 def test_subst_symm_template_by_hand_reduction():
@@ -113,7 +112,7 @@ def test_subst_symm_template_by_hand_reduction():
     template = parse_term(r"T\A\B\P\ (congr T B A (eq T A) P refl)", sig)
     out = template
     for arg in ("intty", "j", "i", "q"):
-        out = App(out, parse_term(arg, sig))
+        out = app(out, parse_term(arg, sig))
     expected = parse_term("congr intty i j (eq intty j) q refl", sig)
     assert alpha_beta_eq(out, expected)
 
@@ -135,7 +134,7 @@ _ATOM = app(PROVES, Const("refl", PF), app(EQ, INTTY, Const("c0", TM), Const("c0
 
 def test_a_redex_at_type_o_is_contracted_before_its_head_is_checked():
     # the lambda's body, a bare variable, is no goal on its own
-    assert normalize_goal(App(Lam(O, Bound(0)), _ATOM)) == _ATOM
+    assert normalize_goal(app(Lam(O, Bound(0)), _ATOM)) == _ATOM
 
 
 def test_a_matching_variable_of_type_o_normalizes_to_its_value():
@@ -152,10 +151,10 @@ def test_a_substituted_lambda_keeps_its_binder_name():
     # eta-expands its parameter h under an unnamed binder; the lambda
     # substituted for h keeps its name there
     g = Const("g", arrow(Arrow(TM, TM), TM))
-    arg = Lam(Arrow(TM, TM), App(g, Bound(0)), "h")
-    use = Lam(arrow(Arrow(TM, TM), TM), App(Bound(0), Lam(TM, Bound(0), "x")), "l")
-    out = normalize(App(use, arg))
-    assert out == App(g, Lam(TM, Bound(0))) and out.arg.hint == "x"
+    arg = Lam(Arrow(TM, TM), app(g, Bound(0)), "h")
+    use = Lam(arrow(Arrow(TM, TM), TM), app(Bound(0), Lam(TM, Bound(0), "x")), "l")
+    out = normalize(app(use, arg))
+    assert out == app(g, Lam(TM, Bound(0))) and out.args[-1].hint == "x"
 
 
 def test_a_shared_argument_is_normalized_once():
@@ -164,7 +163,7 @@ def test_a_shared_argument_is_normalized_once():
     f, z = Const("f", arrow(TM, TM, TM)), Const("z", TM)
     t = z
     for _ in range(40):
-        t = App(Lam(TM, app(f, Bound(0), Bound(0)), "x"), t)
+        t = app(Lam(TM, app(f, Bound(0), Bound(0)), "x"), t)
 
     def too_slow(*_):
         pytest.fail("normalization took over 10 s")
@@ -177,8 +176,8 @@ def test_a_shared_argument_is_normalized_once():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     for _ in range(40):
-        assert out.fn.fn is f and out.fn.arg is out.arg
-        out = out.arg
+        assert out.head is f and out.args[0] is out.args[1]
+        out = out.args[1]
     assert out is z
 
 
@@ -232,7 +231,7 @@ def test_infer_records_polymorphic_instance_on_node():
     t = parse_term(text, sig, expect=PF)
     head = t
     while isinstance(head, App):
-        head = head.fn
+        head = head.head
     a = arrow(TP, TM, TM, PF, PF)
     from holcheck.terms import O
 
@@ -279,10 +278,10 @@ def test_normalization_preserves_sharing():
     sig = tm_sig("c")
     shared = parse_term("eq intty c c", sig)
     f2 = parse_term(r"x\ y\ imp x y", sig)
-    t = App(App(f2, shared), shared)
+    t = app(app(f2, shared), shared)
     out = normalize(t)
     # the two occurrences of the shared subterm normalize to one object
-    assert out.fn.arg is out.arg
+    assert out.args[0] is out.args[1]
 
 
 def test_eigenvariable_births_strictly_increase():
@@ -395,7 +394,7 @@ def test_normalize_agrees_with_memo_free_normalization(seed):
     dom = rng.choice((TM, TP, PF, Arrow(TM, TM), Arrow(TM, Arrow(TM, PF))))
     cod = rng.choice((TM, PF, Arrow(TM, TM)))
     lam = props.gen_term(rng, Arrow(dom, cod), (), fuel=3)
-    t = App(lam, props.gen_term(rng, dom, (), fuel=2))
+    t = app(lam, props.gen_term(rng, dom, (), fuel=2))
     assert normalize(t) == props.ref_normalize(t, cod)
 
 
@@ -420,7 +419,7 @@ def test_subst_of_normal_terms_is_the_normal_form_of_the_redex(seed):
     arg = normalize(props.gen_term(rng, dom, (), fuel=2))
     out = subst(lam.body, arg)
     assert out == props.ref_hsubst(lam.body, 0, (arg,))
-    assert normalize(out) is out and out == normalize(App(lam, arg))
+    assert normalize(out) is out and out == normalize(app(lam, arg))
 
 
 # matching-variable types; the first two take a function argument, which
@@ -435,7 +434,7 @@ _META_TYPES = (
 
 def test_hsubst_of_no_values_returns_an_open_term_without_bound_variables_itself():
     # a pattern under binders, as `Session.match` re-instantiates it
-    t = App(Const("s", Arrow(TM, TM)), Bound(0))
+    t = app(Const("s", Arrow(TM, TM)), Bound(0))
     assert _hsubst(t, 0, ()) is t
 
 
@@ -490,7 +489,7 @@ def test_one_walk_builds_an_atom_as_substitution_then_instantiation(seed):
 def _named(t, depth=0):
     """`t` with a name on every binder, as source text gives them."""
     if isinstance(t, App):
-        return App(_named(t.fn, depth), _named(t.arg, depth))
+        return app(_named(t.head, depth), *(_named(a, depth) for a in t.args))
     if isinstance(t, Lam):
         return Lam(t.mt, _named(t.body, depth + 1), f"v{depth}")
     return t
@@ -505,11 +504,11 @@ def test_template_application_is_normalization_binder_names_included(seed):
     formula = props.gen_term(rng, TM, (mt,), 3)
     if mt == Arrow(TM, TM) and rng.randrange(2):
         # the argument unapplied: normalization eta-expands it, unnamed
-        formula = App(Const("lam", Arrow(mt, TM)), Bound(0))
+        formula = app(Const("lam", Arrow(mt, TM)), Bound(0))
     template = normalize(Lam(mt, app(PROVES, props.gen_term(rng, PF, (mt,), 3), formula), "t"))
     arg = _named(normalize(props.gen_term(rng, mt, (), 2)))
     built = _goal_app(template, arg)
-    expected = normalize_goal(App(template, arg))
+    expected = normalize_goal(app(template, arg))
     assert built == expected
     assert format_goal(built, props.SIG) == format_goal(expected, props.SIG)
 
@@ -523,7 +522,7 @@ _NODES = (
     Const("c", TM, birth=3),
     Bound(2),
     Meta(_CELL),
-    App(Const("s", Arrow(TM, TM)), Bound(0)),
+    app(Const("s", Arrow(TM, TM)), Bound(0)),
     Lam(TM, Bound(0), "x"),
 )
 
@@ -593,7 +592,7 @@ def test_schemes_copy_and_pickle_and_keep_their_predicate_flag():
 
 
 def test_lambdas_differing_in_hint_only_are_equal_and_hash_alike():
-    body = App(Const("s", Arrow(TM, TM)), Bound(0))
+    body = app(Const("s", Arrow(TM, TM)), Bound(0))
     a, b, c = Lam(TM, body, "x"), Lam(TM, body, "y"), Lam(TM, body)
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert Lam(TP, body) != a
@@ -604,8 +603,8 @@ def test_lambdas_differing_in_hint_only_are_equal_and_hash_alike():
 def _nodes(t):
     yield t
     if isinstance(t, App):
-        yield from _nodes(t.fn)
-        yield from _nodes(t.arg)
+        for u in (t.head, *t.args):
+            yield from _nodes(u)
     elif isinstance(t, Lam):
         yield from _nodes(t.body)
 
@@ -674,7 +673,7 @@ def test_walks_that_skip_closed_subterms_agree_with_walks_that_do_not(seed):
 
 
 def test_a_matching_variable_under_binders_keeps_the_sentinel():
-    t = Lam(TM, Lam(TM, App(App(Const("f", arrow(TM, TM, TM)), Bound(1)), Meta(MetaCell(TM, 0)))))
+    t = Lam(TM, Lam(TM, app(app(Const("f", arrow(TM, TM, TM)), Bound(1)), Meta(MetaCell(TM, 0)))))
     assert t.free == t.body.free == META_FREE
     assert has_unbound_meta(t)
     assert Lam(TM, Lam(TM, Bound(3))).free == 2 and Lam(TM, Bound(0)).free == 0
@@ -747,6 +746,33 @@ def test_normalize_agrees_with_norm_on_every_call_of_a_corpus_check(monkeypatch,
         _agrees_with_norm(out, ref, t)
 
 
+def test_no_application_is_built_with_an_application_at_its_head(monkeypatch, tmp_path):
+    # spine form: `app` flattens, and every other construction puts at the
+    # head a node that is no application; checked over the corpus commands
+    # and the negatives
+    built = []
+    init = App.__init__
+
+    def checked(self, head, args):
+        built.append((type(head), type(args), len(args)))
+        init(self, head, args)
+
+    monkeypatch.setattr(App, "__init__", checked)
+    lib = ["--lib", str(CORPUS / "lib_full.hol")]
+    for p in sorted(CORPUS.glob("*.hol")):
+        args = [*(lib if p.name.endswith("_via_lib.hol") else []), str(p)]
+        cli.main(["check", "--trace", "quiet", *args])
+        for command in ("expand", "fmt"):
+            cli.main([command, *args, "-o", str(tmp_path / f"{command}.hol")])
+    for k, (_, source, libs, _) in enumerate(negatives.CASES):
+        path = tmp_path / f"negative_{k}.hol"
+        path.write_text(source)
+        lib_args = [a for n in libs for a in ("--lib", str(CORPUS / n))]
+        cli.main(["check", "--trace", "quiet", *lib_args, str(path)])
+    assert len(built) > 10_000
+    assert all(h is not App and a is tuple and n > 0 for h, a, n in built)
+
+
 def _gen(rng, mt, env, fuel):
     """`props.gen_term`, with goals at meta-type o."""
     if isinstance(mt, Arrow):
@@ -760,16 +786,16 @@ def _planted(rng, t, mt, env):
     dom = rng.choice((TM, PF, Arrow(TM, TM)))
     kind = rng.randrange(11)
     if kind < 2:  # a redex
-        return App(Lam(dom, _gen(rng, mt, (dom,) + env, 2), "r"), _gen(rng, dom, env, 1))
+        return app(Lam(dom, _gen(rng, mt, (dom,) + env, 2), "r"), _gen(rng, dom, env, 1))
     if kind < 4:  # a bound matching variable at a head
         cell = MetaCell(Arrow(dom, mt), 0)
         cell.value = normalize(_gen(rng, Arrow(dom, mt), (), 2))
-        return App(Meta(cell), _gen(rng, dom, env, 1))
+        return app(Meta(cell), _gen(rng, dom, env, 1))
     if kind < 6:  # an unbound matching variable, bare or at a variable
         if not env or rng.randrange(2):
             return Meta(MetaCell(mt, 0))
         i = rng.randrange(len(env))
-        return App(Meta(MetaCell(Arrow(env[i], mt), 0)), Bound(i))
+        return app(Meta(MetaCell(Arrow(env[i], mt), 0)), Bound(i))
     if kind < 8:  # a variable: eta-short at an arrow type, a non-goal at o, out of scope
         same = [Bound(i) for i, m in enumerate(env) if m == mt]
         return rng.choice(same + [Const("e9", mt, 9), Bound(len(env))])
@@ -779,7 +805,7 @@ def _planted(rng, t, mt, env):
         return Meta(cell)
     if isinstance(mt, Arrow):
         return Lam(None, t.body, t.hint)  # a lambda without its meta-type
-    return App(t, Const("z", TM))  # an over-applied head
+    return app(t, Const("z", TM))  # an over-applied head
 
 
 def _plant_spines(rng, t, mt, env, p, sites):
@@ -792,7 +818,7 @@ def _plant_spines(rng, t, mt, env, p, sites):
         body = _plant_spines(rng, t.body, mt.cod, (mt.dom,) + env, p, sites)
         t = t if body is t.body else Lam(t.mt, body, t.hint)
     elif isinstance(t, App):
-        h, args = plain_spine(t)
+        h, args = props.plain_spine(t)
         hmt, new = meta_type_of(h, env), []
         for a in args:
             new.append(_plant_spines(rng, a, hmt.dom, env, p, sites))
@@ -834,11 +860,11 @@ def test_normalize_takes_one_frame_per_level_of_900_nested_applications():
     s, f, z = Const("s", Arrow(TM, TM)), Const("f", arrow(TM, TM, TM)), Const("z", TM)
     right, left = z, z
     for _ in range(900):
-        right, left = App(s, right), app(f, left, z)
+        right, left = app(s, right), app(f, left, z)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         assert normalize(right) is right and normalize(left) is left
-        assert normalize(App(Lam(TM, Bound(0)), right)) is right
+        assert normalize(app(Lam(TM, Bound(0)), right)) is right
     finally:
         sys.setrecursionlimit(limit)

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import CORPUS, atom_args, goal_atom, load_corpus_goal
+from props import goal_spine, plain_spine
 
 from holcheck.cli import _library_signature, main
 from holcheck.kernel import Session
@@ -11,16 +12,13 @@ from holcheck.signature import builtin_signature
 from holcheck.syntax import Solve, apply_declarations, format_goal, parse_source, parse_term
 from holcheck.terms import (
     PROVES,
-    App,
     Const,
     Lam,
     alpha_beta_eq,
     app,
-    goal_spine,
     map_children,
     map_proves,
     normalize,
-    plain_spine,
 )
 from holcheck.transform import (
     ProofStats,
@@ -174,8 +172,8 @@ def test_stats_of_shared_subterms_are_pinned():
     # subproofs, which the tree metrics count once per occurrence
     lemma = atom_args(load_corpus_goal("symm_lemma.hol"))[0]
     defn = atom_args(load_corpus_goal("and_def.hol"))[0]
-    imp_e = parse_term("imp_e false refl refl", builtin_signature()).fn.fn.fn
-    shared = App(App(App(imp_e, lemma), defn), App(defn, lemma))
+    imp_e = parse_term("imp_e false refl refl", builtin_signature()).head
+    shared = app(app(app(imp_e, lemma), defn), app(defn, lemma))
     assert proof_stats(shared) == ProofStats(
         shared_nodes=87, tree_nodes=169, lemma_count=2, def_count=2, max_depth=16
     )
@@ -195,7 +193,7 @@ def _expand_by_normalizing(t, env, _=None):
         t = map_children(t, _expand_by_normalizing, env, None)
     head, args = plain_spine(t)
     if isinstance(head, Const) and head.name == "lemma_pf" and len(args) == 3:
-        return normalize(App(args[2], args[1]), env)
+        return normalize(app(args[2], args[1]), env)
     return t
 
 
