@@ -35,7 +35,7 @@ rules.  Inside, a goal or clause body is a closure: a normal term open over
 `vs`, the values of the `pi` binders entered (eigenvariables in `solve`,
 fresh matching variables in `backchain`), innermost last; entering a binder
 substitutes nothing.  A clause head is matched as a closure, not built.
-Other terms are built where they are used (the atom of `solve_atom`, the
+Other terms are built where they are used (an atom goal in `solve`, the
 clause of an implication goal, a template at its argument) in one walk,
 `terms._hsubst`, that substitutes `vs` and the bound matching variables and
 reduces each redex as it forms.  So a built atom holds no bound matching
@@ -51,6 +51,7 @@ node, whose parts they read as sub-terms of a built atom.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .errors import BudgetError, PatternError, StructuralError, ValidityError
 from .signature import builtin_signature
@@ -515,51 +516,47 @@ class Session:
             finally:
                 del self.store[depth:]
         else:
-            yield from self.solve_atom(g, vs)
-
-    def solve_atom(self, atom: Term, vs):
-        atom = _hsubst(atom, 0, vs)
-        self.goal_stack.append(atom)
-        try:
-            produced = False
-            for _ in self._dispatch(atom):
-                produced = True
-                yield
-            if not produced and len(self.goal_stack) >= len(self.failure_snapshot):
-                self.failure_snapshot = tuple(self.goal_stack)
-        finally:
-            self.goal_stack.pop()
+            atom = _hsubst(g, 0, vs)
+            self.goal_stack.append(atom)
+            try:
+                produced = False
+                for _ in self._dispatch(atom):
+                    produced = True
+                    yield
+                if not produced and len(self.goal_stack) >= len(self.failure_snapshot):
+                    self.failure_snapshot = tuple(self.goal_stack)
+            finally:
+                self.goal_stack.pop()
 
     def _dispatch(self, atom: Term):
+        """The solutions of a built atom: a handler's, a rule's, the store's or none."""
         # in a built atom, `free == META_FREE` means an unbound matching variable
         pred = _pred(atom)
         if pred == "proves":
             p, a = atom.args
             if a.free == META_FREE:
-                return  # the formula side must be ground
+                return ()  # the formula side must be ground
             h, args = (p.head, p.args) if isinstance(p, App) else (p, ())
             if isinstance(h, Const):
                 check = _CONSTRUCTORS.get((h.name, len(args)))
                 if check is not None:
-                    yield from getattr(self, check)(*args, a)
-                    return
+                    return getattr(self, check)(*args, a)
                 rule = PROVES_RULES.get(h.name)
                 if rule is not None:
                     # exactly one built-in rule per proof constructor
-                    yield from self.backchain(atom, rule)
-                    return
+                    return self.backchain(atom, rule)
             if p.free == META_FREE:
-                return  # unresolved matching variable at dispatch
-            yield from self.solve_store(App(ASSUMP, (atom,)))
-            yield from self.solve_store(atom)
-        elif pred:
+                return ()  # unresolved matching variable at dispatch
+            # lazily: the atom's own store search starts when the assumptions' ends
+            return chain.from_iterable(map(self.solve_store, (App(ASSUMP, (atom,)), atom)))
+        if pred:
             if atom.free == META_FREE:
-                return
+                return ()
             s = atom.args[0]
             h = s.head if isinstance(s, App) else s
             rule = pred == "hastype" and isinstance(h, Const) and HASTYPE_RULES.get(h.name)
-            yield from self.backchain(atom, rule) if rule else self.solve_store(atom)
-        # unknown predicates have no rules: fail
+            return self.backchain(atom, rule) if rule else self.solve_store(atom)
+        return ()  # unknown predicates have no rules: fail
 
     def solve_store(self, atom: Term):
         """Try the dynamic clauses, most recently added first.
@@ -640,7 +637,7 @@ class Session:
         if q.mt not in (TP, TM):
             raise ValidityError("elam may only quantify over tp or tm")
         b = self.fresh_meta(q.mt)
-        yield from self.solve(app(PROVES, subst(q.body, b), formula))
+        return self.solve(app(PROVES, subst(q.body, b), formula))
 
     def check_extract(self, pat, sub, formula):
         m = self.mark()

@@ -68,12 +68,19 @@ def entry_of(st):
     return DefinitionEntry(st.name, st.meta_type, st.result_tp, st.typeinf, st.body)
 
 
-def _statement_parts(entry):
-    """The parts that must only reference earlier names (proofs excluded:
-    they are verified by running them)."""
+def _entry_parts(entry):
+    """The arguments of the entry's `lemma_pf` or `def_pf` node before its
+    scope: (template, proof) or (result type, typing template, body)."""
     if isinstance(entry, LemmaEntry):
-        return (entry.template,)
+        return (entry.template, entry.proof)
     return (entry.result_tp, entry.typeinf, entry.body)
+
+
+def _statement_parts(entry):
+    """The parts that must only reference earlier names (a lemma's proof
+    is excluded: it is verified by running it)."""
+    parts = _entry_parts(entry)
+    return parts[:1] if isinstance(entry, LemmaEntry) else parts
 
 
 def load_library(source, registry: Registry = None) -> Registry:
@@ -117,25 +124,12 @@ def install_entry(entry, session: Session) -> CheckReport:
     both the typing clause and the equality clause.  Pushed clauses stay
     for the rest of the session (library scope).
     """
-    name = name_const(entry)
+    *result_tp, template, witness = _entry_parts(entry)
+    kind = f"definition '{entry.name}' typing" if result_tp else f"lemma '{entry.name}'"
     # `instantiate` takes a normal template and witness
-    if isinstance(entry, LemmaEntry):
-        goal, clauses = instantiate(
-            session.sig,
-            normalize(entry.template),
-            name,
-            normalize(entry.proof),
-            f"lemma '{entry.name}'",
-        )
-    else:
-        goal, clauses = instantiate(
-            session.sig,
-            normalize(entry.typeinf),
-            name,
-            normalize(entry.body),
-            f"definition '{entry.name}' typing",
-            entry.result_tp,
-        )
+    goal, clauses = instantiate(
+        session.sig, normalize(template), name_const(entry), normalize(witness), kind, *result_tp
+    )
     report = session.check_goal(goal, augment=False)
     if report.ok:
         for clause in clauses():
@@ -194,12 +188,6 @@ def replace_const(t, depth, mapping):
 # ---------------------------------------------------------------------------
 # Packaging
 # ---------------------------------------------------------------------------
-
-
-def _entry_parts(entry):
-    if isinstance(entry, LemmaEntry):
-        return (entry.template, entry.proof)
-    return (entry.result_tp, entry.typeinf, entry.body)
 
 
 def dependencies(proof: Term, registry: Registry) -> list:

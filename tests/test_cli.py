@@ -564,26 +564,96 @@ def test_a_discarded_church_tower_is_never_normalized(tmp_path, capsys):
     assert "success" in capsys.readouterr().out
 
 
-def test_thirty_link_chain_checks(tmp_path, capsys):
-    """A 30-link transitivity chain fits in the default recursion limit.
-
-    With one interpreter frame per clause binder and a normalization of
-    every atom, 30 links exhausted it (exit 3); with this link mix the
-    first failing length is now 47."""
+def _chain_text(n, reject=None):
+    """A `bench/chain.py` statement of n links, its link mix seeded by n."""
     import random
 
     from chain import chain_statement
 
-    n = 30
     rng = random.Random(n)
     backwards = [k < n // 2 for k in range(n)]
     rng.shuffle(backwards)
     order = list(range(1, n + 1))
     rng.shuffle(order)
+    return chain_statement(n, backwards, order, reject)
+
+
+def test_thirty_link_chain_checks(tmp_path, capsys):
+    """A 30-link transitivity chain fits in the default recursion limit.
+
+    With one interpreter frame per clause binder and a normalization of
+    every atom, 30 links exhausted it (exit 3); with this link mix the
+    first failing length is now 66."""
     f = tmp_path / "chain.hol"
-    f.write_text(chain_statement(n, backwards, order))
+    f.write_text(_chain_text(30))
     assert run("check", str(f)) == 0
     assert "success" in capsys.readouterr().out
+
+
+def _typing_text(n):
+    """Type `s^n z` against two pushed clauses: a derivation n levels deep."""
+    return (
+        "type s tm -> tm.\ntype z tm.\n"
+        "hastype z intty ==>> (pi X\\ (hastype (s X) intty <<== hastype X intty)) ==>>\n"
+        f"  hastype {'(s ' * n}z{')' * n} intty.\n"
+    )
+
+
+# `python -c` with the source directory as its first argument
+_CHECK = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "from holcheck.cli import main; sys.exit(main(['check', *sys.argv[1:]]))"
+)
+
+DEEP_DERIVATIONS = {
+    "typing s^250 z": (_typing_text(250), 0),
+    "60-link chain": (_chain_text(60), 0),
+    "60-link chain, reject": (_chain_text(60, "left"), 1),
+}
+
+
+@pytest.mark.parametrize("text,code", DEEP_DERIVATIONS.values(), ids=DEEP_DERIVATIONS.keys())
+def test_deep_derivations_check_at_the_default_recursion_limit(text, code, tmp_path):
+    """A level of a store-clause derivation costs three interpreter frames
+    (`solve`, `solve_store`, `backchain`), so these get a verdict in a
+    fresh interpreter.  Typing first exits 3 at depth 328 (329 on Python
+    3.12 and 3.13), and the chain at 66 links."""
+    f = tmp_path / "deep.hol"
+    f.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-I", *["-O"] * sys.flags.optimize, "-c", _CHECK, str(ROOT / "src"), f],
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (code, "")
+
+
+SIGNATURE_REFUSALS = {
+    # the kernel finds rules and handlers by a constant's name alone
+    "builtin constant": (
+        "type proves tm -> o.\n",
+        "1:1: cannot redeclare builtin constant 'proves'",
+    ),
+    "goal former": ("type pi tm.\n", "1:1: cannot redeclare builtin constant 'pi'"),
+    "duplicate declaration": ("type a tm.\ntype a tm.\n", "2:1: duplicate declaration of 'a'"),
+    "builtin fixity": ("infixr imp 7.\n", "1:1: cannot redeclare builtin fixity of 'imp'"),
+    "duplicate fixity": (
+        "type op tm -> tm -> tm.\ninfixl op 5.\ninfixl op 5.\n",
+        "3:1: duplicate fixity declaration for 'op'",
+    ),
+    "undeclared": ("infixl op 5.\n", "1:1: fixity declaration for undeclared constant 'op'"),
+    "unary": ("type op tm -> tm.\ninfixl op 5.\n", "2:1: 'op' is not at least binary"),
+}
+
+
+@pytest.mark.parametrize(
+    "text,message", SIGNATURE_REFUSALS.values(), ids=SIGNATURE_REFUSALS.keys()
+)
+def test_the_signature_refuses_a_declaration(text, message, tmp_path, capsys):
+    f = tmp_path / "decl.hol"
+    f.write_text(text)
+    assert run("check", str(f)) == 2
+    assert capsys.readouterr().err == f"holcheck: {f}:{message}\n"
 
 
 # `-S`: a site `.pth` file may import `typing` before holcheck does

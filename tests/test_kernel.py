@@ -994,20 +994,41 @@ class FreeReadingShadow(Session):
         return super().check_template_pf(*args)
 
 
-# goals that put an unbound matching variable at each site
-_UNBOUND_AT_SITES = (
+# goals that put an unbound matching variable at each site, with the steps
+# and clauses added of their checks: each fails where dispatch meets it
+_UNBOUND_AT_SITES = {
     # a stored clause whose body has a variable that is not in its head:
     # at the formula, and in a typing atom
-    r"(pi A\ pi B\ (proves (mylem A) A <<== proves myax B)) ==>> proves (mylem false) false",
-    r"(pi A\ pi T\ (proves (mylem A) A <<== hastype A T)) ==>> proves (mylem false) false",
-    # an `elam` variable in a proof left to the store, and in a lemma's witness
-    r"proves (elam x\ myax2 x) false",
-    r"proves (elam x\ lemma_pf (N\ proves N false) (myax2 x) (N\ N)) false",
-)
+    "formula": (
+        r"(pi A\ pi B\ (proves (mylem A) A <<== proves myax B)) ==>> proves (mylem false) false",
+        14,
+        1,
+    ),
+    "atom": (
+        r"(pi A\ pi T\ (proves (mylem A) A <<== hastype A T)) ==>> proves (mylem false) false",
+        14,
+        1,
+    ),
+    # an `elam` variable in a proof left to a store that holds a clause for
+    # it, and in a lemma's witness
+    "proof": (r"(pi Y\ proves (myax2 Y) false) ==>> proves (elam x\ myax2 x) false", 6, 1),
+    "template argument": (
+        r"proves (elam x\ lemma_pf (N\ proves N false) (myax2 x) (N\ N)) false",
+        5,
+        0,
+    ),
+}
+
+
+@pytest.fixture
+def sig_with_axioms(sig):
+    for name, mt in (("mylem", Arrow(TM, PF)), ("myax", PF), ("myax2", Arrow(TM, PF))):
+        sig.declare(name, mt)
+    return sig
 
 
 def test_free_tells_an_unbound_matching_variable_where_dispatch_asks(
-    monkeypatch, tmp_path, capsys
+    sig_with_axioms, monkeypatch, tmp_path, capsys
 ):
     FreeReadingShadow.seen = {}
     for name, libs in CORPUS_RUNS:
@@ -1022,11 +1043,8 @@ def test_free_tells_an_unbound_matching_variable_where_dispatch_asks(
     # the corpus and the negatives reach every site, never with a variable
     assert all(pairs == {(False, False)} for pairs in FreeReadingShadow.seen.values())
     assert len(FreeReadingShadow.seen) == 4
-    sig = builtin_signature()
-    for name, mt in (("mylem", Arrow(TM, PF)), ("myax", PF), ("myax2", Arrow(TM, PF))):
-        sig.declare(name, mt)
-    for text in _UNBOUND_AT_SITES:
-        r = FreeReadingShadow(sig).check_goal(parse_goal(text, sig))
+    for text, _, _ in _UNBOUND_AT_SITES.values():
+        r = FreeReadingShadow(sig_with_axioms).check_goal(parse_goal(text, sig_with_axioms))
         assert (r.ok, r.error) == (False, None), text
     for site in ("formula", "proof", "atom", "template argument"):
         assert FreeReadingShadow.seen[site] == {(False, False), (True, True)}, site
@@ -1131,3 +1149,89 @@ def test_a_report_failed_only_when_no_error_ended_the_check():
     report = CheckReport(False)
     assert (report.error, report.message, report.failure_stack) == (None, "", ())
     assert report.stats == Stats() == Stats(0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Guards that parsed input never reaches: terms built through the Python
+# API, or an unbound matching variable where dispatch asks
+# ---------------------------------------------------------------------------
+
+REFL, FALSE = Const("refl", PF), Const("false", TM)
+
+
+def _proves_node(name, mt, *args):
+    """`proves (name args) false`, `name` a builtin constant at meta-type `mt`."""
+    return app(PROVES, app(Const(name, mt), *args), FALSE)
+
+
+MALFORMED_NODES = {
+    "template body not a goal": (
+        _proves_node(
+            "lemma_pf",
+            arrow(Arrow(PF, PF), PF, Arrow(PF, PF), PF),
+            Lam(PF, REFL),
+            REFL,
+            Lam(PF, Bound(0)),
+        ),
+        "template application did not produce a goal",
+    ),
+    "template not an abstraction": (
+        _proves_node("lemma_pf", arrow(PF, PF, Arrow(PF, PF), PF), REFL, REFL, Lam(PF, Bound(0))),
+        "lemma or definition node is not eta-long",
+    ),
+    "scope not an abstraction": (
+        _proves_node(
+            "lemma_pf",
+            arrow(Arrow(PF, O), PF, PF, PF),
+            Lam(PF, app(PROVES, Bound(0), FALSE)),
+            REFL,
+            REFL,
+        ),
+        "lemma or definition node is not eta-long",
+    ),
+    "elam not an abstraction": (
+        _proves_node("elam", arrow(PF, PF), REFL),
+        "elam node is not eta-long",
+    ),
+}
+
+
+@pytest.mark.parametrize("goal,message", MALFORMED_NODES.values(), ids=MALFORMED_NODES.keys())
+def test_a_malformed_lemma_or_elam_node_is_a_structural_error(goal, message):
+    r = Session().check_goal(goal, augment=False)
+    assert (r.ok, r.error, r.message, r.stats.steps) == (False, "structural", message, 1)
+
+
+@pytest.mark.parametrize(
+    "f_mt,body",
+    [(TM, lambda f: f), (Arrow(TM, TM), lambda f: app(f, FALSE))],
+    ids=["x\\ f", "x\\ f false"],  # too few arguments, and one that is no variable
+)
+def test_a_matching_variable_applied_to_a_non_eta_expansion_is_a_pattern_error(session, f_mt, body):
+    # only `x\ f x` would count as the variable f
+    f = session.fresh_eigen(f_mt, "f")
+    cell = MetaCell(Arrow(Arrow(TM, TM), TM), birth=session.counter)
+    with pytest.raises(PatternError, match="non-variable argument"):
+        session.match(app(Meta(cell), Lam(TM, body(f))), FALSE)
+    assert cell.value is None
+
+
+@pytest.mark.parametrize(
+    "text,steps,clauses", _UNBOUND_AT_SITES.values(), ids=_UNBOUND_AT_SITES.keys()
+)
+def test_an_unbound_matching_variable_fails_where_dispatch_asks(
+    text, steps, clauses, sig_with_axioms
+):
+    r = check(text, sig_with_axioms)
+    assert (r.ok, r.error, r.stats.steps, r.stats.clauses_added) == (False, None, steps, clauses)
+
+
+def test_a_definition_body_left_unbound_stores_no_equality_clause(sig):
+    # were it stored as `proves def (eq intty D ?1)`, the next goal would
+    # bind ?1, so the body of D would be chosen after the fact
+    r = check(
+        r"proves (elam x\ def_pf intty (N\ hastype false form) x (D\ "
+        r"extractGoal (proves def (eq intty D false)) refl)) (eq form false false)",
+        sig,
+    )
+    assert (r.ok, r.error, r.stats.steps, r.stats.clauses_added) == (False, None, 14, 0)

@@ -296,6 +296,19 @@ def test_meta_type_of_annotated_terms():
     assert meta_type_of(t) == Arrow(TM, TM)
 
 
+@pytest.mark.parametrize(
+    "t,message",
+    [
+        (Lam(TM, Bound(1)), "unbound index 1 outside environment"),
+        (Lam(None, Const("false", TM)), "unannotated binder"),
+    ],
+    ids=["loose index", "unannotated binder"],
+)
+def test_meta_type_of_refuses_a_term_it_cannot_type(t, message):
+    with pytest.raises(StructuralError, match=message):
+        meta_type_of(t)
+
+
 def test_predicates_are_the_monomorphic_constants_of_result_o():
     sig = builtin_signature()
     sig.declare("even", Arrow(TM, O))
@@ -470,7 +483,7 @@ def _binder_value(rng, mt, i):
 @settings(max_examples=300, deadline=None)
 @given(_SEEDS)
 def test_one_walk_builds_an_atom_as_substitution_then_instantiation(seed):
-    # an atom of a closure over three binders, built as `solve_atom` does
+    # an atom of a closure over three binders, built as `solve` builds an atom goal
     rng = random.Random(seed)
     env = tuple(rng.choice(_META_TYPES) for _ in range(3))  # innermost first
     body = app(PROVES, props.gen_term(rng, PF, env, 3), props.gen_term(rng, TM, env, 3))
