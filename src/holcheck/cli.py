@@ -15,7 +15,6 @@ all that a command makes, and a collector pass would only walk live terms.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import gc
 import sys
@@ -115,13 +114,14 @@ class Environment:
         holding what this environment holds, and an empty trail; nothing
         the copy declares, installs or pushes reaches this environment.
         """
-        env = copy.copy(self)
+        env = object.__new__(type(self))
         env.sig = self.sig.copy()
         env.session = Session(env.sig, self.session.budget)
         env.session.store = list(self.session.store)
         env.session.counter = self.session.counter
         env.session.clauses_added = self.session.clauses_added
         env.registry = Registry(self.registry.entries, self.registry.by_name)
+        env.trace = self.trace
         env.codes = []
         return env
 

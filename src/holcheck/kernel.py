@@ -54,14 +54,15 @@ from collections import namedtuple
 from itertools import chain
 
 from .errors import BudgetError, PatternError, StructuralError, ValidityError
-from .signature import builtin_signature
-from .syntax import format_goal, parse_source
+from .signature import BUILTIN_CONSTS, GOAL_FORMERS, builtin_signature
+from .syntax import format_goal
 from .terms import (
     AND,
     ASSUMP,
     HASTYPE,
     PROVES,
     App,
+    Arrow,
     Bound,
     Const,
     Lam,
@@ -166,8 +167,8 @@ def augment_goal(g: Term) -> Term:
 
 
 def _goal_app(fn: Term, arg: Term) -> Term:
-    """A normal template applied to a normal argument."""
-    if meta_type_of(App(fn, (arg,))) != O:
+    """A normal template applied to a normal argument of its binder's meta-type."""
+    if meta_type_of(arg) != fn.mt or meta_type_of(App(fn, (arg,))) != O:
         raise StructuralError("template application did not produce a goal")
     return _hsubst(fn.body, 0, (arg,))
 
@@ -242,48 +243,72 @@ def _index_clause(g, keys):
 
 
 # ---------------------------------------------------------------------------
-# Built-in rules, stated in the clause language itself
+# Built-in rules, built from constructors; tests/test_kernel.py holds their lambda-Prolog text
 # ---------------------------------------------------------------------------
 
-_RULES_SRC = """
-% typing
-pi T\\ pi X\\ pi Y\\ (hastype (eq T X Y) form <<== (hastype X T, hastype Y T)).
-pi A\\ pi B\\ (hastype (A imp B) form <<== (hastype A form, hastype B form)).
-pi T\\ pi A\\ (hastype (forall T A) form <<== pi X\\ (hastype X T ==>> hastype (A X) form)).
-hastype false form.
-pi T1\\ pi T2\\ pi F\\
-  (hastype (lam F) (T1 arrow T2) <<== pi X\\ (hastype X T1 ==>> hastype (F X) T2)).
-pi T1\\ pi T2\\ pi F\\ pi X\\
-  (hastype (app T1 F X) T2 <<== (hastype F (T1 arrow T2), hastype X T1)).
-pi T1\\ pi T2\\ pi X\\ pi Y\\
-  (hastype (mkpair X Y) (pair T1 T2) <<== (hastype X T1, hastype Y T2)).
-pi T1\\ pi T2\\ pi X\\ (hastype (fst T2 X) T1 <<== hastype X (pair T1 T2)).
-pi T1\\ pi T2\\ pi X\\ (hastype (snd T1 X) T2 <<== hastype X (pair T1 T2)).
 
-% proof checking
-pi T\\ pi X\\ (proves refl (eq T X X)).
-pi T1\\ pi T2\\ pi F\\ pi X\\ (proves beta (eq T2 (app T1 (lam F) X) (F X))).
-pi T1\\ pi T2\\ pi X\\ pi Y\\ (proves fstpair (eq T1 (fst T2 (mkpair X Y)) X)).
-pi T1\\ pi T2\\ pi X\\ pi Y\\ (proves sndpair (eq T2 (snd T1 (mkpair X Y)) Y)).
-pi T1\\ pi T2\\ pi Z\\ (proves surjpair (eq (pair T1 T2) (mkpair (fst T2 Z) (snd T1 Z)) Z)).
-pi T\\ pi X\\ pi Z\\ pi H\\ pi P1\\ pi P2\\
-  (proves (congr T X Z H P1 P2) (H X) <<==
-     (hastype X T, hastype Z T, proves P1 (eq T X Z), proves P2 (H Z))).
-pi A\\ pi B\\ pi Q\\
-  (proves (imp_i Q) (A imp B) <<== pi P\\ (assump (proves P A) ==>> proves (Q P) B)).
-pi A\\ pi B\\ pi Q1\\ pi Q2\\
-  (proves (imp_e A Q1 Q2) B <<== (hastype A form, proves Q1 (A imp B), proves Q2 A)).
-pi T\\ pi A\\ pi Q\\
-  (proves (forall_i Q) (forall T A) <<== pi Y\\ (hastype Y T ==>> proves (Q Y) (A Y))).
-pi T\\ pi A\\ pi Q\\ pi X\\
-  (proves (forall_e T A Q X) (A X) <<==
-     (pi Y\\ (hastype Y T ==>> hastype (A Y) form), hastype X T, proves Q (forall T A))).
-"""
+def _build(x, d=0):
+    """The term `x` describes under `d` binders: a str names a built-in constant or goal
+    former, an int is the variable of the binder at that level (0 the outermost), a tuple
+    applies its first item to the rest, and `lambda N=mt, ..: y` is `pi N\\ ..` (N: mt) around y."""
+    if isinstance(x, int):
+        return Bound(d - 1 - x)
+    if isinstance(x, str):
+        return Const(x, (BUILTIN_CONSTS.get(x) or GOAL_FORMERS[x]).body)
+    if isinstance(x, tuple):
+        return app(*(_build(a, d) for a in x))
+    if isinstance(x, list):  # [H, B, ..]: `H <<== B, ..`, the clause first in `=>`
+        body = x[-1]
+        for b in reversed(x[1:-1]):
+            body = (",", b, body)
+        return _build(("=>", body, x[0]), d)
+    g = _build(x(*range(d, d + len(x.__defaults__))), d + len(x.__defaults__))
+    for name, mt in reversed(list(zip(x.__code__.co_varnames, x.__defaults__))):
+        g = pi(mt, g, name)
+    return g
+
+
+_h = lambda x, t: ("hastype", x, t)  # the atoms `hastype x t` and `proves q a`
+_p = lambda q, a: ("proves", q, a)
+_F = Arrow(TM, TM)  # a formula or term with a hole
+_RULES = (
+    lambda T=TP, X=TM, Y=TM: [_h(("eq", T, X, Y), "form"), _h(X, T), _h(Y, T)],
+    lambda A=TM, B=TM: [_h(("imp", A, B), "form"), _h(A, "form"), _h(B, "form")],
+    lambda T=TP, A=_F: [
+        _h(("forall", T, A), "form"), lambda X=TM: ("=>", _h(X, T), _h((A, X), "form"))],
+    _h("false", "form"),
+    lambda T1=TP, T2=TP, F=_F: [
+        _h(("lam", F), ("arrow", T1, T2)), lambda X=TM: ("=>", _h(X, T1), _h((F, X), T2))],
+    lambda T1=TP, T2=TP, F=TM, X=TM: [
+        _h(("app", T1, F, X), T2), _h(F, ("arrow", T1, T2)), _h(X, T1)],
+    lambda T1=TP, T2=TP, X=TM, Y=TM: [_h(("mkpair", X, Y), ("pair", T1, T2)), _h(X, T1), _h(Y, T2)],
+    lambda T1=TP, T2=TP, X=TM: [_h(("fst", T2, X), T1), _h(X, ("pair", T1, T2))],
+    lambda T1=TP, T2=TP, X=TM: [_h(("snd", T1, X), T2), _h(X, ("pair", T1, T2))],
+    lambda T=TP, X=TM: _p("refl", ("eq", T, X, X)),
+    lambda T1=TP, T2=TP, F=_F, X=TM: _p("beta", ("eq", T2, ("app", T1, ("lam", F), X), (F, X))),
+    lambda T1=TP, T2=TP, X=TM, Y=TM: _p("fstpair", ("eq", T1, ("fst", T2, ("mkpair", X, Y)), X)),
+    lambda T1=TP, T2=TP, X=TM, Y=TM: _p("sndpair", ("eq", T2, ("snd", T1, ("mkpair", X, Y)), Y)),
+    lambda T1=TP, T2=TP, Z=TM: _p(
+        "surjpair", ("eq", ("pair", T1, T2), ("mkpair", ("fst", T2, Z), ("snd", T1, Z)), Z)),
+    lambda T=TP, X=TM, Z=TM, H=_F, P1=PF, P2=PF: [_p(("congr", T, X, Z, H, P1, P2), (H, X)),
+        _h(X, T), _h(Z, T), _p(P1, ("eq", T, X, Z)), _p(P2, (H, Z))],
+    lambda A=TM, B=TM, Q=Arrow(PF, PF): [
+        _p(("imp_i", Q), ("imp", A, B)), lambda P=PF: ("=>", ("assump", _p(P, A)), _p((Q, P), B))],
+    lambda A=TM, B=TM, Q1=PF, Q2=PF: [
+        _p(("imp_e", A, Q1, Q2), B), _h(A, "form"), _p(Q1, ("imp", A, B)), _p(Q2, A)],
+    lambda T=TP, A=_F, Q=Arrow(TM, PF): [
+        _p(("forall_i", Q), ("forall", T, A)), lambda Y=TM: ("=>", _h(Y, T), _p((Q, Y), (A, Y)))],
+    # `pi Y\` scopes over all three premises, as a lambda-Prolog binder extends as far
+    # right as it can.  The rule's text reads so; keep it, do not narrow the scope
+    lambda T=TP, A=_F, Q=PF, X=TM: [_p(("forall_e", T, A, Q, X), (A, X)), lambda Y=TM: (
+        ",", ("=>", _h(Y, T), _h((A, Y), "form")), (",", _h(X, T), _p(Q, ("forall", T, A))))],
+)
+
 
 def _load_rules():
     rules = {"proves": {}, "hastype": {}}
-    for st in parse_source(_RULES_SRC, builtin_signature()).statements:
-        clause = normalize_goal(st.goal)
+    for rule in _RULES:
+        clause = normalize_goal(_build(rule))
         keys = []
         _index_clause(clause, keys)
         key = keys[0] if len(keys) == 1 else None

@@ -1,12 +1,13 @@
 """The trusted core: rules, matching, backchaining, lemma/definition nodes."""
 
+import ast
 import itertools
 import random
 
 import pytest
 
 import props
-from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goal
+from conftest import CORPUS, ROOT, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goal
 from props import goal_spine, plain_spine
 
 from holcheck import cli, kernel
@@ -22,13 +23,14 @@ from holcheck.kernel import (
 )
 from holcheck.library import walk
 from holcheck.signature import builtin_signature
-from holcheck.syntax import parse_goal, parse_term
+from holcheck.syntax import parse_goal, parse_source, parse_term
 from holcheck.terms import (
     AND,
     ASSUMP,
     HASTYPE,
     IMP,
     PROVES,
+    App,
     Arrow,
     Bound,
     Const,
@@ -61,6 +63,80 @@ def check(text, sig=None, augment=True, budget=None):
 # ---------------------------------------------------------------------------
 # Built-in rules
 # ---------------------------------------------------------------------------
+
+
+# The built-in rules in lambda-Prolog.  The kernel builds them from
+# constructors; this text is their reference.
+_RULES_SRC = r"""
+% typing
+pi T\ pi X\ pi Y\ (hastype (eq T X Y) form <<== (hastype X T, hastype Y T)).
+pi A\ pi B\ (hastype (A imp B) form <<== (hastype A form, hastype B form)).
+pi T\ pi A\ (hastype (forall T A) form <<== pi X\ (hastype X T ==>> hastype (A X) form)).
+hastype false form.
+pi T1\ pi T2\ pi F\
+  (hastype (lam F) (T1 arrow T2) <<== pi X\ (hastype X T1 ==>> hastype (F X) T2)).
+pi T1\ pi T2\ pi F\ pi X\
+  (hastype (app T1 F X) T2 <<== (hastype F (T1 arrow T2), hastype X T1)).
+pi T1\ pi T2\ pi X\ pi Y\
+  (hastype (mkpair X Y) (pair T1 T2) <<== (hastype X T1, hastype Y T2)).
+pi T1\ pi T2\ pi X\ (hastype (fst T2 X) T1 <<== hastype X (pair T1 T2)).
+pi T1\ pi T2\ pi X\ (hastype (snd T1 X) T2 <<== hastype X (pair T1 T2)).
+
+% proof checking
+pi T\ pi X\ (proves refl (eq T X X)).
+pi T1\ pi T2\ pi F\ pi X\ (proves beta (eq T2 (app T1 (lam F) X) (F X))).
+pi T1\ pi T2\ pi X\ pi Y\ (proves fstpair (eq T1 (fst T2 (mkpair X Y)) X)).
+pi T1\ pi T2\ pi X\ pi Y\ (proves sndpair (eq T2 (snd T1 (mkpair X Y)) Y)).
+pi T1\ pi T2\ pi Z\ (proves surjpair (eq (pair T1 T2) (mkpair (fst T2 Z) (snd T1 Z)) Z)).
+pi T\ pi X\ pi Z\ pi H\ pi P1\ pi P2\
+  (proves (congr T X Z H P1 P2) (H X) <<==
+     (hastype X T, hastype Z T, proves P1 (eq T X Z), proves P2 (H Z))).
+pi A\ pi B\ pi Q\
+  (proves (imp_i Q) (A imp B) <<== pi P\ (assump (proves P A) ==>> proves (Q P) B)).
+pi A\ pi B\ pi Q1\ pi Q2\
+  (proves (imp_e A Q1 Q2) B <<== (hastype A form, proves Q1 (A imp B), proves Q2 A)).
+pi T\ pi A\ pi Q\
+  (proves (forall_i Q) (forall T A) <<== pi Y\ (hastype Y T ==>> proves (Q Y) (A Y))).
+pi T\ pi A\ pi Q\ pi X\
+  (proves (forall_e T A Q X) (A X) <<==
+     (pi Y\ (hastype Y T ==>> hastype (A Y) form), hastype X T, proves Q (forall T A))).
+"""
+
+
+def _same(a, b):
+    """`a == b`, and each binder hint equal too (`==` ignores hints)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Lam):
+        return a.hint == b.hint and a.mt == b.mt and _same(a.body, b.body)
+    if isinstance(a, App):
+        same_args = len(a.args) == len(b.args) and all(map(_same, a.args, b.args))
+        return same_args and _same(a.head, b.head)
+    return a == b
+
+
+def test_the_built_in_rules_are_the_parse_of_their_lambda_prolog_text():
+    tables = {"proves": kernel.PROVES_RULES, "hastype": kernel.HASTYPE_RULES}
+    statements = parse_source(_RULES_SRC, builtin_signature()).statements
+    assert len(statements) == sum(map(len, tables.values())) == 19
+    for st in statements:
+        clause = normalize_goal(st.goal)
+        keys = []
+        kernel._index_clause(clause, keys)
+        ((pred, name, _),) = keys
+        assert _same(tables[pred][name], clause), name
+
+
+def test_the_kernel_imports_no_parser():
+    """The verdict path reads no source text: from `syntax` and `infer` the
+    kernel takes only `format_goal`, which prints failure stacks."""
+    tree = ast.parse((ROOT / "src" / "holcheck" / "kernel.py").read_text())
+    front_end = {"syntax", "infer"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in front_end:
+            assert [a.name for a in node.names] == ["format_goal"]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not front_end & {a.name.split(".")[-1] for a in node.names}
 
 
 def test_refl_under_universal():
@@ -1193,6 +1269,16 @@ MALFORMED_NODES = {
         _proves_node("elam", arrow(PF, PF), REFL),
         "elam node is not eta-long",
     ),
+    "witness of the wrong meta-type": (
+        _proves_node(
+            "lemma_pf",
+            arrow(Arrow(TM, O), TM, Arrow(TM, PF), PF),
+            Lam(TM, app(HASTYPE, Bound(0), Const("form", TP))),
+            REFL,
+            Lam(TM, REFL),
+        ),
+        "template application did not produce a goal",
+    ),
 }
 
 
@@ -1200,6 +1286,12 @@ MALFORMED_NODES = {
 def test_a_malformed_lemma_or_elam_node_is_a_structural_error(goal, message):
     r = Session().check_goal(goal, augment=False)
     assert (r.ok, r.error, r.message, r.stats.steps) == (False, "structural", message, 1)
+
+
+def test_a_template_takes_a_witness_only_of_its_binders_meta_type():
+    # `hastype refl form` would put a proof where a term belongs
+    with pytest.raises(StructuralError, match="did not produce a goal"):
+        kernel._goal_app(Lam(TM, app(HASTYPE, Bound(0), Const("form", TP))), REFL)
 
 
 @pytest.mark.parametrize(
