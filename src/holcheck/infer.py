@@ -39,10 +39,11 @@ def _chase(mt):
 
 
 def _occurs(v, mt):
-    mt = _chase(mt)
+    while mt.__class__ is UVar and mt.ref is not None:  # `_chase`, inline
+        mt = mt.ref
     if mt is v:
         return True
-    if isinstance(mt, Arrow):
+    if mt.__class__ is Arrow:
         return _occurs(v, mt.dom) or _occurs(v, mt.cod)
     return False
 
@@ -52,20 +53,22 @@ def _unify(a, b, where, pos):
     called only on failure, which is reported at `pos`."""
     if a is b:  # a declared meta-type met again: nothing to chase
         return
-    a, b = _chase(a), _chase(b)
+    while a.__class__ is UVar and a.ref is not None:  # `_chase`, inline
+        a = a.ref
+    while b.__class__ is UVar and b.ref is not None:
+        b = b.ref
     if a is b:
         return
-    if isinstance(a, UVar):
-        if _occurs(a, b):
+    if b.__class__ is UVar and a.__class__ is not UVar:
+        a, b = b, a
+    if a.__class__ is UVar:
+        if b.__class__ is Arrow and _occurs(a, b):
             raise MetaTypeError(f"circular meta-type in {where()}", *(pos or ()))
         a.ref = b
         return
-    if isinstance(b, UVar):
-        _unify(b, a, where, pos)
+    if a.__class__ is Base and b.__class__ is Base and a == b:
         return
-    if isinstance(a, Base) and isinstance(b, Base) and a == b:
-        return
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
+    if a.__class__ is Arrow and b.__class__ is Arrow:
         _unify(a.dom, b.dom, where, pos)
         _unify(a.cod, b.cod, where, pos)
         return
@@ -78,13 +81,14 @@ def _unify(a, b, where, pos):
 def _resolve(mt, loose=False):
     """`mt` with its solved variables resolved, itself if it has none; None
     if one is unsolved, unless `loose`, which keeps it."""
-    mt = _chase(mt)
-    if isinstance(mt, Arrow):
+    while mt.__class__ is UVar and mt.ref is not None:  # `_chase`, inline
+        mt = mt.ref
+    if mt.__class__ is Arrow:
         dom, cod = _resolve(mt.dom, loose), _resolve(mt.cod, loose)
         if dom is None or cod is None:
             return None
         return mt if dom is mt.dom and cod is mt.cod else Arrow(dom, cod)
-    return None if isinstance(mt, UVar) and not loose else mt
+    return None if mt.__class__ is UVar and not loose else mt
 
 
 def _instance(mt, v):
@@ -99,11 +103,14 @@ def _instance(mt, v):
 class Inference:
     """The unification variables of one elaboration.  `at` maps the `id` of
     the meta-type made for a binder or a polymorphic constant to that
-    meta-type and its token; any other constant's meta-type is ground."""
+    meta-type and its token; any other constant's meta-type is ground.
+    `plain` holds the applications that `ground` recorded, by `id`, and
+    keeps them alive, so that no other node can take an `id` of theirs."""
 
     def __init__(self):
         self._uids = itertools.count(1)
         self.at = {}
+        self.plain = {}
 
     def fresh(self, pos=None):
         v = UVar(next(self._uids))
@@ -118,11 +125,23 @@ class Inference:
         self.at[id(mt)] = mt, pos  # a key of its own: it holds the fresh variable
         return mt
 
+    def mark(self):
+        """A checkpoint for `ground`."""
+        return len(self.at)
+
+    def ground(self, t, mark):
+        """Record the application `t`, built since `mark`, as ground whole
+        if no binder variable and no polymorphic instance was made since:
+        `_zonk` then returns it as it is."""
+        if len(self.at) == mark:
+            self.plain[id(t)] = t
+
     def apply(self, fmt, amt, where, pos):
         """The meta-type of applying a function of meta-type `fmt` to an
         argument of meta-type `amt`; a mismatch is reported at `pos`."""
-        fmt = _chase(fmt)
-        if isinstance(fmt, Arrow):  # as below, without a fresh variable
+        while fmt.__class__ is UVar and fmt.ref is not None:  # `_chase`, inline
+            fmt = fmt.ref
+        if fmt.__class__ is Arrow:  # as below, without a fresh variable
             _unify(fmt.dom, amt, where, pos)
             return fmt.cod
         res = self.fresh()
@@ -132,24 +151,27 @@ class Inference:
 
 def _zonk(t, inf):
     """Ground every meta-type annotation of a term, keeping the nodes that
-    are ground already."""
-    if isinstance(t, App):
+    are ground already.  An application `inf.ground` recorded is ground
+    whole, and so is a constant whose meta-type `inf.at` does not hold."""
+    c = t.__class__
+    if c is App:
+        if id(t) in inf.plain:
+            return t
         # the arguments right to left, then the head: an unresolved binder
         # is named before the constant applied to its lambda, `pi` or `elam`
-        args = []
-        for a in reversed(t.args):
-            args.append(_zonk(a, inf))
+        old = t.args
+        args = [_zonk(a, inf) for a in reversed(old)]
         args.reverse()
         h = _zonk(t.head, inf)
-        return t if h is t.head and all(map(is_, args, t.args)) else App(h, tuple(args))
-    if not isinstance(t, (Const, Lam)):
+        return t if h is t.head and all(map(is_, args, old)) else App(h, tuple(args))
+    if c is not Const and c is not Lam:
         return t
     made = inf.at.get(id(t.mt))
     mt = t.mt if made is None else _resolve(t.mt)
     if mt is None:
-        what = f"constant '{t.name}'" if isinstance(t, Const) else f"binder '{t.hint or '_'}'"
+        what = f"constant '{t.name}'" if c is Const else f"binder '{t.hint or '_'}'"
         raise MetaTypeError(f"cannot infer a ground meta-type for {what}", *made[1])
-    if isinstance(t, Lam):
+    if c is Lam:
         return Lam(mt, _zonk(t.body, inf), t.hint)
     return t if mt is t.mt else Const(t.name, mt, t.birth)
 

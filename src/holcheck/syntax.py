@@ -19,20 +19,21 @@ from collections import namedtuple
 from operator import attrgetter
 
 from .errors import MetaTypeError, SourceError
-from .infer import Inference, elaborate_goal, elaborate_term
+from .infer import Inference, UVar, _chase, elaborate_goal, elaborate_term
 from .signature import GOAL_FORMERS, Signature
 from .terms import (
     App,
     Arrow,
-    Base,
     Bound,
     Const,
     Lam,
     Meta,
     MetaType,
     O,
+    PF,
+    TM,
+    TP,
     Term,
-    BASE_NAMES,
     app,
     arg_types,
     deref,
@@ -43,12 +44,12 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 # One alternation, tried left to right after the blanks that lead each
-# match: a newline, a `%` comment, the token kinds (a symbol before its
-# prefixes), the end of the text, and any other character, which is `bad`.
+# match: the token kinds, the most frequent first (a symbol before its
+# prefixes), a newline, a `%` comment, the end of the text, and any other
+# character, which is `bad`.  A comment and the end have no group.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>%[^\n]*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<int>[0-9]+)"
-    r"|(?P<sym>==>>|<<==|->|=>|:-|[().,\\])|\Z|(?P<bad>.))",
+    r"[ \t\r]*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>==>>|<<==|->|=>|:-|[().,\\])"
+    r"|(?P<newline>\n)|(?P<int>[0-9]+)|%[^\n]*|\Z|(?P<bad>.))",
     re.DOTALL,
 )
 _KINDS = frozenset(("ident", "int", "sym"))
@@ -109,20 +110,30 @@ SourceFile = namedtuple("SourceFile", "statements path", defaults=(None,))
 class Parser:
     """Reads statements, building and typing their terms as it goes, with an
     `Inference`, `self.inf`, per statement and per `def_*` argument.
-    Expression methods take the binder scope ((name, meta-type) pairs,
-    innermost first) and return `(term, meta-type, pos)`; `pos` names the
+    Expression methods return `(term, meta-type, pos)`; `pos` names the
     expression in a diagnostic: an infix's operator, an application's last
     argument, or an identifier's or binder's token.  An application is
     unified where it is built, and a mismatch reported at its `pos`; but a
     predicate's application is checked where it ends, its meta-type being
     till then the list of its arguments' `(meta-type, pos)`.  With
-    `head` set, one ending at `)` is left unchecked."""
+    `head` set, one ending at `)` is left unchecked.
+
+    The binder scope is three fields: `levels` maps a bound name to the
+    levels of its binders (the outermost binder in scope is level 0, the
+    innermost of a name is last), and `names` and `mts` hold each level's
+    name and meta-type (what its variable stands for, once solved).  A
+    name resolves with one lookup, and entering a binder copies nothing.
+    Each application `parse_expr` builds goes to `inf.ground`, which lets
+    `_zonk` skip it if no binder variable and no polymorphic instance was
+    made while it was built: it has no meta-type to ground."""
 
     def __init__(self, tokens, sig: Signature):
         self.toks = tokens + tokens[-1:] * 2  # `peek` reads up to two past `eof`
         self.i = 0
         self.sig = sig  # working copy, extended by declarations
         self.inf = Inference()
+        self.levels, self.names, self.mts = {}, [], []
+        self.site = None  # the application `apply` types: (head, args)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -171,7 +182,7 @@ class Parser:
             self.fail("kind declarations are not supported; the base meta-types are fixed")
         pos = (t.line, t.col)
         self.inf = Inference()
-        g, _, gpos = self.parse_expr(0, [])
+        g, _, gpos = self.parse_expr(0)
         self.expect_sym(".")
         self.check_goal(g, gpos)
         return Solve(elaborate_goal(g, self.inf), pos)
@@ -210,8 +221,8 @@ class Parser:
             mt = self.parse_meta_type()
             self.expect_sym(")")
             return mt
-        if t.kind == "ident" and t.value in BASE_NAMES:
-            return Base(t.value)
+        if t.kind == "ident" and t.value in _BASES:
+            return _BASES[t.value]  # the shared node, which `parse_expr` tests by identity
         self.fail(f"expected a meta-type, found '{t.value or 'end of input'}'", t)
 
     def parse_def(self):
@@ -242,17 +253,67 @@ class Parser:
         if None in args or len(args) != (2 if lemma else 3):
             self.fail(usage, end)
         a = sch.body
-        expect = [Arrow(a, O), a] if lemma else [Base("tp"), Arrow(a, O), a]
+        expect = [Arrow(a, O), a] if lemma else [TP, Arrow(a, O), a]
         parts = [elaborate_term(t, mt, inf, e, apos) for (t, mt, inf, apos), e in zip(args, expect)]
         return (DefLemma if lemma else DefDefinition)(name.value, a, *parts, pos)
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self, min_prec, scope, head=False):
-        left, mt, pos = self.parse_app(scope, head)
+    def parse_expr(self, min_prec, head=False):
+        """An application, then the infix operators of precedence `min_prec`
+        or more that follow it; or a binder, whose body takes them all."""
+        toks, inf = self.toks, self.inf
+        start = i = self.i
+        mark = inf.mark()
+        t = toks[i]
+        if t.kind != "ident":
+            fn, mt, pos = self.parse_primary(True)  # parenthesized, or an error
+        elif _binds(toks, i):
+            return self.parse_binder()
+        else:
+            self.i = i + 1
+            fn, mt = self.ident(t, i, True)
+            pos = (t.line, t.col)
+        # the arguments
+        args = []
+        infixes = self.sig.infixes
         while True:
-            t = self.peek()
-            fix = self.sig.fixity(t.value)
+            i = self.i
+            t = toks[i]
+            if t.kind == "ident":
+                if _binds(toks, i):  # a trailing lambda swallows the rest of the expression
+                    arg, amt, _ = self.parse_binder()
+                elif t.value in infixes:
+                    break
+                else:
+                    self.i = i + 1
+                    arg, amt = self.ident(t, i)
+            elif t.value == "(":
+                arg, amt, _ = self.parse_primary()
+            else:
+                break
+            args.append(arg)
+            if mt.__class__ is Arrow and mt.dom is amt:  # nothing to unify
+                mt = mt.cod
+            elif mt.__class__ is list:  # a predicate's arguments wait for its arity
+                mt.append((amt, (t.line, t.col)))
+            else:
+                mt = self.apply(fn, args, mt, amt, (t.line, t.col))
+            last = t
+        if args:  # one spine, as `app` builds it
+            args = tuple(args)
+            fn = App(fn.head, fn.args + args) if fn.__class__ is App else App(fn, args)
+            inf.ground(fn, mark)
+            pos = (last.line, last.col)
+        if mt.__class__ is list:
+            if head and t.value == ")":
+                return fn, mt, pos
+            fn, mt = self.check_atom(fn, mt, start)
+        # the infix operators
+        left = fn
+        while True:
+            t = toks[self.i]
+            fix = infixes.get(t.value)
             if fix is None or fix[1] < min_prec:
                 return left, mt, pos
             assoc, prec = fix
@@ -263,128 +324,118 @@ class Parser:
             former = op in (",", "==>>", "=>", "<<==", ":-")
             if former:
                 self.check_goal(left, pos)
-            right, rmt, rpos = self.parse_expr(prec + 1 if assoc == "left" else prec, scope)
+            right, rmt, rpos = self.parse_expr(prec + 1 if assoc == "left" else prec)
             if former:  # a goal; `=>` takes the clause first
                 self.check_goal(right, rpos)
                 if op in ("<<==", ":-"):
                     left, mt, right, rmt = right, rmt, left, mt
                 op = "," if op == "," else "=>"
             pos = (t.line, t.col)
-            fmt = self.inf.instantiate(GOAL_FORMERS.get(op) or self.sig.lookup(op), pos)
+            fmt = inf.instantiate(GOAL_FORMERS.get(op) or self.sig.lookup(op), pos)
             c = Const(op, fmt)
-            fmt = self.apply(c, (left,), fmt, mt, pos, scope)
+            fmt = self.apply(c, (left,), fmt, mt, pos)
             left = App(c, (left, right))
-            mt = self.apply(c, left.args, fmt, rmt, pos, scope)
+            mt = self.apply(c, left.args, fmt, rmt, pos)
+            inf.ground(left, mark)
 
-    def at_binder(self):
-        toks, i = self.toks, self.i
-        t = toks[i]
-        if t.kind != "ident":
-            return False
-        if t.value == "pi":
-            return toks[i + 1].kind == "ident" and toks[i + 2].value == "\\"
-        return toks[i + 1].value == "\\"
-
-    def parse_binder(self, scope):
-        t = self.next()
+    def parse_binder(self):
+        toks = self.toks
+        t = toks[self.i]
         pos, pi = (t.line, t.col), t.value == "pi"
         if pi:  # its instance is made before its binder's variable
             fmt = self.inf.instantiate(GOAL_FORMERS["pi"], pos)
-            t = self.next()
-        self.next()  # the backslash
+            self.i += 1
+            t = toks[self.i]
+        self.i += 2  # the name and the backslash
+        name = t.value
         dom = self.inf.fresh((t.line, t.col))
-        body, bmt, bpos = self.parse_expr(0, [(t.value, dom)] + scope)
-        lam, lmt = Lam(dom, body, hint=t.value), Arrow(dom, bmt)
+        levels = self.levels.get(name)
+        if levels is None:
+            levels = self.levels[name] = []
+        levels.append(len(self.mts))
+        self.names.append(name)
+        self.mts.append(dom)
+        body, bmt, bpos = self.parse_expr(0)
+        levels.pop()
+        self.names.pop()
+        self.mts.pop()
+        lam, lmt = Lam(dom, body, hint=name), Arrow(dom, bmt)
         if not pi:
             return lam, lmt, pos
         self.check_goal(body, bpos)
         g = App(Const("pi", fmt), (lam,))
-        return g, self.apply(g.head, g.args, fmt, lmt, pos, scope), pos
-
-    def parse_app(self, scope, head=False):
-        if self.at_binder():
-            return self.parse_binder(scope)
-        start = self.i
-        fn, mt, pos = self.parse_primary(scope, True)
-        args = []
-        while True:
-            t = self.peek()
-            if self.at_binder():
-                # a trailing lambda swallows the rest of the expression
-                arg, amt, pos = self.parse_binder(scope)
-            elif t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
-                arg, amt, _ = self.parse_primary(scope)
-                pos = (t.line, t.col)
-            else:
-                break
-            args.append(arg)
-            if isinstance(mt, list):  # a predicate's arguments wait for its arity
-                mt.append((amt, pos))
-            else:
-                mt = self.apply(fn, args, mt, amt, pos, scope)
-        if args:
-            fn = app(fn, *args)
-        if head and _is_sym(t, ")"):
-            return fn, mt, pos
-        return *self.check_atom(fn, mt, start, scope), pos
+        return g, self.apply(g.head, g.args, fmt, lmt, pos), pos
 
     def parse_arg(self):
         """A statement keyword's argument as `(term, meta-type, its own
-        Inference, pos of its first token)`, or None.  (`parse_app` reads its
+        Inference, pos of its first token)`, or None.  (`parse_expr` reads its
         own inline: a call per argument would cost a frame per level.)"""
         t = self.peek()
         self.inf = Inference()
-        if self.at_binder():
-            e = self.parse_binder([])
+        if t.kind == "ident" and _binds(self.toks, self.i):
+            e = self.parse_binder()
         elif t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
-            e = self.parse_primary([])
+            e = self.parse_primary()
         else:
             return None
         return e[0], e[1], self.inf, (t.line, t.col)
 
-    def parse_primary(self, scope, head=False):
+    def parse_primary(self, head=False):
         t = self.next()
         if _is_sym(t, "("):
-            e = self.parse_expr(0, scope, head)
+            e = self.parse_expr(0, head)
             self.expect_sym(")")
             return e
         if t.kind != "ident":
             self.fail(f"unexpected '{t.value or 'end of input'}'", t)
-        name, pos = t.value, (t.line, t.col)
-        for i, (n, mt) in enumerate(scope):
-            if n == name:
-                return Bound(i), mt, pos
-        sch = self.sig.lookup(name)
+        return *self.ident(t, self.i - 1, head), (t.line, t.col)
+
+    def ident(self, t, i, head=False):
+        """`(term, meta-type)` of the identifier `t`, the `i`th token: a bound
+        variable, else a constant.  A bound variable's meta-type is what its
+        variable stands for, once solved, which is kept for its next use.
+        A predicate is checked as an atom of its own, unless it is an
+        application's head."""
+        name = t.value
+        bound = self.levels.get(name)
+        if bound:
+            mts = self.mts
+            k = bound[-1]
+            mt = mts[k]
+            if mt.__class__ is UVar and mt.ref is not None:
+                mt = mts[k] = _chase(mt)
+            return Bound(len(mts) - 1 - k), mt
+        sch = self.sig.consts.get(name)
         if sch is None:
             what = "unbound capitalized identifier" if name[0].isupper() else "undeclared constant"
             self.fail(f"{what} '{name}'", t)
-        if self.sig.is_predicate(name):
+        if sch.predicate:
             c = Const(name, sch.body)
-            return (c, [], pos) if head else (*self.check_atom(c, [], self.i - 1, scope), pos)
-        mt = self.inf.instantiate(sch, pos)
-        return Const(name, mt), mt, pos
+            return (c, []) if head else self.check_atom(c, [], i)
+        mt = self.inf.instantiate(sch, (t.line, t.col))
+        return Const(name, mt), mt
 
     # -- typing --------------------------------------------------------------
 
-    def apply(self, head, args, fmt, amt, pos, scope):
+    def apply(self, head, args, fmt, amt, pos):
         """The meta-type of `head` applied to `args`, whose last argument, of
         meta-type `amt`, is applied to a function of meta-type `fmt`; a
         mismatch is reported at `pos`, naming that application by its
-        source text, which is built only then."""
-        where = lambda: (
-            f"application {format_term(app(head, *args), self.sig, [n for n, _ in scope])}"
-        )
-        return self.inf.apply(fmt, amt, where, pos)
+        source text, which `_where` builds only then."""
+        self.site = head, args
+        return self.inf.apply(fmt, amt, self._where, pos)
+
+    def _where(self):
+        head, args = self.site
+        return f"application {format_term(app(head, *args), self.sig, self.names[::-1])}"
 
     # -- checks where a construct ends ---------------------------------------
 
-    def check_atom(self, t, mt, i, scope):
-        """Check `t` where its application ends, if it applies a predicate
+    def check_atom(self, t, mt, i):
+        """Check `t`, which applies a predicate, where its application ends
         (`mt` lists its applications): its arity and atomic-goal arguments,
         then each application's meta-type.  `i` indexes the first token of
         its head.  Returns `(t, meta-type)`."""
-        if not isinstance(mt, list):
-            return t, mt
         h, args = (t.head, t.args) if isinstance(t, App) else (t, ())
         while _is_sym(self.toks[i], "("):  # the head was parenthesized
             i += 1
@@ -399,13 +450,23 @@ class Parser:
                 )
         fmt = h.mt
         for k, (amt, pos) in enumerate(mt):
-            fmt = self.apply(h, args[: k + 1], fmt, amt, pos, scope)
+            fmt = self.apply(h, args[: k + 1], fmt, amt, pos)
         return t, fmt
 
     def check_goal(self, t, pos):
         name = _head_name(t)
         if not (name in GOAL_FORMERS or self.sig.is_predicate(name)):
             raise SourceError("expected a goal here", *pos)
+
+
+_BASES = {"tp": TP, "tm": TM, "pf": PF, "o": O}
+
+
+def _binds(toks, i):
+    """Whether the identifier `toks[i]` starts a binder: `x\\ ..` or `pi x\\ ..`."""
+    if toks[i].value == "pi":
+        return toks[i + 1].kind == "ident" and toks[i + 2].value == "\\"
+    return toks[i + 1].value == "\\"
 
 
 def _is_sym(tok, s):
@@ -439,7 +500,7 @@ def parse_source(text, sig: Signature, path=None) -> SourceFile:
 def parse_term(text, sig: Signature, expect: MetaType = None) -> Term:
     """Parse and annotate a single term expression (testing convenience)."""
     p = Parser(tokenize(text), sig.copy())
-    t, mt, pos = p.parse_expr(0, [])
+    t, mt, pos = p.parse_expr(0)
     if p.peek().kind != "eof":
         p.fail("trailing input after term")
     return elaborate_term(t, mt, p.inf, expect, pos)
@@ -447,7 +508,7 @@ def parse_term(text, sig: Signature, expect: MetaType = None) -> Term:
 
 def parse_goal(text, sig: Signature) -> Term:
     p = Parser(tokenize(text), sig.copy())
-    g, _, pos = p.parse_expr(0, [])
+    g, _, pos = p.parse_expr(0)
     if p.peek().kind != "eof":
         p.fail("trailing input after goal")
     p.check_goal(g, pos)

@@ -609,6 +609,10 @@ DEEP_DERIVATIONS = {
     "typing s^250 z": (_typing_text(250), 0),
     "60-link chain": (_chain_text(60), 0),
     "60-link chain, reject": (_chain_text(60, "left"), 1),
+    "a goal atom inside 300 nested parentheses": (
+        "type z tm.\nhastype z intty ==>> " + "(" * 300 + "hastype z intty" + ")" * 300 + ".\n",
+        0,
+    ),
 }
 
 
@@ -617,7 +621,9 @@ def test_deep_derivations_check_at_the_default_recursion_limit(text, code, tmp_p
     """A level of a store-clause derivation costs three interpreter frames
     (`solve`, `solve_store`, `backchain`), so these get a verdict in a
     fresh interpreter.  Typing first exits 3 at depth 328 (329 on Python
-    3.12 and 3.13), and the chain at 66 links."""
+    3.12 and 3.13), and the chain at 66 links.  A parenthesis costs the
+    parser two frames (`parse_expr` and `parse_primary`); 300 of them
+    would check at three frames each as well."""
     f = tmp_path / "deep.hol"
     f.write_text(text)
     done = subprocess.run(

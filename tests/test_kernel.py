@@ -152,6 +152,22 @@ def test_refl_requires_identical_sides():
     assert not r.ok and r.error is None  # plain failure, not an error
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "FOUND: a clause pushed by `=>` stays in the store while the rest of an "
+        "enclosing conjunction runs: `Session.solve`'s `=>` branch and "
+        "`check_template_pf` yield inside the `try` that pops it"
+    ),
+)
+def test_a_clause_pushed_by_an_implication_is_out_of_scope_after_its_goal():
+    sig = builtin_signature()
+    sig.declare("ax", PF)
+    assert check("proves ax false", sig).failed
+    r = check("(proves ax false ==>> proves ax false), proves ax false", sig)
+    assert r.failed  # the second conjunct has no clause to use
+
+
 def test_assumption_discharge_round_trip():
     # the implication-introduction body adds an assumption that the bound
     # proof variable then satisfies

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import props
 from conftest import CORPUS, THEOREM_FILES, EXTRA_THEOREM_FILES
-from negatives import META_TYPE_ERROR
+from negatives import CASES, META_TYPE_ERROR
 
 from holcheck.cli import main
 from holcheck.errors import SourceError
@@ -27,7 +27,7 @@ from holcheck.syntax import (
     parse_term,
     tokenize,
 )
-from holcheck.terms import PF, TM, alpha_beta_eq, arrow, normalize_goal
+from holcheck.terms import PF, TM, App, Bound, Const, Lam, alpha_beta_eq, arrow, normalize_goal
 
 
 def test_lambda_extends_maximally_right():
@@ -452,3 +452,92 @@ def test_a_high_precedence_infix_is_bare_as_an_infix_operand_and_parenthesized_a
     assert main(["fmt", str(once), "-o", str(twice)]) == 0
     assert once.read_text() == text
     assert twice.read_text() == text
+
+
+# -- the front end against the reference in props.py -------------------------
+
+
+def _shape(x):
+    """`x` with every term spelled out, a binder's hint included (a `Lam`'s
+    equality ignores it)."""
+    if isinstance(x, Lam):
+        return "lam", x.mt, x.hint, _shape(x.body)
+    if isinstance(x, App):
+        return "app", _shape(x.head), tuple(map(_shape, x.args))
+    if isinstance(x, (Const, Bound)):
+        return repr(x), x
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, tuple(map(_shape, x))
+    return x
+
+
+def _front_end(parse, text, sig):
+    """What a front end makes of `text`: its statements, or its error."""
+    try:
+        return _shape(parse(text, sig, "m.hol").statements)
+    except SourceError as e:
+        return type(e), e.message, e.line, e.col, e.path
+
+
+def _sources():
+    """The corpus files and the negatives, each with its signature."""
+    with_lib = builtin_signature()
+    lib = parse_source((CORPUS / "lib_full.hol").read_text(), with_lib)
+    apply_declarations(lib.statements, with_lib)
+    out = []
+    for f in sorted(CORPUS.glob("*.hol")):
+        sig = with_lib if f.name.endswith("_via_lib.hol") else builtin_signature()
+        out.append((f.read_text(), sig))
+    for _, text, libs, _ in CASES:
+        out.append((text, with_lib if libs else builtin_signature()))
+    return out
+
+
+def _mutate(rng, text):
+    """`text` with one token deleted, duplicated or swapped with the next,
+    a parenthesis dropped, or an identifier renamed (a token deleted, if
+    `text` has no parenthesis or no identifier)."""
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    toks = [(starts[t.line - 1] + t.col - 1, t) for t in tokenize(text)[:-1]]
+    kind = rng.choice(("delete", "duplicate", "swap", "paren", "rename"))
+    if kind == "paren":
+        toks = [p for p in toks if p[1].value in "()"] or toks
+    elif kind == "rename":
+        idents = [p for p in toks if p[1].kind == "ident"]
+        if idents:
+            names = sorted({t.value for _, t in idents}) + ["Fresh", "fresh", "pi", "o"]
+            off, t = rng.choice(idents)
+            return text[:off] + rng.choice(names) + text[off + len(t.value) :]
+        kind = "delete"
+    k = rng.randrange(len(toks))
+    off, t = toks[k]
+    end = off + len(t.value)
+    if kind == "duplicate":
+        return text[:end] + " " + t.value + text[end:]
+    if kind == "swap" and k + 1 < len(toks):
+        off2, t2 = toks[k + 1]
+        return text[:off] + t2.value + text[end:off2] + t.value + text[off2 + len(t2.value) :]
+    return text[:off] + text[end:]
+
+
+def test_the_front_end_agrees_with_the_reference_on_the_corpus_and_the_negatives():
+    files = len(list(CORPUS.glob("*.hol")))  # `_sources` lists them first
+    for k, (text, sig) in enumerate(_sources()):
+        got = _front_end(parse_source, text, sig)
+        assert got == _front_end(props.ref_parse_source, text, sig)
+        assert k >= files or got[0] == "list"  # a corpus file parses
+
+
+def test_the_front_end_agrees_with_the_reference_on_mutated_sources():
+    rng = random.Random(24)
+    sources = _sources()
+    errors = 0
+    for n in range(2000):
+        text, sig = rng.choice(sources)
+        text = _mutate(rng, text)
+        got = _front_end(parse_source, text, sig)
+        assert got == _front_end(props.ref_parse_source, text, sig), (n, text)
+        errors += isinstance(got[0], type)
+    assert 500 < errors < 2000  # both outcomes are exercised
