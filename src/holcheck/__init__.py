@@ -1,7 +1,9 @@
 """holcheck: a proof checker for a higher-order natural-deduction object logic.
 
-The trusted core is `holcheck.kernel`; everything else (parser, library,
-transformations, CLI) sits outside it and is validated by re-checking.
+The trusted core is four modules, `holcheck.kernel`, `terms`, `signature`
+and `errors`, which import only each other and the standard library;
+everything else (parser, printer, inference, library, transformations,
+CLI) sits outside it and is validated by re-checking.
 """
 
 from .errors import (

@@ -44,6 +44,7 @@ from .syntax import (
     Solve,
     TypeDecl,
     apply_declarations,
+    format_goal,
     format_statement,
     parse_source,
 )
@@ -77,6 +78,14 @@ def _combine(codes):
     return EXIT_OK
 
 
+def report_message(report, sig):
+    """A report's message as the CLI prints it: the kernel returns the
+    clause or goal a validity error names as a term, printed here over `sig`."""
+    if report.goal is None:
+        return report.message
+    return f"{report.message}: {format_goal(report.goal, sig)}"
+
+
 def _declare_libraries(sig, lib_paths):
     """Parse each library file and add its declarations to `sig`, yielding
     `(path, source)` file by file."""
@@ -101,7 +110,7 @@ class Environment:
                 if not report.ok:
                     message = (
                         f"{path}: library entry '{name}' failed: "
-                        f"{report.message or 'proof check failed'}"
+                        f"{report_message(report, self.sig) or 'proof check failed'}"
                     )
                     if report.error == "budget":
                         raise BudgetError(report.stats.steps)
@@ -158,11 +167,12 @@ class Environment:
             self.codes.append(EXIT_OK)
             return
         kind = report.error or "failure"
-        msg = f": {report.message}" if report.message else ""
+        message = report_message(report, self.sig)
+        msg = f": {message}" if message else ""
         self.emit(f"{loc}: {what}: {kind}{msg} (steps={s.steps})")
-        if self.trace == "trace" and report.failure_stack:
-            for g in report.failure_stack:
-                print(f"  | {g}", file=sys.stderr)
+        if self.trace == "trace":
+            for g in report.failure_stack:  # terms, printed only here
+                print(f"  | {format_goal(g, self.sig)}", file=sys.stderr)
         self.codes.append(_ERROR_EXIT[report.error])
 
 

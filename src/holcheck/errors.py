@@ -36,7 +36,15 @@ class MetaTypeError(SourceError):
 
 
 class ValidityError(HolError):
-    """A clause embedded in a proof falls outside the allowed grammar."""
+    """A clause embedded in a proof falls outside the allowed grammar.
+
+    `goal` is the clause or goal the error names, as a term, or None; the
+    kernel prints no terms, so its caller shows it.
+    """
+
+    def __init__(self, message, goal=None):
+        super().__init__(message)
+        self.goal = goal
 
 
 class PatternError(HolError):

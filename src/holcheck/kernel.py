@@ -1,5 +1,10 @@
 """The trusted checking core.
 
+The core is this module with `terms`, `signature` and `errors`, which
+import only each other and the standard library.  It returns terms, never
+text: a report's failing goals, and the clause or goal a validity error
+names, are printed by the caller (`cli`).
+
 A Session owns the clause store, the matching-variable trail, the
 eigenvariable timestamp counter and the step budget.  Goals, the terms of
 meta-type o, are solved by a complete chronological-backtracking
@@ -20,7 +25,9 @@ of its heads (predicate and the constant at the head of the subject) and
 its miss cost, the steps and matching variables that backchaining it
 spends when no head matches.  A clause whose keys cannot hold the atom's
 key is not backchained but charged its miss cost, so steps, births and
-solution order are exactly those of trying it.
+solution order are exactly those of trying it.  A clause pushed by `=>` or
+a lemma node is in scope for that goal only: while the goal has a solution
+out, its store entry's keys are `_OUT`, and it is charged, never tried.
 
 Matching is one-directional (goal side ground) over the pattern fragment:
 a matching variable may appear bare or applied to distinct variables.
@@ -54,8 +61,7 @@ from collections import namedtuple
 from itertools import chain
 
 from .errors import BudgetError, PatternError, StructuralError, ValidityError
-from .signature import BUILTIN_CONSTS, GOAL_FORMERS, builtin_signature
-from .syntax import format_goal
+from .signature import BUILTIN_CONSTS, GOAL_FORMERS
 from .terms import (
     AND,
     ASSUMP,
@@ -111,9 +117,14 @@ Stats = namedtuple("Stats", "steps clauses_added max_store_depth", defaults=(0, 
 
 
 class CheckReport(
-    namedtuple("CheckReport", "ok error message stats failure_stack", defaults=(None, "", Stats(), ()))
+    namedtuple(
+        "CheckReport", "ok error message stats failure_stack goal", defaults=(None, "", Stats(), (), None)
+    )
 ):
-    """`error` is None or what ended the check: validity, pattern, budget or structural."""
+    """`error` is None or what ended the check: validity, pattern, budget or
+    structural.  A plain failure's `failure_stack` holds the goals of its
+    deepest failing branch, outermost first; a validity error's `goal` is
+    the clause or goal it names, if any.  Both are terms, for the caller to print."""
 
     __slots__ = ()
     failed = property(lambda report: not report.ok and report.error is None)
@@ -173,13 +184,13 @@ def _goal_app(fn: Term, arg: Term) -> Term:
     return _hsubst(fn.body, 0, (arg,))
 
 
-def instantiate(sig, template, name, witness, kind, result_tp=None):
+def instantiate(template, name, witness, kind, result_tp=None):
     """Instantiate a normal lemma or definition template at `name` and at a
     normal `witness`; returns (goal, clauses).
 
     The template at `name` must be a whitelisted clause, else a
-    ValidityError names it by `kind`, with an in-proof instance printed
-    over `sig`.  Solve `goal`, the template at `witness`, first; then push
+    ValidityError names it by `kind`, and carries an in-proof instance as
+    its `goal`.  Solve `goal`, the template at `witness`, first; then push
     `clauses()`: the instance and, for a definition (`result_tp` given),
     its equality clause, built only after `goal` succeeds so that an
     ill-typed body fails instead of raising.
@@ -187,8 +198,7 @@ def instantiate(sig, template, name, witness, kind, result_tp=None):
     inst = _goal_app(template, name)
     if not valid_clause(inst):
         # an in-proof name is an eigenvariable, shown through its clause
-        detail = f": {format_goal(inst, sig)}" if name.birth else ""
-        raise ValidityError(f"{kind} clause outside the allowed grammar{detail}")
+        raise ValidityError(f"{kind} clause outside the allowed grammar", inst if name.birth else None)
     goal = _goal_app(template, witness)
     if result_tp is None:
         return goal, lambda: (inst,)
@@ -332,6 +342,13 @@ _CONSTRUCTORS = {
 }
 
 
+# The keys of a stored clause whose scope has ended while its `=>` goal or
+# lemma node has a solution out (see `Session.solve`); and an atom no head
+# matches, to walk such a clause on
+_OUT = object()
+_NOWHERE = Const("", O)
+
+
 class _Escape(Exception):
     """A local variable of a matching target would escape its binding."""
 
@@ -368,7 +385,7 @@ class Session:
     """One single-threaded checking session: store, trail, budget, counter."""
 
     def __init__(self, sig=None, budget=DEFAULT_BUDGET):
-        self.sig = sig if sig is not None else builtin_signature()
+        # `sig` is accepted for callers that pass one; the kernel reads none
         self.budget = budget
         # (clause, head keys or None, steps, matching variables) per
         # clause, most recently added last; see `_index_clause`
@@ -536,8 +553,14 @@ class Session:
         elif former == "=>":
             depth = len(self.store)
             self._push(_hsubst(g.args[0], 0, vs))
+            entry = self.store[depth]
             try:
-                yield from self.solve(g.args[1], vs)
+                for _ in self.solve(g.args[1], vs):
+                    # out of scope while the caller goes on; the goal inside
+                    # put out any entry above it before it yielded
+                    self.store[depth] = (entry[0], _OUT) + entry[2:]
+                    yield
+                    self.store[depth] = entry
             finally:
                 del self.store[depth:]
         else:
@@ -586,16 +609,20 @@ class Session:
     def solve_store(self, atom: Term):
         """Try the dynamic clauses, most recently added first.
 
-        A clause none of whose heads can match `atom` is not backchained but
-        charged the steps and matching variables backchaining it would
-        spend, so steps and births are those of full backtracking.  Where
-        the charge would pass the budget, the clause is backchained, so the
+        A clause none of whose heads can match `atom`, or one out of scope,
+        is not backchained but charged the steps and matching variables
+        backchaining it would spend when no head matches, so steps and
+        births are those of full backtracking.  Where the charge would pass
+        the budget, the clause is walked on an atom no head matches, so the
         budget runs out at the same step.
         """
         key = head_key(atom)
         for clause, keys, ticks, metas in tuple(reversed(self.store)):
-            if key is None or keys is None or key in keys or self.steps + ticks > self.budget:
+            if keys is not _OUT and (key is None or keys is None or key in keys):
                 yield from self.backchain(atom, clause)
+            elif self.steps + ticks > self.budget:
+                for _ in self.backchain(_NOWHERE, clause):
+                    pass  # raises BudgetError
             else:
                 self.steps += ticks
                 self.counter += metas
@@ -646,13 +673,18 @@ class Session:
             raise StructuralError("lemma or definition node is not eta-long")
         name = self.fresh_eigen(template.mt, rest.hint)
         kind = "lemma" if result_tp is None else "definition typing"
-        goal, clauses = instantiate(self.sig, template, name, witness, kind, result_tp)
+        goal, clauses = instantiate(template, name, witness, kind, result_tp)
         for _ in self.solve(goal):
             depth = len(self.store)
             for clause in clauses():
                 self._push(clause)  # built from the atom: no matching variable
+            scope = self.store[depth:]
+            end = len(self.store)
             try:
-                yield from self.solve(app(PROVES, subst(rest.body, name), formula))
+                for _ in self.solve(app(PROVES, subst(rest.body, name), formula)):
+                    self.store[depth:end] = [(c, _OUT, t, m) for c, _, t, m in scope]  # as in `solve`
+                    yield
+                    self.store[depth:end] = scope
             finally:
                 del self.store[depth:]
 
@@ -674,9 +706,7 @@ class Session:
 
     def check_extract_goal(self, g, sub, formula):
         if not valid_clause(g):
-            raise ValidityError(
-                f"extractGoal argument outside the allowed grammar: {format_goal(g, self.sig)}"
-            )
+            raise ValidityError("extractGoal argument outside the allowed grammar", g)
         for _ in self.solve(g):
             yield from self.solve(app(PROVES, sub, formula))
 
@@ -694,7 +724,7 @@ class Session:
         self.failure_snapshot = ()
         depth, tmark = len(self.store), self.mark()
         g = augment_goal(goal) if augment else goal
-        ok, error, message = False, None, ""
+        ok, error, message, named = False, None, "", None
         try:
             gen = self.solve(normalize_goal(g))
             try:
@@ -706,6 +736,7 @@ class Session:
                 gen.close()
         except tuple(_ERROR_KINDS) as e:
             error, message = _ERROR_KINDS[type(e)], str(e)
+            named = getattr(e, "goal", None)
         if len(self.store) != depth or len(self.trail) != tmark:
             raise StructuralError("store/trail stack discipline violated")
         stats = Stats(
@@ -713,9 +744,5 @@ class Session:
             clauses_added=self.clauses_added - clauses_before,
             max_store_depth=self.max_store_depth,
         )
-        failure_stack = ()
-        if not ok and error is None:
-            failure_stack = tuple(
-                format_goal(x, self.sig) for x in self.failure_snapshot
-            )
-        return CheckReport(ok, error, message, stats, failure_stack)
+        failure_stack = self.failure_snapshot if not ok and error is None else ()
+        return CheckReport(ok, error, message, stats, failure_stack, named)

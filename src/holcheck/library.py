@@ -128,7 +128,7 @@ def install_entry(entry, session: Session) -> CheckReport:
     kind = f"definition '{entry.name}' typing" if result_tp else f"lemma '{entry.name}'"
     # `instantiate` takes a normal template and witness
     goal, clauses = instantiate(
-        session.sig, normalize(template), name_const(entry), normalize(witness), kind, *result_tp
+        normalize(template), name_const(entry), normalize(witness), kind, *result_tp
     )
     report = session.check_goal(goal, augment=False)
     if report.ok:

@@ -212,6 +212,18 @@ def test_trace_mode_prints_goal_stack_on_failure(tmp_path, capsys):
     assert "proves refl" in err
 
 
+@pytest.mark.parametrize(
+    "goal",
+    ["(proves ax false ==>> proves ax false), proves ax false", "proves ax false"],
+    ids=["after an implication that assumed it", "alone"],
+)
+def test_an_axiom_assumed_by_an_implication_is_gone_after_its_goal(goal, tmp_path, capsys):
+    # the clause `proves ax false` is in scope for the implication's own goal only
+    f = tmp_path / "scope.hol"
+    f.write_text(f"type ax pf.\n{goal}.\n")
+    assert run("check", str(f)) == 1
+
+
 FAILING_CASES = [c for c in CASES if c[3] == 1]
 
 
@@ -461,6 +473,22 @@ def test_library_failure_exits_like_its_cause(tmp_path, capsys):
     )
     code = run("check", "--lib", str(bad_lib), str(CORPUS / "symm_via_lib.hol"))
     assert code == 2  # the library is unusable: reported as invalid input
+
+
+def test_a_library_failure_prints_the_goal_its_validity_error_names(tmp_path, capsys):
+    bad_lib = tmp_path / "bad_lib.hol"
+    bad_lib.write_text(
+        "type noisy tm -> o.\n"
+        "type mylem pf.\n"
+        "def_lemma mylem\n"
+        "  (L\\ pi X\\ (proves L (eq intty X X) <<== hastype X intty))\n"
+        "  (extractGoal (noisy false) refl).\n"
+    )
+    assert run("check", "--lib", str(bad_lib), str(CORPUS / "symm_basic.hol")) == 2
+    assert capsys.readouterr().err == (
+        f"holcheck: {bad_lib}: library entry 'mylem' failed: "
+        "extractGoal argument outside the allowed grammar: noisy false\n"
+    )
 
 
 def test_stats_expand_and_fmt_read_only_library_declarations(

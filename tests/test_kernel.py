@@ -3,6 +3,7 @@
 import ast
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ import props
 from conftest import CORPUS, ROOT, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corpus_goal
 from props import goal_spine, plain_spine
 
-from holcheck import cli, kernel
+from holcheck import cli, kernel, syntax
 
 from holcheck.errors import PatternError, StructuralError, ValidityError
 from holcheck.kernel import (
@@ -23,7 +24,7 @@ from holcheck.kernel import (
 )
 from holcheck.library import walk
 from holcheck.signature import builtin_signature
-from holcheck.syntax import parse_goal, parse_source, parse_term
+from holcheck.syntax import format_goal, parse_goal, parse_source, parse_term
 from holcheck.terms import (
     AND,
     ASSUMP,
@@ -127,16 +128,45 @@ def test_the_built_in_rules_are_the_parse_of_their_lambda_prolog_text():
         assert _same(tables[pred][name], clause), name
 
 
-def test_the_kernel_imports_no_parser():
-    """The verdict path reads no source text: from `syntax` and `infer` the
-    kernel takes only `format_goal`, which prints failure stacks."""
-    tree = ast.parse((ROOT / "src" / "holcheck" / "kernel.py").read_text())
-    front_end = {"syntax", "infer"}
+TRUSTED_CORE = ("kernel", "terms", "signature", "errors")
+
+
+@pytest.mark.parametrize("module", TRUSTED_CORE)
+def test_the_trusted_core_imports_only_itself_and_the_standard_library(module):
+    """The verdict rests on four modules: no parser, printer or inference."""
+    tree = ast.parse((ROOT / "src" / "holcheck" / f"{module}.py").read_text())
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in front_end:
-            assert [a.name for a in node.names] == ["format_goal"]
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            assert set(names) <= set(TRUSTED_CORE), (module, names)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            assert not front_end & {a.name.split(".")[-1] for a in node.names}
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert {n.split(".")[0] for n in names} <= sys.stdlib_module_names, (module, names)
+    if module == "kernel":  # nor does it read a signature
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "sig" for n in ast.walk(tree))
+
+
+def test_check_goal_prints_nothing(sig, monkeypatch):
+    """The kernel returns terms: with the printer broken, a failure with a
+    goal stack and an extractGoal validity error still come back as reports."""
+    sig.declare("noisy", Arrow(TM, O))
+    failing, invalid = (
+        parse_goal(rf"pi C\ pi D\ (hastype C intty ==>> (hastype D intty ==>> {proof}))", sig)
+        for proof in (
+            "proves refl (eq intty C D)",
+            "proves (extractGoal (noisy C) refl) (eq intty C C)",
+        )
+    )
+
+    def no_printing(*args):
+        raise AssertionError("the kernel printed a term")
+
+    monkeypatch.setattr(syntax, "_fmt", no_printing)
+    r = Session(sig).check_goal(failing)
+    assert r.failed and r.failure_stack
+    r = Session(sig).check_goal(invalid)
+    assert (r.error, r.message) == ("validity", "extractGoal argument outside the allowed grammar")
+    assert r.goal is not None
 
 
 def test_refl_under_universal():
@@ -152,20 +182,37 @@ def test_refl_requires_identical_sides():
     assert not r.ok and r.error is None  # plain failure, not an error
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "FOUND: a clause pushed by `=>` stays in the store while the rest of an "
-        "enclosing conjunction runs: `Session.solve`'s `=>` branch and "
-        "`check_template_pf` yield inside the `try` that pops it"
-    ),
-)
 def test_a_clause_pushed_by_an_implication_is_out_of_scope_after_its_goal():
     sig = builtin_signature()
     sig.declare("ax", PF)
     assert check("proves ax false", sig).failed
     r = check("(proves ax false ==>> proves ax false), proves ax false", sig)
     assert r.failed  # the second conjunct has no clause to use
+
+
+# The lemma clause `l_3` (two `pi` binders) and the hypothesis `Y_5` of its
+# proof are out of scope when the second conjunct searches the store at step 17.
+OUT_OF_SCOPE_LEMMA = r"""pi c\ pi q\ (hastype c intty ==>>
+  (proves (lemma_pf (l\ pi X\ pi Y\ (proves (l X Y) (eq intty X X) <<== hastype Y intty))
+                    (x\ y\ refl) (l\ refl)) (eq intty c c),
+   proves q (eq intty c c)))"""
+
+
+@pytest.mark.parametrize("budget,counter", [(18, 10), (19, 11), (None, 13)])
+def test_the_budget_runs_out_inside_the_charge_of_an_out_of_scope_lemma_clause(
+    budget, counter, sig
+):
+    """An out-of-scope clause is charged as a miss: the budget runs out at
+    the step, with the matching variables born, where backchaining it on an
+    atom that no head matches would run out.  The numbers are those of a
+    store that keeps the clause in scope, whose keys cannot match."""
+    ses = Session(sig, budget) if budget else Session(sig)
+    r = ses.check_goal(parse_goal(OUT_OF_SCOPE_LEMMA, sig), augment=False)
+    if budget:
+        assert (r.error, r.message) == ("budget", f"step budget exhausted after {budget} steps")
+    else:
+        assert r.failed and r.stats.steps == 29
+    assert ses.counter == counter
 
 
 def test_assumption_discharge_round_trip():
@@ -478,7 +525,7 @@ def test_extract_goal_validity_gate(sig):
         )
     )
     assert not r.ok and r.error == "validity"
-    assert r.message == "extractGoal argument outside the allowed grammar: noisy C_1"
+    assert cli.report_message(r, sig) == "extractGoal argument outside the allowed grammar: noisy C_1"
 
 
 def test_definition_node_body_typing_failure():
@@ -595,7 +642,8 @@ def test_failure_report_carries_goal_stack():
         r" proves refl (eq intty C D)))"
     )
     assert not r.ok and r.failure_stack
-    assert any("proves refl" in line for line in r.failure_stack)
+    sig = builtin_signature()
+    assert any("proves refl" in format_goal(g, sig) for g in r.failure_stack)
 
 
 def test_augment_types_formulas_first(sig):
@@ -711,12 +759,19 @@ class FullScanSession(Session):
 
 
 def _recording(session_cls, log):
-    """`session_cls`, appending each report and the counter after it to `log`."""
+    """`session_cls`, appending each report, printed over the session's
+    signature, and the counter after it to `log`: the goals of two sessions'
+    reports hold matching variables of their own."""
 
     class Recording(session_cls):
+        def __init__(self, sig, *args):
+            super().__init__(sig, *args)
+            self.sig = sig
+
         def check_goal(self, goal, augment=True):
             r = super().check_goal(goal, augment)
-            log.append((r.ok, r.error, r.message, r.stats, r.failure_stack, self.counter))
+            stack = tuple(format_goal(g, self.sig) for g in r.failure_stack)
+            log.append((r.ok, r.error, cli.report_message(r, self.sig), r.stats, stack, self.counter))
             return r
 
     return Recording
@@ -809,6 +864,20 @@ def test_assumption_and_proof_clause_with_one_subject_are_told_apart(sig):
     # a proof goal tries assumptions, then proof clauses; each pass
     # backchains only the clause of its own predicate
     assert _backchained(sig, clauses, fact) == (True, [0, 1])
+
+
+def test_a_definition_clause_out_of_scope_is_charged_not_tried(sig):
+    # the definition node stores `hastype d_2 intty` and the equality clause
+    # `proves def (eq intty d_2 c_1)` at positions 1 and 2; once its formula
+    # is proved they are out of scope, so the second conjunct's store search
+    # does not backchain the equality clause, though its head key matches
+    goal = parse_goal(
+        r"pi c\ (hastype c intty ==>>"
+        r" (proves (def_pf intty (d\ hastype d intty) c (d\ refl)) (eq intty c c),"
+        r"  proves def (eq intty c c)))",
+        sig,
+    )
+    assert _backchained(sig, [], goal) == (False, [0])
 
 
 def test_conjunction_clause_with_one_matching_head_is_backchained(sig):
