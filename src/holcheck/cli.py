@@ -14,10 +14,9 @@ all that a command makes, and a collector pass would only walk live terms.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     BudgetError,
@@ -265,70 +264,100 @@ def cmd_stats(args):
     return EXIT_OK
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-        if n > 0:
-            return n
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+# Each command's function, and whether it writes one output file (`-o`).
+_COMMANDS = {
+    "check": (cmd_check, False),
+    "expand": (cmd_expand, True),
+    "package": (cmd_package, True),
+    "stats": (cmd_stats, False),
+    "fmt": (cmd_fmt, True),
+}
+_OPTIONS = {"--lib": "lib", "--budget": "budget", "--trace": "trace", "--output": "output"}
+_TRACE_LEVELS = ("quiet", "summary", "trace")
+
+_USAGE = "usage: holcheck COMMAND [--lib FILE]... [--budget N] [--trace LEVEL] [-o FILE] FILE...\n"
+_HELP = f"""{_USAGE}
+Proof checker for a higher-order natural-deduction object logic.
+
+commands:
+  check                   check every statement
+  expand                  inline all lemma uses in the proofs
+  package                 make proofs self-contained
+  stats                   print proof size metrics
+  fmt                     parse and reprint
+
+options, in any order with the FILEs (--opt=VALUE also works; -- ends them):
+  -h, --help              show this help message and exit
+  --lib FILE              library file; repeatable, later files may use earlier ones
+  --budget N              steps per statement, a positive integer (default {DEFAULT_BUDGET})
+  --trace LEVEL           quiet, summary (default), or trace: adds the failing goal stack
+  -o FILE, --output FILE  the output file, which expand, package and fmt require
+"""
 
 
-@functools.cache
-def build_arg_parser():
-    """The argument parser, built once per process: parsing leaves it as
-    it was, and each call gets a namespace of its own."""
-    ap = argparse.ArgumentParser(
-        prog="holcheck",
-        description="Proof checker for a higher-order natural-deduction object logic.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _misuse(command, message):
+    sys.stderr.write(f"{_USAGE}holcheck{' ' + command if command else ''}: error: {message}\n")
+    raise SystemExit(2)
 
-    def common(p, output=False):
-        p.add_argument("inputs", nargs="+", help="input .hol file(s)")
-        p.add_argument(
-            "--lib",
-            action="append",
-            default=[],
-            metavar="FILE",
-            help="library file; repeatable, later files may use earlier ones",
-        )
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, metavar="N")
-        p.add_argument(
-            "--trace", choices=("quiet", "summary", "trace"), default="summary"
-        )
-        if output:
-            p.add_argument("-o", "--output", required=True, metavar="FILE")
 
-    p = sub.add_parser("check", help="check every statement")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("expand", help="inline all lemma uses in the proofs")
-    common(p, output=True)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("package", help="make proofs self-contained")
-    common(p, output=True)
-    p.set_defaults(func=cmd_package)
-
-    p = sub.add_parser("stats", help="print proof size metrics")
-    common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("fmt", help="parse and reprint")
-    common(p, output=True)
-    p.set_defaults(func=cmd_fmt)
-
-    return ap
+def parse_args(argv):
+    """`argv`, without the program name, as a namespace of `command`, `func`,
+    `inputs`, `lib`, `budget`, `trace` and `output`.  `-h` or `--help` exits 0,
+    a usage error exits 2.  An option's value is the next argument before `--`."""
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    if "-h" in argv[:end] or "--help" in argv[:end]:
+        print(_HELP, end="")
+        raise SystemExit(0)
+    if not argv:
+        _misuse(None, "the following arguments are required: command")
+    if argv[0] not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _misuse(None, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    command, rest = argv[0], iter(argv[1:end])
+    func, writes = _COMMANDS[command]
+    args = SimpleNamespace(command=command, func=func, inputs=[], lib=[],
+                           budget=DEFAULT_BUDGET, trace="summary", output=None)
+    for arg in rest:
+        if arg == "-" or not arg.startswith("-"):
+            args.inputs.append(arg)
+            continue
+        name, eq, value = arg.partition("=") if arg.startswith("--") else (arg, "", None)
+        field = _OPTIONS.get("--output" if name == "-o" else name)
+        if field is None or (field == "output" and not writes):
+            _misuse(command, f"unrecognized arguments: {arg}")
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                _misuse(command, f"argument {name}: expected one argument")
+        if field == "budget":
+            try:
+                budget = int(value)
+            except ValueError:
+                budget = 0
+            if budget <= 0:
+                _misuse(command, f"argument {name}: expected a positive integer, got {value!r}")
+            value = budget
+        elif field == "trace" and value not in _TRACE_LEVELS:
+            choices = ", ".join(map(repr, _TRACE_LEVELS))
+            _misuse(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        if field == "lib":
+            args.lib.append(value)
+        else:
+            setattr(args, field, value)
+    args.inputs += argv[end + 1:]
+    if not args.inputs:
+        _misuse(command, "the following arguments are required: inputs")
+    if writes and args.output is None:
+        _misuse(command, "the following arguments are required: -o/--output")
+    return args
 
 
 def main(argv=None) -> int:
     enabled = gc.isenabled()  # see the module docstring
     gc.disable()
     try:
-        return _run(build_arg_parser().parse_args(argv))
+        return _run(parse_args(sys.argv[1:] if argv is None else argv))
     finally:
         if enabled:
             gc.enable()

@@ -1,6 +1,6 @@
-"""Time two holcheck checkouts against each other in one process.
+"""Time two holcheck checkouts against each other, interleaved.
 
-    python tests/ab.py A_ROOT B_ROOT [--what parse|corpus|library] [--rounds N]
+    python tests/ab.py A_ROOT B_ROOT [--what parse|corpus|library|setup] [--rounds N]
 
 Loads `A_ROOT/src/holcheck` as the package `holcheck_a` and
 `B_ROOT/src/holcheck` as `holcheck_b`, side by side, and runs the same
@@ -15,7 +15,14 @@ files, a `_via_lib` file against the declarations of `lib_full.hol`.
 workload (`bench/workloads.py` of the checkout this script is in), each an
 in-process `cli.main` call with its output discarded.  Every round prints
 each side's time; the summary gives each side's best, B's best relative
-to A's, and the rounds B won.  Not a test: pytest does not collect it.
+to A's, and the rounds B won.
+
+`--what setup` times start-up instead, out of process: each round runs
+the benchmark's `setup_s` probe (a fresh `python -I` that imports
+`holcheck.cli` and builds a `Session`) once on each checkout, the side that
+goes first alternating, and the summary gives each side's median and
+interquartile range, B's median relative to A's, and the rounds B won.
+Not a test: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -27,11 +34,26 @@ import importlib
 import importlib.util
 import io
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The statements of `SETUP_PROBE` in `bench/run.py`, copied so that this
+# script times what the benchmark's `setup_s` times without importing it.
+SETUP_PROBE = """\
+import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import holcheck.cli
+from holcheck.kernel import Session
+from holcheck.signature import builtin_signature
+Session(builtin_signature())
+print(time.perf_counter() - t0)
+"""
 
 
 def load(root, name):
@@ -93,13 +115,62 @@ def job_work(pkg, workload, work):
     return run
 
 
+def setup_work(root):
+    """One call times one fresh interpreter's start-up on checkout `root`."""
+    src = os.path.join(root, "src")
+
+    def run():
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", SETUP_PROBE, src],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        return float(done.stdout.split()[-1])
+
+    return run
+
+
+def compare_setup(roots, rounds):
+    """Alternate start-up probes of the two checkouts; print the summary."""
+    runs = [setup_work(root) for root in roots]
+    for run in runs:  # the first probe also writes the bytecode cache
+        run()
+    took = [[], []]
+    wins = 0
+    for r in range(rounds):
+        for k in (0, 1) if r % 2 == 0 else (1, 0):
+            took[k].append(runs[k]())
+        wins += took[1][-1] < took[0][-1]
+        print(f"round {r + 1:3d}: A {took[0][-1] * 1e3:7.3f} ms  B {took[1][-1] * 1e3:7.3f} ms")
+    medians = [statistics.median(t) for t in took]
+    iqrs = [_iqr(t) for t in took]
+    ratio = medians[1] / medians[0]
+    print(
+        f"setup, median of {rounds}: A {medians[0] * 1e3:.3f} ms (IQR {iqrs[0] * 1e3:.3f}), "
+        f"B {medians[1] * 1e3:.3f} ms (IQR {iqrs[1] * 1e3:.3f}), "
+        f"B/A {ratio:.3f} ({(ratio - 1) * 100:+.1f}%); B won {wins} of {rounds}"
+    )
+
+
+def _iqr(samples):
+    if len(samples) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return q3 - q1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_root")
     ap.add_argument("b_root")
-    ap.add_argument("--what", choices=("parse", "corpus", "library"), default="parse")
+    ap.add_argument("--what", choices=("parse", "corpus", "library", "setup"), default="parse")
     ap.add_argument("--rounds", type=int, default=40)
     args = ap.parse_args(argv)
+    if args.what == "setup":
+        compare_setup([os.path.abspath(args.a_root), os.path.abspath(args.b_root)], args.rounds)
+        return 0
     roots = {"holcheck_a": args.a_root, "holcheck_b": args.b_root}
     sides = [load(os.path.abspath(root), name) for name, root in roots.items()]
     with tempfile.TemporaryDirectory() as work:

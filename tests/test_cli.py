@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CORPUS, ROOT, THEOREM_FILES
 
-from holcheck.cli import _combine, build_arg_parser, main
+from holcheck.cli import _COMMANDS, _HELP, _combine, main
 from negatives import CASES
 
 
@@ -121,18 +121,8 @@ def test_a_budget_that_runs_out_in_a_library_reports_the_budget(capsys):
     assert capsys.readouterr().err == "holcheck: step budget exhausted after 40 steps\n"
 
 
-def test_the_argument_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
-    assert build_arg_parser() is build_arg_parser()
+def test_successive_calls_share_no_library_budget_trace_or_output(tmp_path, capsys):
     via_lib, lib = str(CORPUS / "symm_via_lib.hol"), str(CORPUS / "lib_full.hol")
-    parse = build_arg_parser().parse_args
-    first = parse(["check", "--lib", lib, "--lib", lib, "--budget", "7", "--trace", "quiet", via_lib])
-    assert first.lib == [lib, lib]
-    again = parse(["check", via_lib])
-    assert (again.lib, again.budget, again.trace) == ([], 1_000_000, "summary")
-    assert first.lib == [lib, lib]  # a later call does not reach an earlier namespace
-
-    # through `main`: a library, budget, trace level or output of one call
-    # is absent from the next
     assert run("check", "--lib", lib, "--budget", "1000", "--trace", "quiet", via_lib) == 0
     assert capsys.readouterr().out == ""
     assert run("check", via_lib) == 2  # no library now: its lemma is undeclared
@@ -146,6 +136,167 @@ def test_the_argument_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
         run("fmt", str(CORPUS / "symm_basic.hol"))  # `-o` is required each time
     assert exc.value.code == 2
     assert "the following arguments are required: -o/--output" in capsys.readouterr().err
+
+
+SYMM, TRANS = str(CORPUS / "symm_basic.hol"), str(CORPUS / "symm_trans.hol")
+LIB_BASIC, LIB_FULL = str(CORPUS / "lib_basic.hol"), str(CORPUS / "lib_full.hol")
+VIA_LIB = str(CORPUS / "symm_via_lib.hol")
+USAGE = "usage: holcheck COMMAND "
+
+# argv -> exit code, the stream that holds `text`, and `text`; a usage
+# error also starts stderr with the usage line
+COMMAND_LINES = {
+    "no command": (
+        [],
+        2,
+        "err",
+        "holcheck: error: the following arguments are required: command\n",
+    ),
+    "an unknown command": (
+        ["frob", SYMM],
+        2,
+        "err",
+        "holcheck: error: argument command: invalid choice: 'frob' "
+        "(choose from 'check', 'expand', 'package', 'stats', 'fmt')\n",
+    ),
+    "no inputs": (
+        ["check", "--trace", "quiet"],
+        2,
+        "err",
+        "holcheck check: error: the following arguments are required: inputs\n",
+    ),
+    "an unknown option": (
+        ["check", "--verbose", SYMM],
+        2,
+        "err",
+        "holcheck check: error: unrecognized arguments: --verbose\n",
+    ),
+    "an option without its value": (
+        ["check", SYMM, "--lib"],
+        2,
+        "err",
+        "holcheck check: error: argument --lib: expected one argument\n",
+    ),
+    "a value cut off by --": (
+        ["check", "--budget", "--", SYMM],
+        2,
+        "err",
+        "holcheck check: error: argument --budget: expected one argument\n",
+    ),
+    "-o given to check": (
+        ["check", SYMM, "-o", "out.hol"],
+        2,
+        "err",
+        "holcheck check: error: unrecognized arguments: -o\n",
+    ),
+    "--output given to stats": (
+        ["stats", SYMM, "--output", "out.hol"],
+        2,
+        "err",
+        "holcheck stats: error: unrecognized arguments: --output\n",
+    ),
+    "a bad --trace choice": (
+        ["check", "--trace", "loud", SYMM],
+        2,
+        "err",
+        "holcheck check: error: argument --trace: invalid choice: 'loud' "
+        "(choose from 'quiet', 'summary', 'trace')\n",
+    ),
+    "--lib=F": (["check", "--trace", "quiet", f"--lib={LIB_FULL}", VIA_LIB], 0, "out", ""),
+    "--budget=7": (["check", "--budget=7", SYMM], 3, "out", "step budget exhausted after 7 steps"),
+    "--trace=quiet": (["check", "--trace=quiet", SYMM], 0, "out", ""),
+    "a bad --budget=": (
+        ["check", "--budget=", SYMM],
+        2,
+        "err",
+        "holcheck check: error: argument --budget: expected a positive integer, got ''\n",
+    ),
+    "-- before an input": (["check", "--trace", "quiet", "--", SYMM], 0, "out", ""),
+    "inputs keep their order across --": (
+        ["check", TRANS, "--", SYMM],
+        0,
+        "out",
+        f")\n{SYMM}:2: goal: success",
+    ),
+    "options after inputs": (
+        ["check", VIA_LIB, "--lib", LIB_FULL, "--trace", "quiet"],
+        0,
+        "out",
+        "",
+    ),
+    "two --lib, in order": (
+        ["check", "--lib", LIB_BASIC, "--lib", LIB_FULL, VIA_LIB],
+        2,
+        "err",
+        f"holcheck: {LIB_FULL}:4:1: duplicate declaration of 'symm'\n",
+    ),
+    "two --lib, the other order": (
+        ["check", "--lib", LIB_FULL, "--lib", LIB_BASIC, VIA_LIB],
+        2,
+        "err",
+        f"holcheck: {LIB_BASIC}:4:1: duplicate declaration of 'symm'\n",
+    ),
+    "the last --budget wins": (
+        ["check", "--budget", "1", "--budget", "40", TRANS],
+        3,
+        "out",
+        "step budget exhausted after 40 steps",
+    ),
+    "an earlier bad --budget is refused": (
+        ["check", "--budget", "0", "--budget", "40", TRANS],
+        2,
+        "err",
+        "holcheck check: error: argument --budget: expected a positive integer, got '0'\n",
+    ),
+    "check -h": (["check", "-h"], 0, "out", _HELP),
+    "--help after an error": (["frob", "--lib", "--help"], 0, "out", _HELP),
+    "--bud 5, an abbreviation": (
+        ["check", "--bud", "5", SYMM],
+        2,
+        "err",
+        "holcheck check: error: unrecognized arguments: --bud\n",
+    ),
+    "-oOUT, an attached value": (
+        ["fmt", SYMM, "-oOUT"],
+        2,
+        "err",
+        "holcheck fmt: error: unrecognized arguments: -oOUT\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,text", COMMAND_LINES.values(), ids=COMMAND_LINES.keys()
+)
+def test_a_command_line_gives_its_exit_code_and_text(argv, code, stream, text, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as e:
+        got = e.code
+    captured = capsys.readouterr()
+    assert got == code
+    if "error:" in text:
+        assert captured.out == ""
+        assert captured.err == f"{captured.err.splitlines()[0]}\n{text}"
+        assert captured.err.startswith(USAGE)
+    elif text:
+        assert text in getattr(captured, stream)
+    else:
+        assert getattr(captured, stream) == ""
+
+
+def test_the_help_names_every_command_and_option():
+    for word in [*_COMMANDS, "-h", "--help", "--lib", "--budget", "--trace", "-o", "--output"]:
+        assert re.search(rf"(^  |, ){word}\b", _HELP, re.M), word
+    assert _HELP.startswith(USAGE)
+
+
+@pytest.mark.parametrize("command", ["expand", "package", "fmt"])
+def test_a_rewrite_takes_exactly_one_input(command, tmp_path, capsys):
+    out = tmp_path / "out.hol"
+    assert run(command, SYMM, TRANS, "-o", str(out)) == 2
+    assert capsys.readouterr().err == "holcheck: exactly one input file is required here\n"
+    assert not out.exists()
 
 
 def test_help_prints_the_same_usage_each_time(capsys):
@@ -708,11 +859,12 @@ from holcheck.signature import builtin_signature
 Session(builtin_signature())
 sys.setprofile(None)
 print(" ".join(calls))
-print(" ".join(m for m in ("copy", "dataclasses", "inspect", "typing") if m in sys.modules))
+modules = ("argparse", "copy", "dataclasses", "gettext", "inspect", "typing")
+print(" ".join(m for m in modules if m in sys.modules))
 """
 
 
-def test_start_up_parses_nothing_and_imports_no_copy_dataclasses_inspect_or_typing():
+def test_start_up_parses_nothing_and_imports_no_argparse_copy_dataclasses_gettext_inspect_or_typing():
     """Importing the CLI and making a session tokenizes and parses no
     source, built-in rules included, and loads none of these modules, which
     cost more to import than holcheck's own."""
@@ -723,3 +875,29 @@ def test_start_up_parses_nothing_and_imports_no_copy_dataclasses_inspect_or_typi
         check=True,
     )
     assert done.stdout.split("\n") == ["", "", ""]
+
+
+# A command, then `--help`, in a fresh interpreter: the exit codes, then
+# those of argparse and gettext that are loaded
+_A_COMMAND_AND_HELP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from holcheck.cli import main
+code = main(["check", "--trace", "quiet", sys.argv[2]])
+try:
+    main(["--help"])
+except SystemExit as e:
+    print(code, e.code)
+print(" ".join(m for m in ("argparse", "gettext") if m in sys.modules))
+"""
+
+
+def test_a_command_and_help_import_no_argparse_or_gettext():
+    """Not even lazily: every process reads its command line."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _A_COMMAND_AND_HELP, str(ROOT / "src"), SYMM],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == f"{_HELP}0 0\n\n"
