@@ -25,15 +25,7 @@ from .kernel import (
     def_to_eqclause,
     valid_clause,
 )
-from .library import (
-    DefinitionEntry,
-    LemmaEntry,
-    Registry,
-    check_library,
-    install_entry,
-    load_library,
-    package,
-)
+from .library import install_entry, load_library, package
 from .signature import Signature, builtin_signature
 from .syntax import (
     format_goal,

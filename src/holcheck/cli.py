@@ -27,14 +27,7 @@ from .errors import (
     ValidityError,
 )
 from .kernel import DEFAULT_BUDGET, Session
-from .library import (
-    Registry,
-    check_library,
-    entry_of,
-    install_entry,
-    load_library,
-    package,
-)
+from .library import install_entry, load_library, package, register
 from .signature import builtin_signature
 from .syntax import (
     DefDefinition,
@@ -97,15 +90,14 @@ def _declare_libraries(sig, lib_paths):
 class Environment:
     """Signature + session + registry with the libraries loaded and checked."""
 
-    def __init__(self, lib_paths, budget, trace="summary"):
+    def __init__(self, lib_paths, budget, trace):
         self.sig = builtin_signature()
         self.session = Session(self.sig, budget)
-        self.registry = Registry()
+        self.registry = {}
         self.trace = trace
         self.codes = []
         for path, src in _declare_libraries(self.sig, lib_paths):
-            load_library(src, self.registry)
-            for name, report in check_library(self.registry, self.session):
+            for name, report in load_library(src, self.registry, self.session):
                 if not report.ok:
                     message = (
                         f"{path}: library entry '{name}' failed: "
@@ -127,8 +119,7 @@ class Environment:
         env.session = Session(env.sig, self.session.budget)
         env.session.store = list(self.session.store)
         env.session.counter = self.session.counter
-        env.session.clauses_added = self.session.clauses_added
-        env.registry = Registry(self.registry.entries, self.registry.by_name)
+        env.registry = dict(self.registry)
         env.trace = self.trace
         env.codes = []
         return env
@@ -143,7 +134,7 @@ class Environment:
             apply_declarations([st], self.sig)
             return
         if isinstance(st, (DefLemma, DefDefinition)):
-            self._install(entry_of(st), loc)
+            self._install(st, loc)
             return
         if isinstance(st, Solve):
             report = self.session.check_goal(st.goal, augment=True)
@@ -152,7 +143,7 @@ class Environment:
         raise StructuralError(f"unsupported statement at {loc}")
 
     def _install(self, entry, loc):
-        self.registry.add(entry)
+        register(entry, self.registry)
         report = install_entry(entry, self.session)
         self._report(report, loc, entry.name)
 

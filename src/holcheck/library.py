@@ -10,6 +10,7 @@ from .errors import LibraryError
 from .kernel import CheckReport, Session, instantiate
 from .syntax import DefDefinition, DefLemma, InfixDecl, Solve, TypeDecl
 from .terms import (
+    App,
     Arrow,
     Bound,
     Const,
@@ -25,95 +26,64 @@ from .terms import (
     normalize,
     shift,
 )
-from .transform import children
-
-
-class LemmaEntry:
-    def __init__(self, name, meta_type, template, proof):
-        self.name = name
-        self.meta_type = meta_type
-        self.template = template  # abstraction over the name; body of meta-type o
-        self.proof = proof
-        self.checked = False
-
-
-class DefinitionEntry:
-    def __init__(self, name, meta_type, result_tp, typeinf, body):
-        self.name = name
-        self.meta_type = meta_type
-        self.result_tp = result_tp
-        self.typeinf = typeinf  # abstraction over the name; body of meta-type o
-        self.body = body
-        self.checked = False
-
-
-class Registry:
-    """The entries, in order and by name; the ones given are copied."""
-
-    def __init__(self, entries=(), by_name=()):
-        self.entries = list(entries)
-        self.by_name = dict(by_name)
-
-    def add(self, entry):
-        if entry.name in self.by_name:
-            raise LibraryError(f"duplicate registry name '{entry.name}'")
-        self.by_name[entry.name] = entry
-        self.entries.append(entry)
-
-
-def entry_of(st):
-    """The registry entry of a parsed `def_lemma` or `def_definition`."""
-    if isinstance(st, DefLemma):
-        return LemmaEntry(st.name, st.meta_type, st.template, st.proof)
-    return DefinitionEntry(st.name, st.meta_type, st.result_tp, st.typeinf, st.body)
 
 
 def _entry_parts(entry):
     """The arguments of the entry's `lemma_pf` or `def_pf` node before its
     scope: (template, proof) or (result type, typing template, body)."""
-    if isinstance(entry, LemmaEntry):
+    if isinstance(entry, DefLemma):
         return (entry.template, entry.proof)
     return (entry.result_tp, entry.typeinf, entry.body)
 
 
-def _statement_parts(entry):
-    """The parts that must only reference earlier names (a lemma's proof
-    is excluded: it is verified by running it)."""
-    parts = _entry_parts(entry)
-    return parts[:1] if isinstance(entry, LemmaEntry) else parts
+def register(entry, registry):
+    """Add a parsed `def_lemma` or `def_definition` to `registry`, a dict
+    from name to statement in the order they were added."""
+    if entry.name in registry:
+        raise LibraryError(f"duplicate registry name '{entry.name}'")
+    registry[entry.name] = entry
 
 
-def load_library(source, registry: Registry = None) -> Registry:
-    """Build a Registry from parsed def_lemma/def_definition statements.
+def load_library(source, registry, session: Session):
+    """Check a library file's entries in file order and register each one
+    once it is installed in `session`; stop at the first failure.
 
-    File order is the dependency order: a statement part may reference only
-    names defined earlier (or constants outside the registry).
+    The whole file is validated first: only declarations and entries, each
+    entry's statement parts (a lemma's proof is excluded: it is verified by
+    running it) referencing only earlier names or constants outside the
+    registry, and no name registered twice.  Returns a list of
+    (entry_name, CheckReport); clauses of installed entries persist in the
+    session store.
     """
-    registry = registry if registry is not None else Registry()
-    pending = []
+    entries = []
     for st in source.statements:
         if isinstance(st, (DefLemma, DefDefinition)):
-            pending.append(entry_of(st))
+            entries.append(st)
         elif isinstance(st, Solve):
             raise LibraryError("a library file may not contain goal statements")
         elif not isinstance(st, (TypeDecl, InfixDecl)):
             raise LibraryError(f"unsupported library statement: {st!r}")
-    later = {e.name for e in pending}
-    for entry in pending:
+    later = {e.name for e in entries}
+    names = dict(registry)  # the registry gets an entry once it is installed
+    for entry in entries:
         later.discard(entry.name)
-        for part in _statement_parts(entry):
+        parts = (entry.template,) if isinstance(entry, DefLemma) else _entry_parts(entry)
+        for part in parts:
             fwd = const_names(part) & (later | {entry.name})
             if fwd:
                 raise LibraryError(
                     f"entry '{entry.name}' references not-yet-defined name(s): "
                     + ", ".join(sorted(fwd))
                 )
-        registry.add(entry)
-    return registry
-
-
-def name_const(entry) -> Const:
-    return Const(entry.name, entry.meta_type)
+        register(entry, names)
+    results = []
+    for entry in entries:
+        report = install_entry(entry, session)
+        results.append((entry.name, report))
+        if not report.ok:
+            break
+        register(entry, registry)
+    return results
 
 
 def install_entry(entry, session: Session) -> CheckReport:
@@ -127,32 +97,15 @@ def install_entry(entry, session: Session) -> CheckReport:
     *result_tp, template, witness = _entry_parts(entry)
     kind = f"definition '{entry.name}' typing" if result_tp else f"lemma '{entry.name}'"
     # `instantiate` takes a normal template and witness
+    name = Const(entry.name, entry.meta_type)
     goal, clauses = instantiate(
-        normalize(template), name_const(entry), normalize(witness), kind, *result_tp
+        normalize(template), name, normalize(witness), kind, *result_tp
     )
     report = session.check_goal(goal, augment=False)
     if report.ok:
         for clause in clauses():
             session.push_clause(clause)
-        entry.checked = True
     return report
-
-
-def check_library(registry: Registry, session: Session):
-    """Check entries in order; stop at the first failure.
-
-    Returns a list of (entry_name, CheckReport).  Clauses of successful
-    entries persist in the session store.
-    """
-    results = []
-    for entry in registry.entries:
-        if entry.checked:
-            continue
-        report = install_entry(entry, session)
-        results.append((entry.name, report))
-        if not report.ok:
-            break
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +122,11 @@ def walk(t):
             stack.append(t.cell.value)
         else:
             yield t
-            stack.extend(children(t))
+            if isinstance(t, App):
+                stack.append(t.head)
+                stack.extend(t.args)
+            elif isinstance(t, Lam):
+                stack.append(t.body)
 
 
 def const_names(t) -> set:
@@ -190,21 +147,21 @@ def replace_const(t, depth, mapping):
 # ---------------------------------------------------------------------------
 
 
-def dependencies(proof: Term, registry: Registry) -> list:
+def dependencies(proof: Term, registry) -> list:
     """Transitive registry entries a proof depends on, by constant scanning."""
     needed = set()
-    queue = [n for n in const_names(proof) if n in registry.by_name]
+    queue = [n for n in const_names(proof) if n in registry]
     while queue:
         n = queue.pop()
         if n in needed:
             continue
         needed.add(n)
-        for part in _entry_parts(registry.by_name[n]):
-            queue.extend(m for m in const_names(part) if m in registry.by_name)
-    return [e for e in registry.entries if e.name in needed]
+        for part in _entry_parts(registry[n]):
+            queue.extend(m for m in const_names(part) if m in registry)
+    return [e for e in registry.values() if e.name in needed]
 
 
-def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
+def package(goal_formula: Term, proof: Term, registry) -> Term:
     """Inline every registry entry the proof depends on.
 
     The result mentions no registry constant: definitions are wrapped
@@ -212,10 +169,7 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
     becoming the binder of its wrapping node.  A proof with no registry
     references is returned unchanged.
     """
-    for e in registry.entries:
-        if not e.checked:
-            raise LibraryError(f"registry entry '{e.name}' is not checked")
-    stray = const_names(goal_formula) & registry.by_name.keys()
+    stray = const_names(goal_formula) & registry.keys()
     if stray:
         raise LibraryError(
             "goal formula references registry name(s): " + ", ".join(sorted(stray))
@@ -223,8 +177,8 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
     needed = dependencies(proof, registry)
     if not needed:
         return proof
-    defs = [e for e in needed if isinstance(e, DefinitionEntry)]
-    lemmas = [e for e in needed if isinstance(e, LemmaEntry)]
+    defs = [e for e in needed if isinstance(e, DefDefinition)]
+    lemmas = [e for e in needed if isinstance(e, DefLemma)]
     order = defs + lemmas  # outermost first
     # built innermost first: the core may reference binders of the enclosing
     # goal; its free variables cross every wrapper binder
@@ -235,7 +189,7 @@ def package(goal_formula: Term, proof: Term, registry: Registry) -> Term:
         mapping = {e.name: k - 1 - j for j, e in enumerate(order[:k])}
         a = entry.meta_type
         rest = Lam(a, t, hint=entry.name)
-        if isinstance(entry, LemmaEntry):
+        if isinstance(entry, DefLemma):
             head = Const("lemma_pf", arrow(Arrow(a, O), a, Arrow(a, PF), PF))
         else:
             head = Const("def_pf", arrow(TP, Arrow(a, O), a, Arrow(a, PF), PF))

@@ -551,14 +551,14 @@ def _pick_name(hint, names, sig, depth):
         n += 1
 
 
-def format_term(t, sig: Signature, names=(), prec=0) -> str:
-    return _fmt(t, sig, list(names), prec)
+def format_term(t, sig: Signature, names=()) -> str:
+    return _fmt(t, sig, list(names), 0)
 
 
-def format_goal(g, sig: Signature, names=(), prec=0) -> str:
+def format_goal(g, sig: Signature) -> str:
     # a function of its own, not an alias, so that bench/tracer.py can
     # wrap it and format_term separately
-    return _fmt(g, sig, list(names), prec)
+    return _fmt(g, sig, [], 0)
 
 
 def _fmt(t, sig, names, req):

@@ -342,11 +342,11 @@ def deref(t: Term) -> Term:
     return t
 
 
-def shift(t, by: int, cutoff: int = 0):
-    """Shift free de Bruijn indices >= cutoff by `by`."""
+def shift(t, by: int):
+    """Shift free de Bruijn indices by `by`."""
     if by == 0:
         return t
-    return _shift(t, cutoff, by)
+    return _shift(t, 0, by)
 
 
 def _shift(t, c, by):

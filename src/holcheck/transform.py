@@ -57,14 +57,6 @@ def _expand_atom(atom, env):
     return App(PROVES, (expand_lemmas(proof, env), formula))
 
 
-def children(t):
-    if isinstance(t, App):
-        return (t.head, *t.args)
-    if isinstance(t, Lam):
-        return (t.body,)
-    return ()
-
-
 def _visit(t, memo):
     """(tree nodes, depth, lemma heads, def heads) of `t`, kept in `memo`
     by the `id` of each node visited.  A spine `h a1 .. an` counts as the

@@ -69,13 +69,12 @@ def goal_atom(goal):
 
 def load_full_library():
     """Signature, checked session, and registry for corpus/lib_full.hol."""
-    from holcheck.library import check_library, load_library
+    from holcheck.library import load_library
 
     sig = builtin_signature()
     src = parse_source((CORPUS / "lib_full.hol").read_text(), sig, "lib_full.hol")
     apply_declarations(src.statements, sig)
-    registry = load_library(src)
-    ses = Session(sig)
-    for name, report in check_library(registry, ses):
+    registry, ses = {}, Session(sig)
+    for name, report in load_library(src, registry, ses):
         assert report.ok, f"library entry {name} failed"
     return sig, ses, registry

@@ -14,7 +14,7 @@ from negatives import CASES
 
 from holcheck.cli import main
 from holcheck.kernel import DEFAULT_BUDGET, Session, def_to_eqclause
-from holcheck.library import check_library, load_library, package
+from holcheck.library import load_library, package
 from holcheck.signature import builtin_signature
 from holcheck.syntax import apply_declarations, parse_goal, parse_source, parse_term
 from holcheck.terms import alpha_beta_eq, arrow, map_proves, normalize_goal, TM, TP
@@ -71,23 +71,23 @@ def test_criterion_2_library_checking():
     sig = builtin_signature()
     src = parse_source((CORPUS / "lib_basic.hol").read_text(), sig, "lib_basic.hol")
     apply_declarations(src.statements, sig)
-    reg = load_library(src)
-    names = [(e.name, type(e).__name__) for e in reg.entries]
-    assert names == [("symm", "LemmaEntry"), ("assoc", "DefinitionEntry")]
-    assert reg.by_name["symm"].meta_type == arrow(
+    reg = {}
+    results = load_library(src, reg, Session(sig))
+    assert all(r.ok for _, r in results)
+    names = [(name, type(e).__name__) for name, e in reg.items()]
+    assert names == [("symm", "DefLemma"), ("assoc", "DefDefinition")]
+    assert reg["symm"].meta_type == arrow(
         parse_term("refl", sig).mt, parse_term("refl", sig).mt
     )
-    results = check_library(reg, Session(sig))
-    assert all(r.ok for _, r in results)
 
     from test_library import SYMM_DECL, SYMM_DEF, TRANS_DECL, TRANS_DEF
 
     sig2 = builtin_signature()
     src2 = parse_source(SYMM_DECL + TRANS_DECL + TRANS_DEF + SYMM_DEF, sig2)
     apply_declarations(src2.statements, sig2)
-    reg2 = load_library(src2)
-    results2 = check_library(reg2, Session(sig2))
-    assert results2[0][0] == "trans" and not results2[0][1].ok
+    reg2 = {}
+    results2 = load_library(src2, reg2, Session(sig2))
+    assert results2[0][0] == "trans" and not results2[0][1].ok and reg2 == {}
     report("PASS criterion 2: library checking and dependency-order failure")
 
 

@@ -10,6 +10,7 @@ from conftest import CORPUS, ROOT, THEOREM_FILES
 
 from holcheck.cli import _COMMANDS, _HELP, _combine, main
 from negatives import CASES
+from test_library import SYMM_DECL, SYMM_DEF
 
 
 def run(*args):
@@ -624,6 +625,70 @@ def test_library_failure_exits_like_its_cause(tmp_path, capsys):
     )
     code = run("check", "--lib", str(bad_lib), str(CORPUS / "symm_via_lib.hol"))
     assert code == 2  # the library is unusable: reported as invalid input
+
+
+# a library entry whose proof is not a proof of its clause, a lemma that
+# checks but whose clause never mentions its own name, a goal, and a lemma
+# whose clause names `symm`
+BROKEN_SYMM = SYMM_DECL + SYMM_DEF.replace("(congr T B A (eq T A) P refl)", "refl")
+DEAD = "def_lemma dead\n  (Dead\\ pi T\\ pi X\\ (proves refl (eq T X X)))\n  refl.\n"
+REFL_GOAL = "proves refl (forall intty X\\ eq intty X X).\n"
+SYMM2_USES_SYMM = (
+    "type symm2 pf -> pf.\n"
+    "def_lemma symm2\n"
+    "  (Symm2\\ pi T\\ pi A\\ pi B\\ pi P\\\n"
+    "    proves (Symm2 P) (eq T A B) <<== proves (symm P) (eq T A B))\n"
+    "  (P\\ symm P).\n"
+)
+
+# library text (or None), input text (or None for symm_via_lib.hol), extra
+# arguments -> stdout, stderr and exit code; {lib} and {input} stand for the
+# paths of the files written
+LIBRARY_OUTCOMES = {
+    "duplicate_after_broken_entry": (
+        BROKEN_SYMM + "type dead pf.\n" + DEAD + DEAD, None, [],
+        "", "holcheck: duplicate registry name 'dead'\n", 2,
+    ),
+    "goal_statement": (
+        SYMM_DECL + SYMM_DEF + REFL_GOAL, None, [],
+        "", "holcheck: a library file may not contain goal statements\n", 2,
+    ),
+    "forward_reference": (
+        SYMM_DECL + SYMM2_USES_SYMM + SYMM_DEF, None, [],
+        "", "holcheck: entry 'symm2' references not-yet-defined name(s): symm\n", 2,
+    ),
+    "broken_proof": (
+        BROKEN_SYMM, None, [],
+        "", "holcheck: {lib}: library entry 'symm' failed: proof check failed\n", 2,
+    ),
+    "budget": (
+        None, None, ["--budget", "5", "--lib", str(CORPUS / "lib_full.hol")],
+        "", "holcheck: step budget exhausted after 5 steps\n", 3,
+    ),
+    "in_file_duplicate": (
+        None, "type dead pf.\n" + DEAD + DEAD + REFL_GOAL, [],
+        "{input}:2: dead: success (steps=6, clauses=0, depth=0)\n",
+        "holcheck: duplicate registry name 'dead'\n", 2,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "lib,text,extra,out,err,code", LIBRARY_OUTCOMES.values(), ids=LIBRARY_OUTCOMES.keys()
+)
+def test_a_library_gives_its_exit_code_and_text(lib, text, extra, out, err, code, tmp_path, capsys):
+    args = list(extra)
+    paths = {"lib": tmp_path / "lib.hol", "input": tmp_path / "input.hol"}
+    if lib is not None:
+        paths["lib"].write_text(lib)
+        args += ["--lib", str(paths["lib"])]
+    if text is not None:
+        paths["input"].write_text(text)
+    else:
+        paths["input"] = CORPUS / "symm_via_lib.hol"
+    assert run("check", *args, str(paths["input"])) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out.format(**paths), err.format(**paths))
 
 
 def test_a_library_failure_prints_the_goal_its_validity_error_names(tmp_path, capsys):

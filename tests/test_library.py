@@ -6,25 +6,20 @@ from conftest import CORPUS, atom_args, goal_atom, load_corpus_goal, load_full_l
 
 from holcheck.errors import LibraryError
 from holcheck.kernel import Session
-from holcheck.library import (
-    DefinitionEntry,
-    LemmaEntry,
-    check_library,
-    const_names,
-    dependencies,
-    load_library,
-    package,
-)
+from holcheck.library import const_names, dependencies, load_library, package
 from holcheck.signature import builtin_signature
-from holcheck.syntax import apply_declarations, parse_source
-from holcheck.terms import PF, TM, TP, alpha_beta_eq, arrow
+from holcheck.syntax import DefDefinition, DefLemma, apply_declarations, parse_source
+from holcheck.terms import PF, PROVES, TM, TP, alpha_beta_eq, app, arrow
 
 
 def parse_lib(text, sig=None):
+    """Declare and load `text` as a library file into a new registry and
+    session: (the (name, report) list, the registry, the session)."""
     sig = sig if sig is not None else builtin_signature()
     src = parse_source(text, sig, "lib")
     apply_declarations(src.statements, sig)
-    return load_library(src), sig
+    registry, ses = {}, Session(sig)
+    return load_library(src, registry, ses), registry, ses
 
 
 SYMM_DECL = "type symm pf -> pf.\n"
@@ -49,9 +44,10 @@ TRANS_DEF = (
 
 
 def test_load_basic_library_entry_shapes():
-    reg, _ = parse_lib((CORPUS / "lib_basic.hol").read_text())
-    assert [type(e) for e in reg.entries] == [LemmaEntry, DefinitionEntry]
-    symm, assoc = reg.entries
+    _, reg, _ = parse_lib((CORPUS / "lib_basic.hol").read_text())
+    assert [type(e) for e in reg.values()] == [DefLemma, DefDefinition]
+    assert list(reg) == ["symm", "assoc"]
+    symm, assoc = reg.values()
     assert symm.name == "symm" and symm.meta_type == arrow(PF, PF)
     assert assoc.name == "assoc" and assoc.meta_type == arrow(
         arrow(TM, TM, TM), TP, TM
@@ -59,13 +55,11 @@ def test_load_basic_library_entry_shapes():
 
 
 def test_empty_file_empty_registry():
-    reg, _ = parse_lib("")
-    assert reg.entries == []
+    assert parse_lib("")[:2] == ([], {})
 
 
 def test_check_library_succeeds_on_basic():
-    reg, sig = parse_lib((CORPUS / "lib_basic.hol").read_text())
-    results = check_library(reg, Session(sig))
+    results, _, _ = parse_lib((CORPUS / "lib_basic.hol").read_text())
     assert [name for name, _ in results] == ["symm", "assoc"]
     assert all(r.ok for _, r in results)
 
@@ -76,32 +70,33 @@ def test_check_library_order_of_independent_entries_is_irrelevant():
     parts = text.split("type  assoc")
     swapped = "type  assoc" + parts[1] + "\n" + parts[0]
     for variant in (text, swapped):
-        reg, sig = parse_lib(variant)
-        assert all(r.ok for _, r in check_library(reg, Session(sig)))
+        results, _, _ = parse_lib(variant)
+        assert all(r.ok for _, r in results)
 
 
 def test_reordered_dependent_lemmas_fail_at_trans():
     ordered = SYMM_DECL + TRANS_DECL + SYMM_DEF + TRANS_DEF
-    reg, sig = parse_lib(ordered)
-    assert all(r.ok for _, r in check_library(reg, Session(sig)))
+    results, reg, _ = parse_lib(ordered)
+    assert all(r.ok for _, r in results) and list(reg) == ["symm", "trans"]
 
     reordered = SYMM_DECL + TRANS_DECL + TRANS_DEF + SYMM_DEF
-    reg2, sig2 = parse_lib(reordered)
-    results = check_library(reg2, Session(sig2))
+    results, reg2, _ = parse_lib(reordered)
     assert results[0][0] == "trans" and not results[0][1].ok
     assert len(results) == 1  # checking stops at the first failure
+    assert reg2 == {}  # and registers only the entries installed
 
 
 def test_broken_symm_proof_fails_at_symm():
     broken = SYMM_DEF.replace("(congr T B A (eq T A) P refl)", "refl")
-    reg, sig = parse_lib(SYMM_DECL + broken)
-    results = check_library(reg, Session(sig))
+    results, reg, _ = parse_lib(SYMM_DECL + broken)
     assert results == [("symm", results[0][1])] and not results[0][1].ok
+    assert reg == {}
 
 
 def test_duplicate_names_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(LibraryError) as exc:
         parse_lib(SYMM_DECL + SYMM_DEF + SYMM_DEF)
+    assert str(exc.value) == "duplicate registry name 'symm'"
 
 
 def test_forward_reference_in_definition_body():
@@ -130,7 +125,7 @@ def test_forward_reference_in_definition_body():
         sig = builtin_signature()
         src = parse_source(decls + uses_assoc.split(".\n", 1)[1] + assoc.split(".\n", 1)[1], sig, "lib")
         apply_declarations(src.statements, sig)
-        load_library(src)
+        load_library(src, {}, Session(sig))
     assert "assoc" in str(exc.value)
 
 
@@ -151,17 +146,20 @@ def test_forward_reference_in_lemma_template():
 
 def test_forward_reference_in_lemma_proof_is_loaded():
     # proofs are checked by running them, so `trans`, whose proof names
-    # `symm`, loads before it; checking it is what fails
-    reg, _ = parse_lib(SYMM_DECL + TRANS_DECL + TRANS_DEF + SYMM_DEF)
-    assert [e.name for e in reg.entries] == ["trans", "symm"]
-    assert "symm" in const_names(reg.by_name["trans"].proof)
+    # `symm`, passes validation before it; installing it is what fails
+    text = SYMM_DECL + TRANS_DECL + TRANS_DEF + SYMM_DEF
+    trans = parse_source(text, builtin_signature()).statements[2]
+    assert trans.name == "trans" and "symm" in const_names(trans.proof)
+    results, _, _ = parse_lib(text)
+    assert [name for name, _ in results] == ["trans"] and not results[0][1].ok
 
 
 def test_library_file_may_not_contain_goals():
     sig = builtin_signature()
     src = parse_source("proves refl (forall intty X\\ eq intty X X).", sig)
-    with pytest.raises(LibraryError):
-        load_library(src)
+    with pytest.raises(LibraryError) as exc:
+        load_library(src, {}, Session(sig))
+    assert str(exc.value) == "a library file may not contain goal statements"
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def test_packaged_output_is_registry_closed():
     goal = load_corpus_goal("assoc_via_lib.hol", sig)
     proof, formula = atom_args(goal_atom(goal))
     packaged = package(formula, proof, reg)
-    assert not (const_names(packaged) & reg.by_name.keys())
+    assert not (const_names(packaged) & reg.keys())
     assert [e.name for e in dependencies(proof, reg)] == [
         "symm",
         "trans",
@@ -206,7 +204,7 @@ def test_packaged_proof_checks_in_empty_registry():
     goal = load_corpus_goal("assoc_via_lib.hol", sig)
     proof, formula = atom_args(goal_atom(goal))
     packaged = package(formula, proof, reg)
-    from holcheck.terms import IMP, PROVES, TM as _TM, app, pi
+    from holcheck.terms import IMP, TM as _TM, pi
 
     # goal: pi f\ pi t\ (clause ==>> proves proof formula)
     clause = goal.args[0].body.args[0].body.args[0]
@@ -226,12 +224,21 @@ def test_in_registry_and_packaged_verdicts_agree():
         assert in_reg.ok
 
 
-def test_package_rejects_unchecked_registry():
-    reg, sig = parse_lib((CORPUS / "lib_basic.hol").read_text())
-    goal = load_corpus_goal("symm_via_lib.hol", sig)
-    proof, formula = atom_args(goal)
-    with pytest.raises(LibraryError):
-        package(formula, proof, reg)
+def test_a_proof_packaged_with_a_broken_entry_fails_its_check():
+    # a registry that was never installed, whose `symm` proof is no proof:
+    # packaging inlines it, and the kernel re-proves it and refuses it
+    text = (CORPUS / "lib_basic.hol").read_text()
+    broken = text.replace("(congr T B A (eq T A) P refl)", "refl")
+    assert broken != text
+    sig = builtin_signature()
+    src = parse_source(broken, sig, "lib")
+    apply_declarations(src.statements, sig)
+    reg = {st.name: st for st in src.statements if isinstance(st, (DefLemma, DefDefinition))}
+    proof, formula = atom_args(load_corpus_goal("symm_via_lib.hol", sig))
+    packaged = package(formula, proof, reg)
+    assert not (const_names(packaged) & reg.keys())
+    report = Session(builtin_signature()).check_goal(app(PROVES, packaged, formula))
+    assert (report.ok, report.error) == (False, None)
 
 
 def test_package_rejects_registry_names_in_formula():
@@ -249,14 +256,14 @@ def test_package_rejects_registry_names_in_formula():
 def test_lemma_that_never_mentions_its_name_is_dead_weight():
     # legal but useless: the clause does not involve the new name, so the
     # lemma can be stored and checked yet never be applied
-    reg, sig = parse_lib(
+    sig = builtin_signature()
+    results, _, ses = parse_lib(
         "type dead pf.\n"
         "def_lemma dead\n"
         "  (Dead\\ pi T\\ pi X\\ (proves refl (eq T X X)))\n"
-        "  refl.\n"
+        "  refl.\n",
+        sig,
     )
-    ses = Session(sig)
-    results = check_library(reg, ses)
     assert all(r.ok for _, r in results)
     from holcheck.syntax import parse_goal
 
