@@ -32,10 +32,7 @@ from .signature import builtin_signature
 from .syntax import (
     DefDefinition,
     DefLemma,
-    InfixDecl,
     Solve,
-    TypeDecl,
-    apply_declarations,
     format_goal,
     format_statement,
     parse_source,
@@ -78,25 +75,18 @@ def report_message(report, sig):
     return f"{report.message}: {format_goal(report.goal, sig)}"
 
 
-def _declare_libraries(sig, lib_paths):
-    """Parse each library file and add its declarations to `sig`, yielding
-    `(path, source)` file by file."""
-    for path in lib_paths:
-        src = parse_source(_read(path), sig, path)
-        apply_declarations(src.statements, sig)
-        yield path, src
-
-
 class Environment:
     """Signature + session + registry with the libraries loaded and checked."""
 
     def __init__(self, lib_paths, budget, trace):
         self.sig = builtin_signature()
-        self.session = Session(self.sig, budget)
+        self.session = Session(budget=budget)
         self.registry = {}
         self.trace = trace
         self.codes = []
-        for path, src in _declare_libraries(self.sig, lib_paths):
+        for path in lib_paths:  # each against the signature the one before ends with
+            src = parse_source(_read(path), self.sig, path)
+            self.sig = src.sig
             for name, report in load_library(src, self.registry, self.session):
                 if not report.ok:
                     message = (
@@ -107,16 +97,17 @@ class Environment:
                         raise BudgetError(report.stats.steps)
                     raise LibraryError(message)
 
-    def fork(self):
-        """A copy of this environment's state for one input file.
+    def fork(self, sig):
+        """A copy of this environment's state for one input file, whose
+        parse against `self.sig` ended with signature `sig`.
 
-        The copy gets its own signature, registry and clause store, each
-        holding what this environment holds, and an empty trail; nothing
-        the copy declares, installs or pushes reaches this environment.
+        The copy gets its own registry and clause store, each holding what
+        this environment holds, and an empty trail; nothing the copy
+        installs or pushes reaches this environment.
         """
         env = object.__new__(type(self))
-        env.sig = self.sig.copy()
-        env.session = Session(env.sig, self.session.budget)
+        env.sig = sig
+        env.session = Session(budget=self.session.budget)
         env.session.store = list(self.session.store)
         env.session.counter = self.session.counter
         env.registry = dict(self.registry)
@@ -129,18 +120,14 @@ class Environment:
             print(line)
 
     def run_statement(self, st, path):
+        """Check a goal or install an entry; a declaration was applied by
+        the parse that read it."""
         loc = f"{path}:{st.pos[0]}"
-        if isinstance(st, (TypeDecl, InfixDecl)):
-            apply_declarations([st], self.sig)
-            return
         if isinstance(st, (DefLemma, DefDefinition)):
             self._install(st, loc)
-            return
-        if isinstance(st, Solve):
+        elif isinstance(st, Solve):
             report = self.session.check_goal(st.goal, augment=True)
             self._report(report, loc, "goal")
-            return
-        raise StructuralError(f"unsupported statement at {loc}")
 
     def _install(self, entry, loc):
         register(entry, self.registry)
@@ -175,8 +162,8 @@ def cmd_check(args):
     library = Environment(args.lib, args.budget, args.trace)
     codes = []
     for path in args.inputs:
-        env = library.fork()
-        src = parse_source(_read(path), env.sig, path)
+        src = parse_source(_read(path), library.sig, path)
+        env = library.fork(src.sig)
         for st in src.statements:
             env.run_statement(st, path)
         codes.extend(env.codes)
@@ -186,7 +173,8 @@ def cmd_check(args):
 def _library_signature(lib_paths):
     """The signature with the declarations of the libraries, unchecked."""
     sig = builtin_signature()
-    list(_declare_libraries(sig, lib_paths))
+    for path in lib_paths:
+        sig = parse_source(_read(path), sig, path).sig
     return sig
 
 
@@ -195,18 +183,14 @@ def _rewrite_command(args, sig, rewrite, keep_definitions):
     src = parse_source(_read(path), sig, path)
     out_statements = []
     for st in src.statements:
-        if isinstance(st, (TypeDecl, InfixDecl)):
-            apply_declarations([st], sig)
-            out_statements.append(st)
-        elif isinstance(st, (DefLemma, DefDefinition)):
-            if not keep_definitions:
-                raise LibraryError(
-                    "input for this command may not define lemmas; load them via --lib"
-                )
-            out_statements.append(st)
-        elif isinstance(st, Solve):
-            out_statements.append(Solve(rewrite(st.goal), st.pos))
-    text = "\n".join(format_statement(st, sig) for st in out_statements) + "\n"
+        if isinstance(st, (DefLemma, DefDefinition)) and not keep_definitions:
+            raise LibraryError(
+                "input for this command may not define lemmas; load them via --lib"
+            )
+        if isinstance(st, Solve):
+            st = Solve(rewrite(st.goal), st.pos)
+        out_statements.append(st)
+    text = "\n".join(format_statement(st, src.sig) for st in out_statements) + "\n"
     with open(args.output, "w", encoding="utf-8") as f:
         f.write(text)
     return EXIT_OK
@@ -235,14 +219,10 @@ def cmd_fmt(args):
 
 
 def cmd_stats(args):
-    library = _library_signature(args.lib)
+    sig = _library_signature(args.lib)
     for path in args.inputs:
-        sig = library.copy()
-        src = parse_source(_read(path), sig, path)
-        for st in src.statements:
-            if isinstance(st, (TypeDecl, InfixDecl)):
-                apply_declarations([st], sig)
-            elif isinstance(st, Solve):
+        for st in parse_source(_read(path), sig, path).statements:
+            if isinstance(st, Solve):
                 proofs = []
                 map_proves(st.goal, lambda a, env: proofs.append(a.args[0]) or a)
                 for proof in proofs:
@@ -355,7 +335,7 @@ def main(argv=None) -> int:
 
 
 def _run(args):
-    if args.command in ("expand", "package", "fmt") and len(args.inputs) != 1:
+    if _COMMANDS[args.command][1] and len(args.inputs) != 1:  # a command that writes
         print("holcheck: exactly one input file is required here", file=sys.stderr)
         return EXIT_INVALID
     try:

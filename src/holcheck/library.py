@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import LibraryError
 from .kernel import CheckReport, Session, instantiate
-from .syntax import DefDefinition, DefLemma, InfixDecl, Solve, TypeDecl
+from .syntax import DefDefinition, DefLemma, Solve
 from .terms import (
     App,
     Arrow,
@@ -48,8 +48,8 @@ def load_library(source, registry, session: Session):
     """Check a library file's entries in file order and register each one
     once it is installed in `session`; stop at the first failure.
 
-    The whole file is validated first: only declarations and entries, each
-    entry's statement parts (a lemma's proof is excluded: it is verified by
+    The whole file is validated first: no goal statement, each entry's
+    statement parts (a lemma's proof is excluded: it is verified by
     running it) referencing only earlier names or constants outside the
     registry, and no name registered twice.  Returns a list of
     (entry_name, CheckReport); clauses of installed entries persist in the
@@ -57,12 +57,10 @@ def load_library(source, registry, session: Session):
     """
     entries = []
     for st in source.statements:
+        if isinstance(st, Solve):
+            raise LibraryError("a library file may not contain goal statements")
         if isinstance(st, (DefLemma, DefDefinition)):
             entries.append(st)
-        elif isinstance(st, Solve):
-            raise LibraryError("a library file may not contain goal statements")
-        elif not isinstance(st, (TypeDecl, InfixDecl)):
-            raise LibraryError(f"unsupported library statement: {st!r}")
     later = {e.name for e in entries}
     names = dict(registry)  # the registry gets an entry once it is installed
     for entry in entries:

@@ -96,15 +96,9 @@ class Signature:
     def copy(self) -> "Signature":
         return Signature(self.consts, self.infixes)
 
-    def lookup(self, name):
-        return self.consts.get(name)
-
     def is_predicate(self, name) -> bool:
         sch = self.consts.get(name)
         return sch is not None and sch.predicate
-
-    def fixity(self, name):
-        return self.infixes.get(name)
 
     def declare(self, name, mt: MetaType, pos=None):
         if name in BUILTIN_CONSTS or name in GOAL_FORMERS:

@@ -104,7 +104,9 @@ InfixDecl = namedtuple("InfixDecl", "name assoc prec pos")
 DefLemma = namedtuple("DefLemma", "name meta_type template proof pos")
 DefDefinition = namedtuple("DefDefinition", "name meta_type result_tp typeinf body pos")
 Solve = namedtuple("Solve", "goal pos")
-SourceFile = namedtuple("SourceFile", "statements path", defaults=(None,))
+# `sig` is the signature the file ends with: the one it was parsed against
+# extended by its declarations
+SourceFile = namedtuple("SourceFile", "statements sig path", defaults=(None,))
 
 
 class Parser:
@@ -130,7 +132,7 @@ class Parser:
     def __init__(self, tokens, sig: Signature):
         self.toks = tokens + tokens[-1:] * 2  # `peek` reads up to two past `eof`
         self.i = 0
-        self.sig = sig  # working copy, extended by declarations
+        self.sig = sig  # extended by each declaration read
         self.inf = Inference()
         self.levels, self.names, self.mts = {}, [], []
         self.site = None  # the application `apply` types: (head, args)
@@ -240,9 +242,9 @@ class Parser:
             parens += 1
             self.next()
         name = self.next()
-        if name.kind != "ident" or not parens and self.sig.fixity(name.value):
+        if name.kind != "ident" or not parens and name.value in self.sig.infixes:
             self.fail(usage, name)
-        sch = self.sig.lookup(name.value)
+        sch = self.sig.consts.get(name.value)
         if sch is None or lemma and name.value in ("proves", "hastype", "assump"):
             self.fail(f"{kw} for undeclared name '{name.value}'", name)
         for _ in range(parens):
@@ -331,7 +333,7 @@ class Parser:
                     left, mt, right, rmt = right, rmt, left, mt
                 op = "," if op == "," else "=>"
             pos = (t.line, t.col)
-            fmt = inf.instantiate(GOAL_FORMERS.get(op) or self.sig.lookup(op), pos)
+            fmt = inf.instantiate(GOAL_FORMERS.get(op) or self.sig.consts.get(op), pos)
             c = Const(op, fmt)
             fmt = self.apply(c, (left,), fmt, mt, pos)
             left = App(c, (left, right))
@@ -374,7 +376,7 @@ class Parser:
         self.inf = Inference()
         if t.kind == "ident" and _binds(self.toks, self.i):
             e = self.parse_binder()
-        elif t.kind == "ident" and not self.sig.fixity(t.value) or _is_sym(t, "("):
+        elif t.kind == "ident" and t.value not in self.sig.infixes or _is_sym(t, "("):
             e = self.parse_primary()
         else:
             return None
@@ -486,7 +488,8 @@ def _head_name(t):
 
 
 def parse_source(text, sig: Signature, path=None) -> SourceFile:
-    """Parse a whole `.hol` source.  `sig` itself is not modified."""
+    """Parse a whole `.hol` source against `sig`, which is not modified:
+    each declaration extends a copy of it, returned as the file's `sig`."""
     p = Parser(tokenize(text, path), sig.copy())
     try:
         stmts = p.parse_file()
@@ -494,12 +497,12 @@ def parse_source(text, sig: Signature, path=None) -> SourceFile:
         if e.path is None:
             e.path = path
         raise
-    return SourceFile(stmts, path)
+    return SourceFile(stmts, p.sig, path)
 
 
 def parse_term(text, sig: Signature, expect: MetaType = None) -> Term:
     """Parse and annotate a single term expression (testing convenience)."""
-    p = Parser(tokenize(text), sig.copy())
+    p = Parser(tokenize(text), sig)  # an expression declares nothing
     t, mt, pos = p.parse_expr(0)
     if p.peek().kind != "eof":
         p.fail("trailing input after term")
@@ -507,21 +510,12 @@ def parse_term(text, sig: Signature, expect: MetaType = None) -> Term:
 
 
 def parse_goal(text, sig: Signature) -> Term:
-    p = Parser(tokenize(text), sig.copy())
+    p = Parser(tokenize(text), sig)
     g, _, pos = p.parse_expr(0)
     if p.peek().kind != "eof":
         p.fail("trailing input after goal")
     p.check_goal(g, pos)
     return elaborate_goal(g, p.inf)
-
-
-def apply_declarations(stmts, sig: Signature):
-    """Replay the declarations of parsed statements onto `sig`."""
-    for st in stmts:
-        if isinstance(st, TypeDecl):
-            sig.declare(st.name, st.mt, st.pos)
-        elif isinstance(st, InfixDecl):
-            sig.declare_infix(st.name, st.assoc, st.prec, st.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +532,7 @@ def _pick_name(hint, names, sig, depth):
     ok = (
         hint
         and hint not in names
-        and sig.lookup(hint) is None
+        and hint not in sig.consts
         and hint not in ("pi", "type", "infixr", "infixl", "def_lemma", "def_definition", "kind")
     )
     if ok:
@@ -546,7 +540,7 @@ def _pick_name(hint, names, sig, depth):
     n = depth + 1
     while True:
         cand = f"x{n}"
-        if cand not in names and sig.lookup(cand) is None:
+        if cand not in names and cand not in sig.consts:
             return cand
         n += 1
 
@@ -580,7 +574,7 @@ def _fmt(t, sig, names, req):
     if name == "=>" and len(args) == 2:
         s = f"{_fmt(args[1], sig, names, 1)} <<== {_fmt(args[0], sig, names, 1)}"
         return f"({s})" if req > 0 else s
-    fix = sig.fixity(name) if len(args) == 2 else None
+    fix = sig.infixes.get(name) if len(args) == 2 else None
     if fix:
         assoc, p = fix
         l = _fmt(args[0], sig, names, p + 1 if assoc == "right" else p)

@@ -78,9 +78,12 @@ def parse_work(pkg):
         with open(os.path.join(corpus, n), encoding="utf-8") as f:
             texts.append((f.read(), n))
     sig = pkg.builtin_signature()
-    lib = sig.copy()
-    lib_full = syntax.parse_source(texts[names.index("lib_full.hol")][0], lib)
-    syntax.apply_declarations(lib_full.statements, lib)
+    lib = sig.copy()  # declared here: an older checkout's parse returns no signature
+    for st in syntax.parse_source(texts[names.index("lib_full.hol")][0], sig).statements:
+        if isinstance(st, syntax.TypeDecl):
+            lib.declare(st.name, st.mt, st.pos)
+        elif isinstance(st, syntax.InfixDecl):
+            lib.declare_infix(st.name, st.assoc, st.prec, st.pos)
 
     def run():
         for text, n in texts:

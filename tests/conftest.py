@@ -9,7 +9,7 @@ pytest.register_assert_rewrite("props")
 
 from holcheck.kernel import Session
 from holcheck.signature import builtin_signature
-from holcheck.syntax import apply_declarations, parse_source
+from holcheck.syntax import parse_source
 from props import goal_spine, plain_spine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -73,7 +73,7 @@ def load_full_library():
 
     sig = builtin_signature()
     src = parse_source((CORPUS / "lib_full.hol").read_text(), sig, "lib_full.hol")
-    apply_declarations(src.statements, sig)
+    sig = src.sig
     registry, ses = {}, Session(sig)
     for name, report in load_library(src, registry, ses):
         assert report.ok, f"library entry {name} failed"

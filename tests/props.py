@@ -391,9 +391,9 @@ class RefParser:
             parens += 1
             self.next()
         name = self.next()
-        if name.kind != "ident" or not parens and self.sig.fixity(name.value):
+        if name.kind != "ident" or not parens and name.value in self.sig.infixes:
             self.fail(usage, name)
-        sch = self.sig.lookup(name.value)
+        sch = self.sig.consts.get(name.value)
         if sch is None or lemma and name.value in ("proves", "hastype", "assump"):
             self.fail(f"{kw} for undeclared name '{name.value}'", name)
         for _ in range(parens):
@@ -414,7 +414,7 @@ class RefParser:
         left, mt, pos = self.parse_app(scope, head)
         while True:
             t = self.peek()
-            fix = self.sig.fixity(t.value)
+            fix = self.sig.infixes.get(t.value)
             if fix is None or fix[1] < min_prec:
                 return left, mt, pos
             assoc, prec = fix
@@ -432,7 +432,7 @@ class RefParser:
                     left, mt, right, rmt = right, rmt, left, mt
                 op = "," if op == "," else "=>"
             pos = (t.line, t.col)
-            fmt = self.inf.instantiate(GOAL_FORMERS.get(op) or self.sig.lookup(op), pos)
+            fmt = self.inf.instantiate(GOAL_FORMERS.get(op) or self.sig.consts.get(op), pos)
             c = Const(op, fmt)
             fmt = self.apply(c, (left,), fmt, mt, pos, scope)
             left = App(c, (left, right))
@@ -474,7 +474,7 @@ class RefParser:
             if self.at_binder():
                 # a trailing lambda swallows the rest of the expression
                 arg, amt, pos = self.parse_binder(scope)
-            elif t.kind == "ident" and not self.sig.fixity(t.value) or _ref_is_sym(t, "("):
+            elif t.kind == "ident" and t.value not in self.sig.infixes or _ref_is_sym(t, "("):
                 arg, amt, _ = self.parse_primary(scope)
                 pos = (t.line, t.col)
             else:
@@ -498,7 +498,7 @@ class RefParser:
         self.inf = RefInference()
         if self.at_binder():
             e = self.parse_binder([])
-        elif t.kind == "ident" and not self.sig.fixity(t.value) or _ref_is_sym(t, "("):
+        elif t.kind == "ident" and t.value not in self.sig.infixes or _ref_is_sym(t, "("):
             e = self.parse_primary([])
         else:
             return None
@@ -516,7 +516,7 @@ class RefParser:
         for i, (n, mt) in enumerate(scope):
             if n == name:
                 return Bound(i), mt, pos
-        sch = self.sig.lookup(name)
+        sch = self.sig.consts.get(name)
         if sch is None:
             what = "unbound capitalized identifier" if name[0].isupper() else "undeclared constant"
             self.fail(f"{what} '{name}'", t)
@@ -591,7 +591,7 @@ def ref_parse_source(text, sig, path=None):
         if e.path is None:
             e.path = path
         raise
-    return SourceFile(stmts, path)
+    return SourceFile(stmts, p.sig, path)
 
 
 # Reference spine readers, independent of the ones in `src/`: a term's head

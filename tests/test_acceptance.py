@@ -16,7 +16,7 @@ from holcheck.cli import main
 from holcheck.kernel import DEFAULT_BUDGET, Session, def_to_eqclause
 from holcheck.library import load_library, package
 from holcheck.signature import builtin_signature
-from holcheck.syntax import apply_declarations, parse_goal, parse_source, parse_term
+from holcheck.syntax import parse_goal, parse_source, parse_term
 from holcheck.terms import alpha_beta_eq, arrow, map_proves, normalize_goal, TM, TP
 from holcheck.transform import expand_statement_goal, proof_stats
 
@@ -70,7 +70,7 @@ def test_criterion_2_library_checking():
     lemmas fails at the dependent entry."""
     sig = builtin_signature()
     src = parse_source((CORPUS / "lib_basic.hol").read_text(), sig, "lib_basic.hol")
-    apply_declarations(src.statements, sig)
+    sig = src.sig
     reg = {}
     results = load_library(src, reg, Session(sig))
     assert all(r.ok for _, r in results)
@@ -84,7 +84,7 @@ def test_criterion_2_library_checking():
 
     sig2 = builtin_signature()
     src2 = parse_source(SYMM_DECL + TRANS_DECL + TRANS_DEF + SYMM_DEF, sig2)
-    apply_declarations(src2.statements, sig2)
+    sig2 = src2.sig
     reg2 = {}
     results2 = load_library(src2, reg2, Session(sig2))
     assert results2[0][0] == "trans" and not results2[0][1].ok and reg2 == {}

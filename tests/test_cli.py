@@ -55,22 +55,6 @@ FLIP_USE = (
 )
 
 
-def test_repeatable_lib_flag_with_cross_references(tmp_path, capsys):
-    extra = tmp_path / "uses_symm.hol"
-    extra.write_text(FLIP_LEMMA)
-    use = tmp_path / "use.hol"
-    use.write_text(FLIP_USE)
-    code = run(
-        "check",
-        "--lib",
-        str(CORPUS / "lib_basic.hol"),
-        "--lib",
-        str(extra),
-        str(use),
-    )
-    assert code == 0
-
-
 @pytest.mark.parametrize("name,text,libs,expected", CASES)
 def test_negative_suite(name, text, libs, expected, tmp_path, capsys):
     f = tmp_path / "case.hol"
@@ -362,6 +346,18 @@ def test_trace_mode_prints_goal_stack_on_failure(tmp_path, capsys):
     assert run("check", "--trace", "trace", str(f)) == 1
     err = capsys.readouterr().err
     assert "proves refl" in err
+
+
+def test_a_failure_stack_is_printed_over_the_whole_file_s_signature(tmp_path, capsys):
+    # as fmt prints the goal: with the fixity declared after it
+    f = tmp_path / "late_infix.hol"
+    f.write_text("type f tm -> tm -> tm.\ntype a tm.\npi x\\ hastype (f x a) intty.\ninfixr f 12.\n")
+    assert run("check", "--trace", "trace", str(f)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        f"{f}:3: goal: failure (steps=2)\n",
+        "  | hastype (x_1 f a) intty\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -669,6 +665,10 @@ LIBRARY_OUTCOMES = {
         None, "type dead pf.\n" + DEAD + DEAD + REFL_GOAL, [],
         "{input}:2: dead: success (steps=6, clauses=0, depth=0)\n",
         "holcheck: duplicate registry name 'dead'\n", 2,
+    ),
+    "a_second_lib_using_the_first": (  # `flip` is proved by lib_basic's `symm`
+        FLIP_LEMMA, FLIP_USE, ["--lib", str(CORPUS / "lib_basic.hol")],
+        "{input}:1: goal: success (steps=116, clauses=5, depth=9)\n", "", 0,
     ),
 }
 

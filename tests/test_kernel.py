@@ -759,19 +759,17 @@ class FullScanSession(Session):
 
 
 def _recording(session_cls, log):
-    """`session_cls`, appending each report, printed over the session's
+    """`session_cls`, appending each report, printed over the builtin
     signature, and the counter after it to `log`: the goals of two sessions'
-    reports hold matching variables of their own."""
+    reports hold matching variables of their own.  (The CLI prints them over
+    the file's signature, in the output the callers also compare.)"""
+    sig = builtin_signature()
 
     class Recording(session_cls):
-        def __init__(self, sig, *args):
-            super().__init__(sig, *args)
-            self.sig = sig
-
         def check_goal(self, goal, augment=True):
             r = super().check_goal(goal, augment)
-            stack = tuple(format_goal(g, self.sig) for g in r.failure_stack)
-            log.append((r.ok, r.error, cli.report_message(r, self.sig), r.stats, stack, self.counter))
+            stack = tuple(format_goal(g, sig) for g in r.failure_stack)
+            log.append((r.ok, r.error, cli.report_message(r, sig), r.stats, stack, self.counter))
             return r
 
     return Recording
@@ -1020,8 +1018,8 @@ class CheckLog(Session):
 
     made = []
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.atoms, self.clauses = {}, {}
         CheckLog.made.append(self)
 

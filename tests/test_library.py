@@ -8,17 +8,15 @@ from holcheck.errors import LibraryError
 from holcheck.kernel import Session
 from holcheck.library import const_names, dependencies, load_library, package
 from holcheck.signature import builtin_signature
-from holcheck.syntax import DefDefinition, DefLemma, apply_declarations, parse_source
+from holcheck.syntax import DefDefinition, DefLemma, parse_source
 from holcheck.terms import PF, PROVES, TM, TP, alpha_beta_eq, app, arrow
 
 
-def parse_lib(text, sig=None):
+def parse_lib(text):
     """Declare and load `text` as a library file into a new registry and
     session: (the (name, report) list, the registry, the session)."""
-    sig = sig if sig is not None else builtin_signature()
-    src = parse_source(text, sig, "lib")
-    apply_declarations(src.statements, sig)
-    registry, ses = {}, Session(sig)
+    src = parse_source(text, builtin_signature(), "lib")
+    registry, ses = {}, Session(src.sig)
     return load_library(src, registry, ses), registry, ses
 
 
@@ -124,8 +122,7 @@ def test_forward_reference_in_definition_body():
     with pytest.raises(LibraryError) as exc:
         sig = builtin_signature()
         src = parse_source(decls + uses_assoc.split(".\n", 1)[1] + assoc.split(".\n", 1)[1], sig, "lib")
-        apply_declarations(src.statements, sig)
-        load_library(src, {}, Session(sig))
+        load_library(src, {}, Session(src.sig))
     assert "assoc" in str(exc.value)
 
 
@@ -232,7 +229,7 @@ def test_a_proof_packaged_with_a_broken_entry_fails_its_check():
     assert broken != text
     sig = builtin_signature()
     src = parse_source(broken, sig, "lib")
-    apply_declarations(src.statements, sig)
+    sig = src.sig
     reg = {st.name: st for st in src.statements if isinstance(st, (DefLemma, DefDefinition))}
     proof, formula = atom_args(load_corpus_goal("symm_via_lib.hol", sig))
     packaged = package(formula, proof, reg)
@@ -256,16 +253,16 @@ def test_package_rejects_registry_names_in_formula():
 def test_lemma_that_never_mentions_its_name_is_dead_weight():
     # legal but useless: the clause does not involve the new name, so the
     # lemma can be stored and checked yet never be applied
-    sig = builtin_signature()
-    results, _, ses = parse_lib(
+    src = parse_source(
         "type dead pf.\n"
         "def_lemma dead\n"
         "  (Dead\\ pi T\\ pi X\\ (proves refl (eq T X X)))\n"
         "  refl.\n",
-        sig,
+        builtin_signature(),
     )
-    assert all(r.ok for _, r in results)
+    ses = Session()
+    assert all(r.ok for _, r in load_library(src, {}, ses))
     from holcheck.syntax import parse_goal
 
-    use = parse_goal(r"pi C\ (hastype C intty ==>> proves dead (eq intty C C))", sig)
+    use = parse_goal(r"pi C\ (hastype C intty ==>> proves dead (eq intty C C))", src.sig)
     assert not ses.check_goal(use).ok

@@ -12,13 +12,12 @@ from negatives import CASES, META_TYPE_ERROR
 
 from holcheck.cli import main
 from holcheck.errors import SourceError
-from holcheck.signature import BUILTIN_INFIX, builtin_signature
+from holcheck.signature import BUILTIN_INFIX, Scheme, builtin_signature
 from holcheck.syntax import (
     DefDefinition,
     DefLemma,
     Solve,
     TypeDecl,
-    apply_declarations,
     format_goal,
     format_statement,
     format_term,
@@ -108,7 +107,20 @@ def test_type_declarations_extend_scope_in_file_order():
     assert isinstance(src.statements[0], TypeDecl)
     assert src.statements[0].mt == TM
     # the original signature is untouched
-    assert sig.lookup("c") is None
+    assert "c" not in sig.consts
+
+
+def test_a_parsed_file_carries_the_signature_it_ends_with():
+    sig = builtin_signature()
+    before = (dict(sig.consts), dict(sig.infixes))
+    src = parse_source("type c tm -> tm -> tm.\ninfixl c 6.\ntype d tm.\n", sig)
+    assert (sig.consts, sig.infixes) == before  # the argument is unmodified
+    assert src.sig is not sig
+    assert src.sig.consts == {**before[0], "c": Scheme(arrow(TM, TM, TM)), "d": Scheme(TM)}
+    assert src.sig.infixes == {**before[1], "c": ("left", 6)}
+    # a file parsed against it may use its declarations
+    (st,) = parse_source("proves refl (eq intty (d c d) (d c d)).\n", src.sig).statements
+    assert format_goal(st.goal, src.sig) == "proves refl (eq intty (d c d) (d c d))"
 
 
 def test_user_infix_declaration_round_trip():
@@ -122,11 +134,7 @@ def test_user_infix_declaration_round_trip():
         sig,
     )
     st = src.statements[-1]
-    work = builtin_signature()
-    from holcheck.syntax import apply_declarations
-
-    apply_declarations(src.statements, work)
-    text = format_statement(st, work)
+    text = format_statement(st, src.sig)
     assert "a oplus b oplus a" in text
     reparsed = parse_source(
         "type oplus tm -> tm -> tm.\ninfixl oplus 6.\ntype a tm.\ntype b tm.\n" + text,
@@ -158,8 +166,7 @@ def test_infix_of_any_precedence_prints_to_what_parses_back(assoc, prec):
             parse_source(decls, builtin_signature())
         return
     src = parse_source(decls + body, builtin_signature())
-    work = builtin_signature()
-    apply_declarations(src.statements, work)
+    work = src.sig
     printed = "\n".join(format_statement(st, work) for st in src.statements)
     again = parse_source(printed, builtin_signature())
     assert [st.goal for st in again.statements[3:]] == [st.goal for st in src.statements[3:]]
@@ -214,11 +221,7 @@ def test_round_trip_corpus_statement(name):
 def test_round_trip_library_file():
     sig = builtin_signature()
     src = parse_source((CORPUS / "lib_full.hol").read_text(), sig, "lib_full.hol")
-    work = builtin_signature()
-    from holcheck.syntax import apply_declarations
-
-    apply_declarations(src.statements, work)
-    text = "\n".join(format_statement(st, work) for st in src.statements)
+    text = "\n".join(format_statement(st, src.sig) for st in src.statements)
     re_src = parse_source(text, sig, "printed")
     for a, b in zip(src.statements, re_src.statements):
         if isinstance(a, DefLemma):
@@ -481,9 +484,7 @@ def _front_end(parse, text, sig):
 
 def _sources():
     """The corpus files and the negatives, each with its signature."""
-    with_lib = builtin_signature()
-    lib = parse_source((CORPUS / "lib_full.hol").read_text(), with_lib)
-    apply_declarations(lib.statements, with_lib)
+    with_lib = parse_source((CORPUS / "lib_full.hol").read_text(), builtin_signature()).sig
     out = []
     for f in sorted(CORPUS.glob("*.hol")):
         sig = with_lib if f.name.endswith("_via_lib.hol") else builtin_signature()

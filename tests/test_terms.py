@@ -20,7 +20,6 @@ from holcheck.syntax import (
     DefDefinition,
     DefLemma,
     Solve,
-    apply_declarations,
     format_goal,
     parse_source,
     parse_term,
@@ -341,8 +340,7 @@ def test_elaboration_never_prints_applications(monkeypatch):
 def _corpus_statements(name):
     sig = builtin_signature()
     if "via_lib" in name:
-        lib = parse_source((CORPUS / "lib_full.hol").read_text(), sig)
-        apply_declarations(lib.statements, sig)
+        sig = parse_source((CORPUS / "lib_full.hol").read_text(), sig).sig
     return parse_source((CORPUS / name).read_text(), sig, name).statements
 
 

@@ -9,7 +9,7 @@ from holcheck.cli import _library_signature, main
 from holcheck.kernel import Session
 from holcheck.library import walk
 from holcheck.signature import builtin_signature
-from holcheck.syntax import Solve, apply_declarations, format_goal, parse_source, parse_term
+from holcheck.syntax import Solve, format_goal, parse_source, parse_term
 from holcheck.terms import (
     PROVES,
     Const,
@@ -210,9 +210,10 @@ def test_expansion_equals_normalizing_each_lemma_node_whole(name):
     libs = [CORPUS / "lib_full.hol"] if name.endswith("_via_lib.hol") else []
     sig = _library_signature(libs)
     goals = 0
-    for st in parse_source((CORPUS / name).read_text(), sig, name).statements:
+    src = parse_source((CORPUS / name).read_text(), sig, name)
+    sig = src.sig
+    for st in src.statements:
         if not isinstance(st, Solve):
-            apply_declarations([st], sig)
             continue
         got = expand_statement_goal(st.goal)
         want = map_proves(st.goal, _expand_atom_by_normalizing)
