@@ -37,7 +37,7 @@ from .syntax import (
     format_statement,
     parse_source,
 )
-from .terms import PROVES, App, map_proves
+from .terms import PROVES, App, _former, _hsubst, map_proves
 from .transform import expand_statement_goal, proof_stats
 
 EXIT_OK, EXIT_FAILED, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
@@ -75,12 +75,40 @@ def report_message(report, sig):
     return f"{report.message}: {format_goal(report.goal, sig)}"
 
 
+class TracingSession(Session):
+    """A session that keeps, for `--trace trace`, the atoms of each check's
+    deepest failing branch in `deepest`, outermost first, the later of two
+    as deep.  It solves an atom as `Session.solve` does, with the same ticks
+    and frames, so a check gives the report and counter of a `Session`.
+    A check solves its goal at step 0 and every other goal after a step, so
+    `solve` at step 0 starts a record (overriding `check_goal` costs a frame)."""
+
+    def solve(self, g, vs=()):
+        if self.steps == 0:
+            self.stack, self.deepest = [], ()
+        # a plain return, not a generator: a goal former costs no frame more
+        return super().solve(g, vs) if _former(g) else self._solve_atom(g, vs)
+
+    def _solve_atom(self, g, vs):
+        self.tick()
+        self.stack.append(_hsubst(g, 0, vs))
+        try:
+            produced = False
+            for _ in self._dispatch(self.stack[-1]):
+                produced = True
+                yield
+            if not produced and len(self.stack) >= len(self.deepest):
+                self.deepest = tuple(self.stack)
+        finally:
+            self.stack.pop()
+
+
 class Environment:
     """Signature + session + registry with the libraries loaded and checked."""
 
     def __init__(self, lib_paths, budget, trace):
         self.sig = builtin_signature()
-        self.session = Session(budget=budget)
+        self.session = (TracingSession if trace == "trace" else Session)(budget=budget)
         self.registry = {}
         self.trace = trace
         self.codes = []
@@ -107,7 +135,7 @@ class Environment:
         """
         env = object.__new__(type(self))
         env.sig = sig
-        env.session = Session(budget=self.session.budget)
+        env.session = type(self.session)(budget=self.session.budget)
         env.session.store = list(self.session.store)
         env.session.counter = self.session.counter
         env.registry = dict(self.registry)
@@ -147,8 +175,8 @@ class Environment:
         message = report_message(report, self.sig)
         msg = f": {message}" if message else ""
         self.emit(f"{loc}: {what}: {kind}{msg} (steps={s.steps})")
-        if self.trace == "trace":
-            for g in report.failure_stack:  # terms, printed only here
+        if report.failed and self.trace == "trace":
+            for g in self.session.deepest:  # terms, printed only here
                 print(f"  | {format_goal(g, self.sig)}", file=sys.stderr)
         self.codes.append(_ERROR_EXIT[report.error])
 

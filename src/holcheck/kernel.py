@@ -2,8 +2,8 @@
 
 The core is this module with `terms`, `signature` and `errors`, which
 import only each other and the standard library.  It returns terms, never
-text: a report's failing goals, and the clause or goal a validity error
-names, are printed by the caller (`cli`).
+text: the clause or goal a validity error names is printed by the caller
+(`cli`), which also records, for `--trace trace`, where a check failed.
 
 A Session owns the clause store, the matching-variable trail, the
 eigenvariable timestamp counter and the step budget.  Goals, the terms of
@@ -117,14 +117,11 @@ Stats = namedtuple("Stats", "steps clauses_added max_store_depth", defaults=(0, 
 
 
 class CheckReport(
-    namedtuple(
-        "CheckReport", "ok error message stats failure_stack goal", defaults=(None, "", Stats(), (), None)
-    )
+    namedtuple("CheckReport", "ok error message stats goal", defaults=(None, "", Stats(), None))
 ):
     """`error` is None or what ended the check: validity, pattern, budget or
-    structural.  A plain failure's `failure_stack` holds the goals of its
-    deepest failing branch, outermost first; a validity error's `goal` is
-    the clause or goal it names, if any.  Both are terms, for the caller to print."""
+    structural.  A validity error's `goal` is the clause or goal it names,
+    if any, as a term for the caller to print."""
 
     __slots__ = ()
     failed = property(lambda report: not report.ok and report.error is None)
@@ -395,8 +392,6 @@ class Session:
         self.steps = 0
         self.clauses_added = 0
         self.max_store_depth = 0
-        self.goal_stack = []
-        self.failure_snapshot = ()
 
     # -- resource accounting -------------------------------------------------
 
@@ -564,20 +559,10 @@ class Session:
             finally:
                 del self.store[depth:]
         else:
-            atom = _hsubst(g, 0, vs)
-            self.goal_stack.append(atom)
-            try:
-                produced = False
-                for _ in self._dispatch(atom):
-                    produced = True
-                    yield
-                if not produced and len(self.goal_stack) >= len(self.failure_snapshot):
-                    self.failure_snapshot = tuple(self.goal_stack)
-            finally:
-                self.goal_stack.pop()
+            yield from self._dispatch(_hsubst(g, 0, vs))
 
     def _dispatch(self, atom: Term):
-        """The solutions of a built atom: a handler's, a rule's, the store's or none."""
+        """The solutions of a built atom: a handler's, a rule's or the store's."""
         # in a built atom, `free == META_FREE` means an unbound matching variable
         pred = _pred(atom)
         if pred == "proves":
@@ -597,14 +582,11 @@ class Session:
                 return ()  # unresolved matching variable at dispatch
             # lazily: the atom's own store search starts when the assumptions' ends
             return chain.from_iterable(map(self.solve_store, (App(ASSUMP, (atom,)), atom)))
-        if pred:
-            if atom.free == META_FREE:
-                return ()
-            s = atom.args[0]
-            h = s.head if isinstance(s, App) else s
-            rule = pred == "hastype" and isinstance(h, Const) and HASTYPE_RULES.get(h.name)
-            return self.backchain(atom, rule) if rule else self.solve_store(atom)
-        return ()  # unknown predicates have no rules: fail
+        if atom.free == META_FREE:
+            return ()
+        key = head_key(atom)
+        rule = pred == "hastype" and key and HASTYPE_RULES.get(key[1])
+        return self.backchain(atom, rule) if rule else self.solve_store(atom)
 
     def solve_store(self, atom: Term):
         """Try the dynamic clauses, most recently added first.
@@ -721,7 +703,6 @@ class Session:
         self.steps = 0
         clauses_before = self.clauses_added
         self.max_store_depth = len(self.store)
-        self.failure_snapshot = ()
         depth, tmark = len(self.store), self.mark()
         g = augment_goal(goal) if augment else goal
         ok, error, message, named = False, None, "", None
@@ -744,5 +725,4 @@ class Session:
             clauses_added=self.clauses_added - clauses_before,
             max_store_depth=self.max_store_depth,
         )
-        failure_stack = self.failure_snapshot if not ok and error is None else ()
-        return CheckReport(ok, error, message, stats, failure_stack, named)
+        return CheckReport(ok, error, message, stats, named)

@@ -372,6 +372,27 @@ def test_an_axiom_assumed_by_an_implication_is_gone_after_its_goal(goal, tmp_pat
     assert run("check", str(f)) == 1
 
 
+@pytest.mark.parametrize(
+    "text,code,out,err",
+    [
+        ("type p tm -> o. type a tm. (p a ==>> p a).", 0, "success (steps=3, clauses=1, depth=1)", ""),
+        ("type q o. (q ==>> q).", 0, "success (steps=3, clauses=1, depth=1)", ""),
+        ("type p tm -> o. type a tm. p a.", 1, "failure (steps=1)", "  | p a\n"),
+    ],
+    ids=["predicate of a term", "proposition", "no clause"],
+)
+def test_an_atom_of_a_declared_predicate_is_solved_from_the_store(
+    text, code, out, err, tmp_path, capsys
+):
+    # a pushed clause for an atom no built-in rule answers: it is found in the
+    # clause store (an empty store fails after the one step of the atom)
+    f = tmp_path / "own.hol"
+    f.write_text(text + "\n")
+    assert run("check", "--trace", "trace", str(f)) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (f"{f}:1: goal: {out}\n", err)
+
+
 FAILING_CASES = [c for c in CASES if c[3] == 1]
 
 
@@ -404,6 +425,25 @@ def test_of_two_equally_deep_failing_stacks_the_later_is_printed(tmp_path, capsy
         "  | hastype false form",
         "  | proves q_3 false",
         "  | hastype c_1 form",
+    ]
+
+
+def test_each_check_of_a_file_prints_its_own_failing_stack(tmp_path, capsys):
+    # the second goal fails at its first atom, less deep than the first did
+    f = tmp_path / "two.hol"
+    f.write_text(
+        "type s tm -> tm.\ntype z tm.\n"
+        "(pi X\\ (hastype (s X) intty <<== hastype X intty)) ==>> hastype (s (s z)) intty.\n"
+        "hastype z intty.\n"
+    )
+    assert run("check", "--trace", "trace", str(f)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{f}:3: goal: failure (steps=13)\n{f}:4: goal: failure (steps=1)\n"
+    assert captured.err.splitlines() == [
+        "  | hastype (s (s z)) intty",
+        "  | hastype (s z) intty",
+        "  | hastype z intty",
+        "  | hastype z intty",
     ]
 
 

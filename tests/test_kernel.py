@@ -12,6 +12,7 @@ from conftest import CORPUS, ROOT, THEOREM_FILES, EXTRA_THEOREM_FILES, load_corp
 from props import goal_spine, plain_spine
 
 from holcheck import cli, kernel, syntax
+from holcheck.cli import TracingSession
 
 from holcheck.errors import PatternError, StructuralError, ValidityError
 from holcheck.kernel import (
@@ -53,6 +54,7 @@ from holcheck.terms import (
     subst_goal,
 )
 from negatives import CASES
+from test_cli import _chain_text
 
 
 def check(text, sig=None, augment=True, budget=None):
@@ -162,8 +164,9 @@ def test_check_goal_prints_nothing(sig, monkeypatch):
         raise AssertionError("the kernel printed a term")
 
     monkeypatch.setattr(syntax, "_fmt", no_printing)
-    r = Session(sig).check_goal(failing)
-    assert r.failed and r.failure_stack
+    ses = TracingSession(sig)
+    r = ses.check_goal(failing)
+    assert r.failed and ses.deepest
     r = Session(sig).check_goal(invalid)
     assert (r.error, r.message) == ("validity", "extractGoal argument outside the allowed grammar")
     assert r.goal is not None
@@ -636,14 +639,18 @@ def test_sessions_are_independent(sig):
     assert len(b.store) == 0
 
 
-def test_failure_report_carries_goal_stack():
-    r = check(
-        r"pi C\ pi D\ (hastype C intty ==>> (hastype D intty ==>>"
-        r" proves refl (eq intty C D)))"
+def test_failure_report_carries_goal_stack(sig):
+    # the recorder the CLI builds for `--trace trace` keeps the stack
+    ses = TracingSession(sig)
+    r = ses.check_goal(
+        parse_goal(
+            r"pi C\ pi D\ (hastype C intty ==>> (hastype D intty ==>>"
+            r" proves refl (eq intty C D)))",
+            sig,
+        )
     )
-    assert not r.ok and r.failure_stack
-    sig = builtin_signature()
-    assert any("proves refl" in format_goal(g, sig) for g in r.failure_stack)
+    assert r.failed and ses.deepest
+    assert any("proves refl" in format_goal(g, sig) for g in ses.deepest)
 
 
 def test_augment_types_formulas_first(sig):
@@ -715,15 +722,35 @@ class NormalFormSession(Session):
         super()._push(g)
 
 
+def _tracing(session_cls):
+    """`session_cls` under the recorder that `--trace trace` builds."""
+    return type(f"Tracing{session_cls.__name__}", (TracingSession, session_cls), {})
+
+
 def _check_files(monkeypatch, session_cls, *args):
-    monkeypatch.setattr(cli, "Session", session_cls)
-    return cli.main(["check", *map(str, args)])
+    """`holcheck check` on `args` with `session_cls` as the CLI's session
+    class, under the recorder in trace mode; fails unless the CLI builds it."""
+    built = []
+
+    class Built(session_cls):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "Session", Built)
+    monkeypatch.setattr(cli, "TracingSession", _tracing(Built))
+    code = cli.main(["check", *map(str, args)])
+    assert built, "the CLI never built the patched session class"
+    return code
 
 
 CORPUS_RUNS = [
     (f.name, ("--lib", CORPUS / "lib_full.hol") if "via_lib" in f.name else ())
     for f in sorted(CORPUS.glob("*.hol"))
 ]
+
+
+THEOREM_RUNS = [run for run in CORPUS_RUNS if not run[0].startswith("lib_")]
 
 
 @pytest.mark.parametrize("name,libs", CORPUS_RUNS, ids=[n for n, _ in CORPUS_RUNS])
@@ -759,17 +786,21 @@ class FullScanSession(Session):
 
 
 def _recording(session_cls, log):
-    """`session_cls`, appending each report, printed over the builtin
-    signature, and the counter after it to `log`: the goals of two sessions'
-    reports hold matching variables of their own.  (The CLI prints them over
-    the file's signature, in the output the callers also compare.)"""
+    """`session_cls`, appending each report and the counter after it to
+    `log`, then the deepest failing stack of a failure under the recorder
+    (None in a plain session), all printed over the builtin signature: the
+    goals of two sessions hold matching variables of their own.  (The CLI
+    prints them over the file's signature, in the output the callers also
+    compare.)"""
     sig = builtin_signature()
 
     class Recording(session_cls):
         def check_goal(self, goal, augment=True):
             r = super().check_goal(goal, augment)
-            stack = tuple(format_goal(g, sig) for g in r.failure_stack)
-            log.append((r.ok, r.error, cli.report_message(r, sig), r.stats, stack, self.counter))
+            stack = getattr(self, "deepest", None)
+            if stack is not None:
+                stack = tuple(format_goal(g, sig) for g in stack) if r.failed else ()
+            log.append((r.ok, r.error, cli.report_message(r, sig), r.stats, self.counter, stack))
             return r
 
     return Recording
@@ -824,6 +855,67 @@ def test_budget_that_runs_out_while_charging_skipped_clauses(sig):
         assert reports[0][:2] == ((True, None) if budget == total else (False, "budget"))
 
 
+# ---------------------------------------------------------------------------
+# The `--trace trace` recorder solves an atom as the core does
+# ---------------------------------------------------------------------------
+
+
+def _recorder_agrees_with_the_core(monkeypatch, capsys, *args):
+    """`check --trace summary` and `--trace trace` on `args` give one exit
+    code, and each check one report and counter; only the second records."""
+    runs = []
+    for trace in ("summary", "trace"):
+        log = []
+        code = _check_files(monkeypatch, _recording(Session, log), "--trace", trace, *args)
+        assert all((entry[-1] is not None) == (trace == "trace") for entry in log)
+        runs.append((code, [entry[:-1] for entry in log]))
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name,libs", THEOREM_RUNS, ids=[n for n, _ in THEOREM_RUNS])
+def test_the_recorder_gives_the_core_s_reports_on_corpus(name, libs, monkeypatch, capsys):
+    _recorder_agrees_with_the_core(monkeypatch, capsys, *libs, CORPUS / name)
+
+
+@pytest.mark.parametrize("name,text,libs,expected", CASES, ids=[c[0] for c in CASES])
+def test_the_recorder_gives_the_core_s_reports_on_negatives(
+    name, text, libs, expected, monkeypatch, tmp_path, capsys
+):
+    f = tmp_path / "case.hol"
+    f.write_text(text)
+    lib_args = [a for lib in libs for a in ("--lib", CORPUS / lib)]
+    _recorder_agrees_with_the_core(monkeypatch, capsys, *lib_args, f)
+
+
+def _core_and_recorder(sig, goal, budget=kernel.DEFAULT_BUDGET, augment=True):
+    """The report of `goal` and the counter after it, in a `Session` and in
+    the recorder."""
+    outcomes = []
+    for cls in (Session, TracingSession):
+        ses = cls(sig, budget)
+        outcomes.append((ses.check_goal(goal, augment), ses.counter))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("n", range(10, 61, 10))
+def test_the_recorder_gives_the_core_s_reports_on_chains(n):
+    # each a bench/chain.py statement with a deep clause store; every tenth
+    # length, as all 51 from 10 to 60 take half a minute
+    for reject, ok in ((None, True), ("left" if n % 20 else "right", False)):
+        (st,) = parse_source(_chain_text(n, reject), builtin_signature(), "chain").statements
+        assert _core_and_recorder(builtin_signature(), st.goal)[0].ok == ok
+
+
+def test_the_recorder_gives_the_core_s_reports_at_every_budget(sig):
+    goal = parse_goal(SKIPPED_THEN_MATCHED, sig)
+    total = Session(sig).check_goal(goal, augment=False).stats.steps
+    for budget in range(1, total + 1):
+        report, _ = _core_and_recorder(sig, goal, budget, augment=False)
+        assert report.ok == (budget == total), budget
+
+
 class BackchainLog(Session):
     """Records the store positions of the clauses `solve_store` backchains."""
 
@@ -841,11 +933,11 @@ def _backchained(sig, clauses, goal):
     stored; a full scan must give the same report and counter."""
     outcomes = []
     for cls in (BackchainLog, FullScanSession):
-        ses = cls(sig)
+        ses = _tracing(cls)(sig)
         for c in clauses:
             ses.push_clause(c)
         r = ses.check_goal(goal, augment=False)
-        outcomes.append((r.ok, r.error, r.stats, r.failure_stack, ses.counter))
+        outcomes.append((r.ok, r.error, r.stats, ses.deepest if r.failed else (), ses.counter))
         if cls is BackchainLog:
             tried = ses.tried
     assert outcomes[0] == outcomes[1]
@@ -1030,9 +1122,6 @@ class CheckLog(Session):
     def _push(self, g):
         self.clauses.setdefault(g, g)
         super()._push(g)
-
-
-THEOREM_RUNS = [run for run in CORPUS_RUNS if not run[0].startswith("lib_")]
 
 
 @pytest.mark.parametrize("name,libs", THEOREM_RUNS, ids=[n for n, _ in THEOREM_RUNS])
@@ -1306,7 +1395,7 @@ def test_a_report_failed_only_when_no_error_ended_the_check():
     assert CheckReport(False).failed and not CheckReport(True).failed
     assert not CheckReport(False, "budget").failed
     report = CheckReport(False)
-    assert (report.error, report.message, report.failure_stack) == (None, "", ())
+    assert (report.error, report.message, report.goal) == (None, "", None)
     assert report.stats == Stats() == Stats(0, 0, 0)
 
 
