@@ -37,7 +37,7 @@ from .syntax import (
     format_statement,
     parse_source,
 )
-from .terms import PROVES, App, _former, _hsubst, map_proves
+from .terms import PROVES, App, map_proves
 from .transform import expand_statement_goal, proof_stats
 
 EXIT_OK, EXIT_FAILED, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
@@ -78,29 +78,34 @@ def report_message(report, sig):
 class TracingSession(Session):
     """A session that keeps, for `--trace trace`, the atoms of each check's
     deepest failing branch in `deepest`, outermost first, the later of two
-    as deep.  It solves an atom as `Session.solve` does, with the same ticks
-    and frames, so a check gives the report and counter of a `Session`.
-    A check solves its goal at step 0 and every other goal after a step, so
-    `solve` at step 0 starts a record (overriding `check_goal` costs a frame)."""
+    as deep.  Its `_dispatch` records an atom's solutions at no step, so a
+    check gives the report and counter of a `Session`, and at a frame per
+    atom, which the core does not spend.  An atom is on `stack` while it is
+    searched, off it while a solution is out: a stack is a failing goal and
+    its ancestors.  A check solves its goal at step 0 and every other goal
+    after a step, so `solve` at step 0 starts a record (overriding `check_goal` costs a frame)."""
 
     def solve(self, g, vs=()):
         if self.steps == 0:
             self.stack, self.deepest = [], ()
-        # a plain return, not a generator: a goal former costs no frame more
-        return super().solve(g, vs) if _former(g) else self._solve_atom(g, vs)
+        return super().solve(g, vs)
 
-    def _solve_atom(self, g, vs):
-        self.tick()
-        self.stack.append(_hsubst(g, 0, vs))
+    def _dispatch(self, atom):
+        stack = self.stack
+        stack.append(atom)
+        on, produced = True, False  # `on`: whether `atom` is on the stack
         try:
-            produced = False
-            for _ in self._dispatch(self.stack[-1]):
-                produced = True
+            for _ in super()._dispatch(atom):
+                stack.pop()
+                on, produced = False, True
                 yield
-            if not produced and len(self.stack) >= len(self.deepest):
-                self.deepest = tuple(self.stack)
+                stack.append(atom)
+                on = True
+            if not produced and len(stack) >= len(self.deepest):
+                self.deepest = tuple(stack)
         finally:
-            self.stack.pop()
+            if on:
+                stack.pop()
 
 
 class Environment:

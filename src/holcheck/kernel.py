@@ -9,7 +9,8 @@ A Session owns the clause store, the matching-variable trail, the
 eigenvariable timestamp counter and the step budget.  Goals, the terms of
 meta-type o, are solved by a complete chronological-backtracking
 interpreter that reads each goal's head constant and arguments off its
-spine, one `App` node (see `terms`):
+spine, one `App` node (see `terms`).  `solve` takes a goal's step at the
+call and returns an iterator of its solutions, which the caller runs at once:
 
   * `pi` goals introduce fresh eigenvariables,
   * `,` goals solve both sides, left first,
@@ -340,7 +341,7 @@ _CONSTRUCTORS = {
 
 
 # The keys of a stored clause whose scope has ended while its `=>` goal or
-# lemma node has a solution out (see `Session.solve`); and an atom no head
+# lemma node has a solution out (see `Session._scoped`); and an atom no head
 # matches, to walk such a clause on
 _OUT = object()
 _NOWHERE = Const("", O)
@@ -534,32 +535,40 @@ class Session:
     # -- the interpreter ----------------------------------------------------------
 
     def solve(self, g: Term, vs=()):
-        """Generator yielding once per solution, chronological order, for
-        `g` open over `vs`, as the module docstring describes."""
+        """An iterator that yields once per solution of `g`, open over `vs`,
+        in chronological order.  The goal's step is taken at the call, so the
+        caller runs the iterator at once, as the module docstring describes."""
         self.tick()
         former = _former(g)
         if former == ",":
-            for _ in self.solve(g.args[0], vs):
-                yield from self.solve(g.args[1], vs)
-        elif former == "pi":
+            return self._both(*g.args, vs)
+        if former == "pi":
             lam = g.args[0]
-            x = self.fresh_eigen(lam.mt, lam.hint)
-            yield from self.solve(lam.body, vs + (x,))
-        elif former == "=>":
+            return self.solve(lam.body, vs + (self.fresh_eigen(lam.mt, lam.hint),))
+        if former == "=>":
             depth = len(self.store)
             self._push(_hsubst(g.args[0], 0, vs))
-            entry = self.store[depth]
-            try:
-                for _ in self.solve(g.args[1], vs):
-                    # out of scope while the caller goes on; the goal inside
-                    # put out any entry above it before it yielded
-                    self.store[depth] = (entry[0], _OUT) + entry[2:]
-                    yield
-                    self.store[depth] = entry
-            finally:
-                del self.store[depth:]
-        else:
-            yield from self._dispatch(_hsubst(g, 0, vs))
+            return self._scoped(depth, g.args[1], vs)
+        return self._dispatch(_hsubst(g, 0, vs))
+
+    def _both(self, a, b, vs):
+        for _ in self.solve(a, vs):
+            yield from self.solve(b, vs)
+
+    def _scoped(self, depth, g, vs):
+        """The solutions of `g`, open over `vs`, with the clauses stored from
+        `depth` up in scope for it alone: while a solution is out, their
+        entries' keys are `_OUT` (the goal inside put out any entry above
+        them before it yielded); when it ends, they are deleted."""
+        scope = self.store[depth:]
+        end = len(self.store)
+        try:
+            for _ in self.solve(g, vs):
+                self.store[depth:end] = [(c, _OUT, t, m) for c, _, t, m in scope]
+                yield
+                self.store[depth:end] = scope
+        finally:
+            del self.store[depth:]
 
     def _dispatch(self, atom: Term):
         """The solutions of a built atom: a handler's, a rule's or the store's."""
@@ -660,15 +669,7 @@ class Session:
             depth = len(self.store)
             for clause in clauses():
                 self._push(clause)  # built from the atom: no matching variable
-            scope = self.store[depth:]
-            end = len(self.store)
-            try:
-                for _ in self.solve(app(PROVES, subst(rest.body, name), formula)):
-                    self.store[depth:end] = [(c, _OUT, t, m) for c, _, t, m in scope]  # as in `solve`
-                    yield
-                    self.store[depth:end] = scope
-            finally:
-                del self.store[depth:]
+            yield from self._scoped(depth, app(PROVES, subst(rest.body, name), formula), ())
 
     def check_elam(self, q, formula):
         if not isinstance(q, Lam):
@@ -689,8 +690,7 @@ class Session:
     def check_extract_goal(self, g, sub, formula):
         if not valid_clause(g):
             raise ValidityError("extractGoal argument outside the allowed grammar", g)
-        for _ in self.solve(g):
-            yield from self.solve(app(PROVES, sub, formula))
+        return self._both(g, app(PROVES, sub, formula), ())
 
     # -- checking entry point -----------------------------------------------------
 
@@ -707,14 +707,9 @@ class Session:
         g = augment_goal(goal) if augment else goal
         ok, error, message, named = False, None, "", None
         try:
-            gen = self.solve(normalize_goal(g))
-            try:
-                next(gen)
+            for _ in self.solve(normalize_goal(g)):
                 ok = True
-            except StopIteration:
-                ok = False
-            finally:
-                gen.close()
+                break
         except tuple(_ERROR_KINDS) as e:
             error, message = _ERROR_KINDS[type(e)], str(e)
             named = getattr(e, "goal", None)

@@ -421,11 +421,23 @@ def test_of_two_equally_deep_failing_stacks_the_later_is_printed(tmp_path, capsy
         "  ((proves q false <<== hastype d form) ==>> proves q false)).\n"
     )
     assert run("check", "--trace", "trace", str(f)) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "  | hastype false form",
-        "  | proves q_3 false",
-        "  | hastype c_1 form",
-    ]
+    assert capsys.readouterr().err.splitlines() == ["  | proves q_3 false", "  | hastype c_1 form"]
+
+
+def test_a_failure_stack_holds_no_goal_that_succeeded(tmp_path, capsys):
+    # the typing of the formula and the first conjunct succeed before the
+    # second conjunct fails; only the failing goal and its ancestors print
+    f = tmp_path / "solved.hol"
+    f.write_text(
+        "pi c\\ pi d\\ (hastype c intty ==>> (hastype d intty ==>>\n"
+        "  (hastype c intty, proves refl (eq intty c d)))).\n"
+    )
+    assert run("check", "--trace", "trace", str(f)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        f"{f}:1: goal: failure (steps=26)\n",
+        "  | proves refl (eq intty c_1 d_2)\n",
+    )
 
 
 def test_each_check_of_a_file_prints_its_own_failing_stack(tmp_path, capsys):
@@ -867,7 +879,7 @@ def test_thirty_link_chain_checks(tmp_path, capsys):
 
     With one interpreter frame per clause binder and a normalization of
     every atom, 30 links exhausted it (exit 3); with this link mix the
-    first failing length is now 66."""
+    first failing length is now 76 (99 on Python 3.12 and 3.13)."""
     f = tmp_path / "chain.hol"
     f.write_text(_chain_text(30))
     assert run("check", str(f)) == 0
@@ -890,28 +902,39 @@ _CHECK = (
 )
 
 DEEP_DERIVATIONS = {
-    "typing s^250 z": (_typing_text(250), 0),
-    "60-link chain": (_chain_text(60), 0),
-    "60-link chain, reject": (_chain_text(60, "left"), 1),
+    "typing s^250 z": (_typing_text(250), 0, []),
+    "typing s^450 z": (_typing_text(450), 0, []),
+    "typing s^300 z, --trace trace": (_typing_text(300), 0, ["--trace", "trace"]),
+    "60-link chain": (_chain_text(60), 0, []),
+    "60-link chain, reject": (_chain_text(60, "left"), 1, []),
+    "70-link chain": (_chain_text(70), 0, []),
+    "70-link chain, reject": (_chain_text(70, "left"), 1, []),
     "a goal atom inside 300 nested parentheses": (
         "type z tm.\nhastype z intty ==>> " + "(" * 300 + "hastype z intty" + ")" * 300 + ".\n",
         0,
+        [],
     ),
 }
 
 
-@pytest.mark.parametrize("text,code", DEEP_DERIVATIONS.values(), ids=DEEP_DERIVATIONS.keys())
-def test_deep_derivations_check_at_the_default_recursion_limit(text, code, tmp_path):
-    """A level of a store-clause derivation costs three interpreter frames
-    (`solve`, `solve_store`, `backchain`), so these get a verdict in a
-    fresh interpreter.  Typing first exits 3 at depth 328 (329 on Python
-    3.12 and 3.13), and the chain at 66 links.  A parenthesis costs the
-    parser two frames (`parse_expr` and `parse_primary`); 300 of them
-    would check at three frames each as well."""
+@pytest.mark.parametrize(
+    "text,code,options", DEEP_DERIVATIONS.values(), ids=DEEP_DERIVATIONS.keys()
+)
+def test_deep_derivations_check_at_the_default_recursion_limit(text, code, options, tmp_path):
+    """A level of a store-clause derivation costs two interpreter frames
+    (`solve_store` and `backchain`; `solve` returns its atom's solutions
+    and keeps no frame), so these get a verdict in a fresh interpreter.
+    Typing first exits 3 at depth 492 (493 on Python 3.11 to 3.13), and
+    the chain at 76 links (99 on 3.12 and 3.13).  Under `--trace trace`
+    the recorder adds a frame per atom, and typing first exits 3 at depth
+    328 (329 on 3.11 to 3.13).  A parenthesis costs the parser two frames
+    (`parse_expr` and `parse_primary`); 300 of them would check at three
+    frames each as well."""
     f = tmp_path / "deep.hol"
     f.write_text(text)
     done = subprocess.run(
-        [sys.executable, "-I", *["-O"] * sys.flags.optimize, "-c", _CHECK, str(ROOT / "src"), f],
+        [sys.executable, "-I", *["-O"] * sys.flags.optimize, "-c", _CHECK, str(ROOT / "src"),
+         *options, f],
         capture_output=True,
         text=True,
     )
