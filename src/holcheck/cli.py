@@ -8,7 +8,7 @@ take precedence over plain failures (1).
 
 `main` pauses Python's cyclic garbage collector while a command runs and
 re-enables it after, only if it was enabled before.  Terms, clause
-stores, trails and goal stacks are acyclic, so reference counting frees
+stores, trails and goal lists are acyclic, so reference counting frees
 all that a command makes, and a collector pass would only walk live terms.
 """
 
@@ -76,36 +76,18 @@ def report_message(report, sig):
 
 
 class TracingSession(Session):
-    """A session that keeps, for `--trace trace`, the atoms of each check's
-    deepest failing branch in `deepest`, outermost first, the later of two
-    as deep.  Its `_dispatch` records an atom's solutions at no step, so a
-    check gives the report and counter of a `Session`, and at a frame per
-    atom, which the core does not spend.  An atom is on `stack` while it is
-    searched, off it while a solution is out: a stack is a failing goal and
-    its ancestors.  A check solves its goal at step 0 and every other goal
-    after a step, so `solve` at step 0 starts a record (overriding `check_goal` costs a frame)."""
+    """A session that keeps in `deepest`, for `--trace trace`, a check's
+    deepest failing goal and its ancestors, outermost first, the later of
+    two as deep: the atoms in progress when one has no candidate left.  It
+    records at no step, so a check gives the report and counter of a `Session`."""
 
     def solve(self, g, vs=()):
-        if self.steps == 0:
-            self.stack, self.deepest = [], ()
+        self.deepest = ()  # a check calls `solve` once
         return super().solve(g, vs)
 
-    def _dispatch(self, atom):
-        stack = self.stack
-        stack.append(atom)
-        on, produced = True, False  # `on`: whether `atom` is on the stack
-        try:
-            for _ in super()._dispatch(atom):
-                stack.pop()
-                on, produced = False, True
-                yield
-                stack.append(atom)
-                on = True
-            if not produced and len(stack) >= len(self.deepest):
-                self.deepest = tuple(stack)
-        finally:
-            if on:
-                stack.pop()
+    def _exhausted(self, frames):
+        if len(frames) > len(self.deepest):  # the first frame is the check's own
+            self.deepest = tuple(frame[0] for frame in frames[1:])
 
 
 class Environment:

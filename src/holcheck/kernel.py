@@ -6,11 +6,10 @@ text: the clause or goal a validity error names is printed by the caller
 (`cli`), which also records, for `--trace trace`, where a check failed.
 
 A Session owns the clause store, the matching-variable trail, the
-eigenvariable timestamp counter and the step budget.  Goals, the terms of
-meta-type o, are solved by a complete chronological-backtracking
-interpreter that reads each goal's head constant and arguments off its
-spine, one `App` node (see `terms`).  `solve` takes a goal's step at the
-call and returns an iterator of its solutions, which the caller runs at once:
+eigenvariable timestamp counter and the step budget.  `solve` derives a
+goal, a term of meta-type o read off its spine (one `App` node, see
+`terms`), by committed choice, in one loop over a list of goals that takes
+a step per goal:
 
   * `pi` goals introduce fresh eigenvariables,
   * `,` goals solve both sides, left first,
@@ -20,15 +19,30 @@ call and returns an iterator of its solutions, which the caller runs at once:
     constructors get dedicated handlers, and everything else is resolved
     against the dynamic clause store by backchaining.
 
-Clause selection: the store is tried most recent clause first, as full
-backtracking over every clause would.  Each stored clause carries the keys
-of its heads (predicate and the constant at the head of the subject) and
-its miss cost, the steps and matching variables that backchaining it
-spends when no head matches.  A clause whose keys cannot hold the atom's
-key is not backchained but charged its miss cost, so steps, births and
-solution order are exactly those of trying it.  A clause pushed by `=>` or
-a lemma node is in scope for that goal only: while the goal has a solution
-out, its store entry's keys are `_OUT`, and it is charged, never tried.
+An atom's frame holds its candidates, each yielding the goals its success
+needs.  Once those are solved the frame is dropped: a solved atom is final.
+An atom with no candidate left sends the search back to the innermost
+frame, undone to its marks, the one place the search undoes the trail and
+the store (a failed head match unbinds its own bindings).  This loses no
+derivation (ROADMAP item 18): an atom binds a variable that outlives it
+only by one-way higher-order pattern matching against ground terms, which
+has at most one solution (Miller, JLC 1991).  `match` fails on an unbound
+target variable and `bind` refuses a value that holds one, so an `elam`
+variable is bound only by `extract`'s pattern, matched against the ground
+formula.  Every derivation of an atom leaves the same bindings, and fresh
+names born in the same order, so goals that fail after one derivation fail
+after any.
+
+Clause selection: the store is tried most recent clause first.  Each
+stored clause carries the keys of its heads (predicate and the constant at
+the head of the subject) and its miss cost, the steps and matching
+variables backchaining it spends when no head matches.  A clause whose
+keys cannot hold the atom's key is charged its miss cost, not tried, so
+steps and births are those of trying it.  A clause pushed by `=>` or a
+lemma node is in scope for that goal only: once the goal is solved, its
+entry's keys are `_OUT`, and it is charged, never tried, until the check
+ends or the search goes back past it, as chronological backtracking
+charged it while the goal had a solution out.
 
 Matching is one-directional (goal side ground) over the pattern fragment:
 a matching variable may appear bare or applied to distinct variables.
@@ -41,19 +55,16 @@ normalized only where they enter: the goal of `check_goal`, a clause from
 outside (`push_clause`), a definition's equality clause and the built-in
 rules.  Inside, a goal or clause body is a closure: a normal term open over
 `vs`, the values of the `pi` binders entered (eigenvariables in `solve`,
-fresh matching variables in `backchain`), innermost last; entering a binder
-substitutes nothing.  A clause head is matched as a closure, not built.
-Other terms are built where they are used (an atom goal in `solve`, the
-clause of an implication goal, a template at its argument) in one walk,
-`terms._hsubst`, that substitutes `vs` and the bound matching variables and
-reduces each redex as it forms.  So a built atom holds no bound matching
-variable, and a subterm of it holds an unbound one exactly when its `free`
-is `META_FREE`: dispatch reads that off the node and scans nothing.  Object
-substitution is a meta-level beta step, and in an eta-long term a bound
-variable is fully applied, so a name or a fresh matching variable put into
-a normal term with `subst` (a call of `_hsubst`) keeps it normal and
-reduces nothing: the handlers do so for `elam` and the rest of a lemma
-node, whose parts they read as sub-terms of a built atom.
+fresh matching variables in `backchain`), innermost last.  A clause head is
+matched as a closure; other terms are built where they are used (an atom
+goal, the clause of an implication goal, a template at its argument) by
+`terms._hsubst`, which substitutes `vs` and the bound matching variables
+and reduces each redex as it forms.  So a subterm of a built atom holds an
+unbound matching variable exactly when its `free` is `META_FREE`, and
+dispatch scans nothing.  In an eta-long term a bound variable is fully
+applied, so a name or a fresh matching variable put into a normal term by
+`subst` keeps it normal and reduces nothing: the handlers so build the
+body of `elam` and the rest of a lemma node, sub-terms of a built atom.
 """
 
 from __future__ import annotations
@@ -187,11 +198,11 @@ def instantiate(template, name, witness, kind, result_tp=None):
     normal `witness`; returns (goal, clauses).
 
     The template at `name` must be a whitelisted clause, else a
-    ValidityError names it by `kind`, and carries an in-proof instance as
-    its `goal`.  Solve `goal`, the template at `witness`, first; then push
-    `clauses()`: the instance and, for a definition (`result_tp` given),
-    its equality clause, built only after `goal` succeeds so that an
-    ill-typed body fails instead of raising.
+    ValidityError names it by `kind` and carries an in-proof instance as its
+    `goal`.  Solve `goal`, the template at `witness`, first; then push
+    `clauses()`: the instance and, for a definition (`result_tp` given), its
+    equality clause, built only then so that an ill-typed body fails
+    instead of raising.
     """
     inst = _goal_app(template, name)
     if not valid_clause(inst):
@@ -340,11 +351,12 @@ _CONSTRUCTORS = {
 }
 
 
-# The keys of a stored clause whose scope has ended while its `=>` goal or
-# lemma node has a solution out (see `Session._scoped`); and an atom no head
-# matches, to walk such a clause on
+# The keys of a stored clause whose scope has closed; an atom no head
+# matches, to walk such a clause on; and the goal-list entries that put a
+# clause out of scope and that call a function on the goals left
 _OUT = object()
 _NOWHERE = Const("", O)
+_SCOPE, _THEN = object(), object()
 
 
 class _Escape(Exception):
@@ -411,10 +423,7 @@ class Session:
         self.counter += 1
         return Meta(MetaCell(mt, birth=self.counter))
 
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def undo(self, mark):
+    def undo(self, mark):  # a mark is a length of the trail
         while len(self.trail) > mark:
             self.trail.pop().value = None
 
@@ -529,49 +538,66 @@ class Session:
         return self.bind(cell, value)
 
     def match_goal(self, head, atom, vs) -> bool:
-        """One attempt of `backchain`: a clause head, open over `vs`, on an atom."""
-        return self.match(head, atom, vs)
+        """One attempt of `backchain`: a clause head, open over `vs`, on an
+        atom; a failed one unbinds what it bound before the next begins."""
+        m = len(self.trail)
+        if self.match(head, atom, vs):
+            return True
+        self.undo(m)
+        return False
 
     # -- the interpreter ----------------------------------------------------------
 
-    def solve(self, g: Term, vs=()):
-        """An iterator that yields once per solution of `g`, open over `vs`,
-        in chronological order.  The goal's step is taken at the call, so the
-        caller runs the iterator at once, as the module docstring describes."""
-        self.tick()
-        former = _former(g)
-        if former == ",":
-            return self._both(*g.args, vs)
-        if former == "pi":
-            lam = g.args[0]
-            return self.solve(lam.body, vs + (self.fresh_eigen(lam.mt, lam.hint),))
-        if former == "=>":
-            depth = len(self.store)
-            self._push(_hsubst(g.args[0], 0, vs))
-            return self._scoped(depth, g.args[1], vs)
-        return self._dispatch(_hsubst(g, 0, vs))
+    def solve(self, g: Term, vs=()) -> bool:
+        """Whether `g`, open over `vs`, has a derivation.  Goals left: a cons
+        list of `(goal, vs)` cells; a frame: `(atom, candidates, trail mark,
+        store depth, goals after the atom)`, the first the check's own."""
+        frames = [(None, iter(()), len(self.trail), len(self.store), ())]
+        goals = ((g, vs), None)
+        while goals is not None:
+            while goals is frames[-1][4]:  # back to the goals after an atom: it is solved
+                frames.pop()
+            (g, vs), goals = goals
+            if g is _SCOPE:  # `vs` is the store position of a clause whose scope closed
+                c, _, t, m = self.store[vs]
+                self.store[vs] = (c, _OUT, t, m)
+                continue
+            if g is _THEN:
+                goals = vs(goals)
+                continue
+            self.tick()
+            former = _former(g)
+            if former == ",":
+                goals = ((g.args[0], vs), ((g.args[1], vs), goals))
+            elif former == "pi":
+                lam = g.args[0]
+                goals = ((lam.body, vs + (self.fresh_eigen(lam.mt, lam.hint),)), goals)
+            elif former == "=>":
+                goals = ((g.args[1], vs), ((_SCOPE, len(self.store)), goals))
+                self._push(_hsubst(g.args[0], 0, vs))
+            else:
+                atom = _hsubst(g, 0, vs)
+                candidates = iter(self._dispatch(atom))
+                frames.append((atom, candidates, len(self.trail), len(self.store), goals))
+                body = next(candidates, None)
+                while body is None:  # no candidate left: the innermost frame's next
+                    if len(frames) == 1:
+                        return False
+                    self._exhausted(frames)
+                    frames.pop()
+                    _, candidates, m, depth, goals = frames[-1]
+                    self.undo(m)
+                    del self.store[depth:]
+                    body = next(candidates, None)
+                for entry in reversed(body):
+                    goals = (entry, goals)
+        return True
 
-    def _both(self, a, b, vs):
-        for _ in self.solve(a, vs):
-            yield from self.solve(b, vs)
-
-    def _scoped(self, depth, g, vs):
-        """The solutions of `g`, open over `vs`, with the clauses stored from
-        `depth` up in scope for it alone: while a solution is out, their
-        entries' keys are `_OUT` (the goal inside put out any entry above
-        them before it yielded); when it ends, they are deleted."""
-        scope = self.store[depth:]
-        end = len(self.store)
-        try:
-            for _ in self.solve(g, vs):
-                self.store[depth:end] = [(c, _OUT, t, m) for c, _, t, m in scope]
-                yield
-                self.store[depth:end] = scope
-        finally:
-            del self.store[depth:]
+    def _exhausted(self, frames):
+        """The innermost of `frames` has no candidate left; `cli.TracingSession` records it."""
 
     def _dispatch(self, atom: Term):
-        """The solutions of a built atom: a handler's, a rule's or the store's."""
+        """The candidates of a built atom: a handler's, a rule's or the store's."""
         # in a built atom, `free == META_FREE` means an unbound matching variable
         pred = _pred(atom)
         if pred == "proves":
@@ -605,23 +631,24 @@ class Session:
         backchaining it would spend when no head matches, so steps and
         births are those of full backtracking.  Where the charge would pass
         the budget, the clause is walked on an atom no head matches, so the
-        budget runs out at the same step.
+        budget runs out at the same step.  The store is read live: no frame
+        cuts it below its depth at a search that is still going on.
         """
         key = head_key(atom)
-        for clause, keys, ticks, metas in tuple(reversed(self.store)):
+        for clause, keys, ticks, metas in reversed(self.store):
             if keys is not _OUT and (key is None or keys is None or key in keys):
                 yield from self.backchain(atom, clause)
             elif self.steps + ticks > self.budget:
-                for _ in self.backchain(_NOWHERE, clause):
-                    pass  # raises BudgetError
+                next(self.backchain(_NOWHERE, clause), None)  # raises BudgetError
             else:
                 self.steps += ticks
                 self.counter += metas
 
     def backchain(self, atom: Term, clause: Term, vs=()):
-        """Try `clause`, open over `vs`, on `atom`: one step and one fresh
-        matching variable per `pi` binder; a head is matched as a closure,
-        not built."""
+        """Try `clause`, open over `vs`, on `atom`: yield, for each head that
+        matches, the goals of the bodies it sits under, innermost first.
+        One step and one fresh matching variable per `pi` binder; a head is
+        matched as a closure, not built."""
         self.tick()
         former = _former(clause)
         while former == "pi":
@@ -632,21 +659,12 @@ class Session:
             former = _former(clause)
         if former == ",":
             for part in clause.args:
-                m = self.mark()
-                try:
-                    yield from self.backchain(atom, part, vs)
-                finally:
-                    self.undo(m)
+                yield from self.backchain(atom, part, vs)
         elif former == "=>":
-            for _ in self.backchain(atom, clause.args[1], vs):
-                yield from self.solve(clause.args[0], vs)
-        else:
-            m = self.mark()
-            try:
-                if self.match_goal(clause, atom, vs):
-                    yield
-            finally:
-                self.undo(m)
+            for body in self.backchain(atom, clause.args[1], vs):
+                yield body + ((clause.args[0], vs),)
+        elif self.match_goal(clause, atom, vs):
+            yield ()
 
     # -- lemma and definition constructors -------------------------------------
 
@@ -654,7 +672,7 @@ class Session:
         """`lemma_pf I L R` and `def_pf T I B R`, then the formula: check the
         template I at the witness L (or B), then check R at a fresh name
         with the instance (and the definition's equality) as clauses in
-        scope."""
+        scope; R at the name is built only once the witness is checked."""
         *args, formula = args
         if any(x.free == META_FREE for x in args):
             return
@@ -665,11 +683,14 @@ class Session:
         name = self.fresh_eigen(template.mt, rest.hint)
         kind = "lemma" if result_tp is None else "definition typing"
         goal, clauses = instantiate(template, name, witness, kind, result_tp)
-        for _ in self.solve(goal):
-            depth = len(self.store)
-            for clause in clauses():
-                self._push(clause)  # built from the atom: no matching variable
-            yield from self._scoped(depth, app(PROVES, subst(rest.body, name), formula), ())
+
+        def scope(goals):
+            for clause in clauses():  # built from the atom: no matching variable
+                goals = ((_SCOPE, len(self.store)), goals)
+                self._push(clause)
+            return ((app(PROVES, subst(rest.body, name), formula), ()), goals)
+
+        yield ((goal, ()), (_THEN, scope))
 
     def check_elam(self, q, formula):
         if not isinstance(q, Lam):
@@ -677,44 +698,40 @@ class Session:
         if q.mt not in (TP, TM):
             raise ValidityError("elam may only quantify over tp or tm")
         b = self.fresh_meta(q.mt)
-        return self.solve(app(PROVES, subst(q.body, b), formula))
+        yield ((app(PROVES, subst(q.body, b), formula), ()),)
 
     def check_extract(self, pat, sub, formula):
-        m = self.mark()
-        try:
-            if self.match(pat, formula):
-                yield from self.solve(app(PROVES, sub, formula))
-        finally:
-            self.undo(m)
+        if self.match(pat, formula):
+            yield ((app(PROVES, sub, formula), ()),)
 
     def check_extract_goal(self, g, sub, formula):
         if not valid_clause(g):
             raise ValidityError("extractGoal argument outside the allowed grammar", g)
-        return self._both(g, app(PROVES, sub, formula), ())
+        yield ((g, ()), (app(PROVES, sub, formula), ()))
 
     # -- checking entry point -----------------------------------------------------
 
     def check_goal(self, goal: Term, augment=True) -> CheckReport:
         """Solve a closed top-level goal and report verdict plus statistics.
-
-        Stack discipline is checked: the store and trail must be restored
-        to their entry state whatever the outcome, else StructuralError.
-        """
+        Stack discipline is checked: a success may leave above the store's
+        entry depth only `_OUT` entries, a failure nothing on the store or
+        trail, else StructuralError.  Then both are restored."""
         self.steps = 0
         clauses_before = self.clauses_added
         self.max_store_depth = len(self.store)
-        depth, tmark = len(self.store), self.mark()
+        depth, tmark = len(self.store), len(self.trail)
         g = augment_goal(goal) if augment else goal
         ok, error, message, named = False, None, "", None
         try:
-            for _ in self.solve(normalize_goal(g)):
-                ok = True
-                break
+            ok = self.solve(normalize_goal(g))
         except tuple(_ERROR_KINDS) as e:
             error, message = _ERROR_KINDS[type(e)], str(e)
             named = getattr(e, "goal", None)
-        if len(self.store) != depth or len(self.trail) != tmark:
+        out = ok and all(isinstance(e, tuple) and e[1] is _OUT for e in self.store[depth:])
+        if error is None and not out and (len(self.store), len(self.trail)) != (depth, tmark):
             raise StructuralError("store/trail stack discipline violated")
+        self.undo(tmark)
+        del self.store[depth:]
         stats = Stats(
             steps=self.steps,
             clauses_added=self.clauses_added - clauses_before,

@@ -435,7 +435,7 @@ def test_a_failure_stack_holds_no_goal_that_succeeded(tmp_path, capsys):
     assert run("check", "--trace", "trace", str(f)) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        f"{f}:1: goal: failure (steps=26)\n",
+        f"{f}:1: goal: failure (steps=25)\n",
         "  | proves refl (eq intty c_1 d_2)\n",
     )
 
@@ -905,6 +905,7 @@ DEEP_DERIVATIONS = {
     "typing s^250 z": (_typing_text(250), 0, []),
     "typing s^450 z": (_typing_text(450), 0, []),
     "typing s^300 z, --trace trace": (_typing_text(300), 0, ["--trace", "trace"]),
+    "typing s^450 z, --trace trace": (_typing_text(450), 0, ["--trace", "trace"]),
     "60-link chain": (_chain_text(60), 0, []),
     "60-link chain, reject": (_chain_text(60, "left"), 1, []),
     "70-link chain": (_chain_text(70), 0, []),
@@ -921,15 +922,14 @@ DEEP_DERIVATIONS = {
     "text,code,options", DEEP_DERIVATIONS.values(), ids=DEEP_DERIVATIONS.keys()
 )
 def test_deep_derivations_check_at_the_default_recursion_limit(text, code, options, tmp_path):
-    """A level of a store-clause derivation costs two interpreter frames
-    (`solve_store` and `backchain`; `solve` returns its atom's solutions
-    and keeps no frame), so these get a verdict in a fresh interpreter.
-    Typing first exits 3 at depth 492 (493 on Python 3.11 to 3.13), and
-    the chain at 76 links (99 on 3.12 and 3.13).  Under `--trace trace`
-    the recorder adds a frame per atom, and typing first exits 3 at depth
-    328 (329 on 3.11 to 3.13).  A parenthesis costs the parser two frames
-    (`parse_expr` and `parse_primary`); 300 of them would check at three
-    frames each as well."""
+    """A level of a derivation costs no interpreter frame: `solve` runs one
+    loop over an explicit goal list, and each candidate search
+    (`solve_store` and `backchain`) yields before the next atom is
+    dispatched.  Recursive walks over terms limit depth instead, under
+    `--trace trace` too: on Python 3.11 typing first exits 3 at depth 494,
+    in the parser, where a parenthesis costs two frames (`parse_expr` and
+    `parse_primary`), and the chain at 77 links, in `kernel._abstract`.
+    300 parentheses would check at three frames each as well."""
     f = tmp_path / "deep.hol"
     f.write_text(text)
     done = subprocess.run(
@@ -939,6 +939,15 @@ def test_deep_derivations_check_at_the_default_recursion_limit(text, code, optio
         text=True,
     )
     assert (done.returncode, done.stderr) == (code, "")
+
+
+def test_a_rejected_chain_goes_back_only_to_atoms_in_progress(tmp_path, capsys):
+    # a solved atom is final, so the failing link's search does not resume
+    # the links solved before it: 36744 steps under chronological backtracking
+    f = tmp_path / "chain.hol"
+    f.write_text(_chain_text(40, "left"))
+    assert run("check", str(f)) == 1
+    assert capsys.readouterr().out == f"{f}:1: goal: failure (steps=22981)\n"
 
 
 SIGNATURE_REFUSALS = {

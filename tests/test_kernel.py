@@ -981,9 +981,36 @@ def test_conjunction_clause_with_one_matching_head_is_backchained(sig):
     assert _backchained(sig, stored, app(HASTYPE, d, intty)) == (False, [])
 
 
+def test_a_solved_atom_is_not_resumed_when_a_later_conjunct_fails(sig):
+    # both stored clauses solve `hastype c intty`; the conjunct after it
+    # fails, and the search does not go back to try the older clause (14
+    # steps and positions [1, 0] under chronological backtracking)
+    goal = parse_goal(
+        r"pi c\ pi d\ (hastype c intty ==>> (hastype c intty ==>>"
+        r" (hastype c intty, hastype d intty)))",
+        sig,
+    )
+    assert _backchained(sig, [], goal) == (False, [1])
+    assert Session(sig).check_goal(goal, augment=False).stats.steps == 10
+
+
+def test_a_failed_head_match_leaves_no_binding_for_the_next_head(sig):
+    # the first head binds X to z before its second argument fails; the
+    # second head must meet X unbound, and bind it to `s z`
+    sig.declare("s", Arrow(TM, TM))
+    sig.declare("z", TM)
+    sig.declare("f", arrow(TM, TM, TM))
+    goal = parse_goal(
+        r"(pi X\ (hastype (f (s X) z) intty, hastype (f X X) intty))"
+        r" ==>> hastype (f (s z) (s z)) intty",
+        sig,
+    )
+    assert _backchained(sig, [], goal) == (True, [0])
+
+
 class ClauseLog(Session):
-    """Records the stored clauses at each `solve_store` and the goals
-    `solve` gets."""
+    """Records the stored clauses at each `solve_store` and the goals of
+    the bodies `backchain` yields."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -993,9 +1020,10 @@ class ClauseLog(Session):
         self.stored += [entry[0] for entry in self.store]
         return super().solve_store(atom)
 
-    def solve(self, g, vs=()):
-        self.goals.append(g)
-        return super().solve(g, vs)
+    def backchain(self, atom, clause, vs=()):
+        for body in super().backchain(atom, clause, vs):
+            self.goals += [g for g, _ in body]
+            yield body
 
 
 @pytest.mark.parametrize("subject,matches", [("d", True), ("false", False)])
@@ -1085,7 +1113,7 @@ def _heads(ses, clause, vs=()):
 def _attempt(ses, match):
     """What one match gives, a verdict or an exception's type, and the
     bindings it leaves on the trail, which are then undone."""
-    m = ses.mark()
+    m = len(ses.trail)
     try:
         result = match()
     except Exception as e:
@@ -1182,7 +1210,7 @@ class BareVariableShadow(Session):
             return super().match(pattern, target, vs, d)
         built = kernel._hsubst(pattern, d, vs)
         general = _attempt(self, lambda: Session.match(self, built, target, (), d))
-        m = self.mark()
+        m = len(self.trail)
         verdict = super().match(pattern, target, vs, d)
         bound = [(cell, cell.value) for cell in self.trail[m:]]
         same = (verdict, bound) == general and all(

@@ -24,7 +24,8 @@ def test_spanned_function_resolves(layer, module, attr):
 @pytest.mark.parametrize("name", GENERATORS)
 def test_counted_generator_resolves(name):
     # the tracer counts a call of each by wrapping the `Session` method;
-    # `solve` is a plain method that returns its goal's solutions
+    # `solve` is a plain method that returns whether its goal holds; the
+    # other two yield the goals each candidate's success needs
     method = getattr(kernel.Session, name)
     assert inspect.isfunction(method) and method.__qualname__ == f"Session.{name}"
     assert inspect.isgeneratorfunction(method) == (name != "solve")
